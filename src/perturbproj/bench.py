@@ -28,6 +28,7 @@ from ._parallel import parallel_map
 from .engine import EngineConfig, default_iterations, perturb_and_project
 from .marginals import (
     BinaryDataset,
+    _guard_size,
     avg_query_sq_error,
     parity_tensor,
     release_even_k,
@@ -340,8 +341,7 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
         raise ValueError(f"order k must be even and >= 2, got {k!r}")
     sizes = _check_sizes(sizes)
     for n in sizes:
-        if n**k > 10**8:
-            raise ValueError(f"n^k = {n}^{k} exceeds the size guard 10^8")
+        _guard_size(n, k, m, copies=10)  # the even-k release, the largest path
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
     if trials < 2:

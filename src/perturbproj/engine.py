@@ -16,7 +16,7 @@ import numpy as np
 
 from .mechanism import NoiseSpec, PrivacyParams, RandomStream, calibrate_sigma
 from .mechanism import sample_symmetric_gaussian
-from .projections import ConvexSet, Intersection, UnsupportedSetError
+from .projections import ConvexSet
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 100_000
@@ -67,27 +67,15 @@ def _checked_square(a: np.ndarray) -> np.ndarray:
 
 
 def _member_sets(sets) -> tuple:
-    if isinstance(sets, Intersection):
-        sets = sets.members
-    elif isinstance(sets, ConvexSet):
-        sets = (sets,)
-    sets = tuple(sets)
+    sets = (sets,) if isinstance(sets, ConvexSet) else tuple(sets)
     if len(sets) < 1:
         raise ValueError("need at least one set")
-    for s in sets:
-        if isinstance(s, Intersection):
-            raise UnsupportedSetError("nested intersections are not supported")
     return sets
 
 
 def perturb_and_project(a: np.ndarray, set_: ConvexSet, params: PrivacyParams,
                         stream: RandomStream) -> ReleaseOutput:
     """Single calibrated symmetric noise draw followed by one closed-form projection."""
-    if isinstance(set_, Intersection):
-        raise UnsupportedSetError(
-            "perturb_and_project needs a closed-form set; intersections go "
-            "through perturb_and_alternately_project"
-        )
     a = _checked_square(a)
     sigma = calibrate_sigma(params)
     w = sample_symmetric_gaussian(a.shape[0], NoiseSpec(sigma), stream)

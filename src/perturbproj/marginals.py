@@ -1,11 +1,11 @@
 """Private k-way marginal release over binary datasets.
 
-The clean statistic is the order-k parity tensor T = sum_e m(e) * e^{(x)k},
+Every release starts from the order-k parity tensor T = sum_e m(e) * e^{(x)k},
 whose entry at a multi-index alpha counts records with all features of alpha
-set. Even k admits a release that flattens a normalized copy of T into a
-square matrix, perturbs it once, and projects onto the psd trace ball; the
-baselines add entrywise noise to the raw tensor, with optional thresholding
-for sparse records. Feature indices in queries are 1-based.
+set. Even k reshapes T / (m * n^{k/2}) into its n^{k/2} x n^{k/2} matrix,
+perturbs it once, and projects onto the psd trace ball; the baselines add
+entrywise noise to T, with optional thresholding for sparse records. Feature
+indices in queries are 1-based.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .engine import perturb_and_project
 from .mechanism import NoiseSpec, PrivacyParams, RandomStream, calibrate_sigma, sample_gaussian
 from .projections import PsdTrace
 
-SIZE_GUARD = 10**8
+MAX_RELEASE_BYTES = 2**31
 
 METHOD_EVEN = "EVEN_FLATTEN"
 METHOD_THRESHOLD = "THRESHOLD_BASELINE"
@@ -145,18 +145,19 @@ class MarginalRelease:
     residuals: tuple = ()
 
 
-def _guard_size(n: int, k: int) -> None:
+def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
+    """Fail before allocating if a release's peak would pass MAX_RELEASE_BYTES.
+
+    The peak is `copies` (measured per path) float64 n^k arrays plus the records.
+    """
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k!r}")
-    if n**k > SIZE_GUARD:
-        raise ValueError(f"n^k = {n}^{k} exceeds the size guard {SIZE_GUARD}")
-
-
-def _outer_power(vec: np.ndarray, k: int) -> np.ndarray:
-    out = vec
-    for _ in range(k - 1):
-        out = np.multiply.outer(out, vec)
-    return out
+    need = 8 * (copies * n**k + rows * n)
+    if need > MAX_RELEASE_BYTES:
+        raise ValueError(
+            f"order {k} over {n} features needs about {need >> 20} MiB, "
+            f"over the size guard of {MAX_RELEASE_BYTES >> 20} MiB"
+        )
 
 
 def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
@@ -164,13 +165,26 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
 
     Entry at multi-index alpha is the number of records whose features at all
     positions of alpha equal 1 (repeats in alpha collapse since e_i^2 = e_i).
+    Built as one GEMM per block of records: the row-wise (k-1)-fold Kronecker
+    power of the block against the count-weighted block, exact in float64
+    below 2^53. Blocks of n records keep that slab no larger than T; at
+    k <= 2 the slab is the records themselves, so one block covers them all.
     """
     n = data.n_features
-    _guard_size(n, k)
-    t = np.zeros((n,) * k)
-    for row, c in zip(data.records, data.counts):
-        t += float(c) * _outer_power(row, k)
-    return MarginalTensor(order=k, side=n, values=t, scale=1.0)
+    _guard_size(n, k, len(data.records), copies=4)  # T, slab, GEMM product
+    x = data.records
+    counts = data.counts.astype(float)
+    if k == 1:
+        return MarginalTensor(order=1, side=n, values=counts @ x, scale=1.0)
+    step = n if k >= 3 else max(len(x), 1)
+    t = np.zeros((n ** (k - 1), n))
+    for lo in range(0, len(x), step):
+        block = x[lo:lo + step]
+        slab = block
+        for _ in range(k - 2):
+            slab = (slab[:, :, None] * block[:, None, :]).reshape(len(block), -1)
+        t += slab.T @ (counts[lo:lo + step, None] * block)
+    return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k), scale=1.0)
 
 
 def answer_parity_query(tensor: MarginalTensor, query: Union[ParityQuery, tuple]) -> float:
@@ -191,32 +205,16 @@ def answer_parity_query(tensor: MarginalTensor, query: Union[ParityQuery, tuple]
     return float(tensor.values[idx]) / tensor.scale
 
 
-def _flattened_normalized(data: BinaryDataset, k: int) -> np.ndarray:
-    """(1/m) sum m(e) (e/sqrt(n))^{(x)k} reshaped to its n^{k/2} square matrix.
-
-    Built directly as a sum of outer products v v^T so the result is exactly
-    symmetric; psd with trace <= 1 by construction.
-    """
-    n = data.n_features
-    m = data.size
-    half = k // 2
-    side = n**half
-    mat = np.zeros((side, side))
-    root_n = math.sqrt(n)
-    for row, c in zip(data.records, data.counts):
-        v = _outer_power(row / root_n, half).ravel(order="C")
-        mat += (float(c) / m) * np.outer(v, v)
-    return mat
-
-
 def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
                    stream: RandomStream) -> MarginalRelease:
-    """Even-k release: normalize, flatten, perturb once, project, rescale.
+    """Even-k release: reshape T / (m*n^{k/2}), perturb once, project, rescale.
 
-    The normalized flattening has l2 sensitivity 2/m under a record swap, so
-    the single symmetric draw uses sigma = (2/m)*sqrt(2 ln(2/delta))/epsilon;
-    projection onto {M psd, tr M <= 1} restores feasibility, and the output is
-    rescaled by m*n^{k/2} back to raw-count units.
+    The flattening is T / (m*n^{k/2}) reshaped to its n^{k/2} square matrix:
+    exactly symmetric (T[a, b] and T[b, a] are one integer), psd, trace <= 1.
+    It has l2 sensitivity 2/m under a record swap, so the single symmetric
+    draw uses sigma = (2/m)*sqrt(2 ln(2/delta))/epsilon; projection onto
+    {M psd, tr M <= 1} restores feasibility, and the output is rescaled by
+    m*n^{k/2} back to raw-count units.
     """
     if k % 2 != 0:
         raise ValueError(
@@ -224,14 +222,15 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
             "or release_gaussian_only for odd orders"
         )
     n = data.n_features
-    _guard_size(n, k)
+    _guard_size(n, k, len(data.records), copies=10)  # matrix, noise, eigh buffers
     m = data.size
     if m < 1:
         raise ValueError("dataset must contain at least one record")
+    side = n ** (k // 2)
+    back = float(m) * float(side)
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 / m)
-    out = perturb_and_project(_flattened_normalized(data, k), PsdTrace(1.0),
-                              release_params, stream)
-    back = float(m) * float(n ** (k // 2))
+    out = perturb_and_project(parity_tensor(data, k).values.reshape(side, side) / back,
+                              PsdTrace(1.0), release_params, stream)
     values = (out.point * back).reshape((n,) * k)
     return MarginalRelease(
         tensor=MarginalTensor(order=k, side=n, values=values, scale=1.0),
@@ -267,7 +266,7 @@ def release_threshold_baseline(data: BinaryDataset, k: int, t: int, params: Priv
     by at most 2*t^{k/2} in l2, which sets the noise scale.
     """
     n = data.n_features
-    _guard_size(n, k)
+    _guard_size(n, k, len(data.records), copies=6)  # T, noise, sort buffers
     if not (isinstance(t, int) and t >= 1):
         raise ValueError(f"sparsity t must be a positive integer, got {t!r}")
     weights = data.records.sum(axis=1)
@@ -300,7 +299,7 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     ||e^{(x)k}||_2 = ||e||_2^k <= t_eff^{k/2} and a swap doubles it.
     """
     n = data.n_features
-    _guard_size(n, k)
+    _guard_size(n, k, len(data.records), copies=4)  # parity build, then T + noise
     t_eff = data.sparsity if data.sparsity is not None else n
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 * t_eff ** (k / 2.0))
     sigma = calibrate_sigma(release_params)

@@ -176,37 +176,3 @@ class DiagClip(ConvexSet):
 
     def project(self, m):
         return project_diag_clip(m, self.lo, self.hi)
-
-
-@dataclass(frozen=True)
-class Intersection(ConvexSet):
-    """Intersection of closed-form sets; has no closed-form projection itself.
-
-    Alternating or Dykstra iterations over .members handle it; the residual
-    here is the max over member residuals, zero exactly when the point lies in
-    every member (a membership witness, not the Euclidean distance).
-    """
-
-    members: tuple = ()
-    kind: str = field(default="intersection", init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) < 1:
-            raise ValueError("intersection needs at least one member set")
-        if any(isinstance(s, Intersection) for s in self.members):
-            raise ValueError("nested intersections are not supported")
-
-    def project(self, m):
-        raise UnsupportedSetError(
-            "intersection has no closed-form projection; use the alternating "
-            "engine or the Dykstra reference"
-        )
-
-    def residual(self, m) -> float:
-        return max(s.residual(m) for s in self.members)
-
-
-def residual(set_: ConvexSet, m: np.ndarray) -> float:
-    """Frobenius distance from m to project(set_, m)."""
-    return set_.residual(m)

@@ -19,10 +19,8 @@ from perturbproj.projections import (
     DiagClip,
     EntryClip,
     FrobeniusBall,
-    Intersection,
     PsdCone,
     PsdTrace,
-    UnsupportedSetError,
 )
 
 HUGE_EPS = PrivacyParams(1e9, 1e-6, 1.0)
@@ -70,20 +68,6 @@ def test_perturb_and_project_deterministic():
     o1 = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
     o2 = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
     assert np.array_equal(o1.point, o2.point)
-
-
-def test_perturb_and_project_rejects_intersection_before_sampling(monkeypatch):
-    calls = []
-
-    def tracked(n, spec, stream):
-        calls.append(n)
-        return sample_symmetric_gaussian(n, spec, stream)
-
-    monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
-    inter = Intersection((PsdCone(), EntryClip(1.0)))
-    with pytest.raises(UnsupportedSetError):
-        perturb_and_project(np.eye(3), inter, NORMAL, RandomStream(0))
-    assert calls == []
 
 
 def test_single_noise_draw_per_release(monkeypatch):

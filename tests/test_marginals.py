@@ -1,10 +1,13 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import perturbproj.marginals as marginals
+from perturbproj.engine import perturb_and_project
 from perturbproj.marginals import (
     BinaryDataset,
     MarginalTensor,
@@ -68,12 +71,15 @@ def test_parity_query_validation():
 
 
 def test_parity_tensor_matches_brute_force():
+    # k >= 3 builds in blocks of n records: m up to 3n + 2 leaves a partial
+    # last block, and random counts weight each record
     rng = np.random.default_rng(0)
-    for _ in range(20):
+    for trial in range(32):
         n = int(rng.integers(2, 7))
-        m = int(rng.integers(1, 21))
-        k = int(rng.integers(1, 4))
-        data = _random_data(rng, n, m)
+        m = int(rng.integers(1, 3 * n + 3))
+        k = trial % 4 + 1
+        records = (rng.random((m, n)) < 0.5).astype(float)
+        data = BinaryDataset(records, counts=rng.integers(1, 10, size=m))
         tensor = parity_tensor(data, k)
         for idx in itertools.product(range(n), repeat=k):
             assert tensor.values[idx] == _brute_count(data, idx)
@@ -90,6 +96,18 @@ def test_parity_tensor_permutation_symmetry():
 def test_parity_tensor_size_guard():
     with pytest.raises(ValueError, match="size guard"):
         parity_tensor(BinaryDataset(np.zeros((1, 200))), 4)
+
+
+def test_even_k_size_guard_counts_bytes_before_allocating():
+    # 100^4 entries pass an entry-count cap of 10^8 but need gigabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size guard"):
+            release_even_k(BinaryDataset(np.zeros((1, 100))), 4, NORMAL, RandomStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_answer_parity_query():
@@ -133,6 +151,26 @@ def test_release_even_k_zero_noise_exact():
     assert np.allclose(rel.tensor.values, truth.values, atol=1e-6)
     rel4 = release_even_k(data, 4, HUGE_EPS, RandomStream(5))
     assert np.allclose(rel4.tensor.values, parity_tensor(data, 4).values, atol=1e-5)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_even_k_flattening_is_exactly_symmetric_psd_with_trace_at_most_one(monkeypatch, k):
+    captured = []
+
+    def capture(a, set_, params, stream):
+        captured.append(a)
+        return perturb_and_project(a, set_, params, stream)
+
+    monkeypatch.setattr(marginals, "perturb_and_project", capture)
+    rng = np.random.default_rng(9)
+    records = (rng.random((23, 5)) < 0.5).astype(float)
+    data = BinaryDataset(records, counts=rng.integers(1, 10, size=23))
+    release_even_k(data, k, NORMAL, RandomStream(0))
+    (mat,) = captured
+    assert mat.shape == (5 ** (k // 2),) * 2
+    assert np.array_equal(mat, mat.T)
+    assert np.linalg.eigvalsh(mat).min() >= -1e-12
+    assert np.trace(mat) <= 1.0 + 1e-12
 
 
 def test_release_even_k_feasible_pre_rescale():

@@ -7,16 +7,13 @@ from perturbproj.projections import (
     EigenFailure,
     EntryClip,
     FrobeniusBall,
-    Intersection,
     PsdCone,
     PsdTrace,
-    UnsupportedSetError,
     project_entry_clip,
     project_frobenius_ball,
     project_psd,
     project_psd_trace,
     project_simplex,
-    residual,
     symmetrize,
 )
 
@@ -80,11 +77,11 @@ def test_project_psd_trace_examples():
 
 
 def test_residual_examples():
-    assert residual(PsdCone(), np.diag([1.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
-    assert residual(EntryClip(1.0), np.array([[2.0, 0.0], [0.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
+    assert PsdCone().residual(np.diag([1.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
+    assert EntryClip(1.0).residual(np.array([[2.0, 0.0], [0.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(2)
     member = project_psd(_sym(rng, 4))
-    assert residual(PsdCone(), member) <= TOL_PROJ
+    assert PsdCone().residual(member) <= TOL_PROJ
 
 
 ALL_SETS = [
@@ -166,24 +163,3 @@ def test_set_parameter_validation():
             bad(-1.0)
     with pytest.raises(ValueError):
         DiagClip(1.0, 0.0)
-
-
-def test_intersection_rejects_direct_projection():
-    inter = Intersection((PsdCone(), EntryClip(1.0)))
-    with pytest.raises(UnsupportedSetError):
-        inter.project(np.eye(2))
-
-
-def test_intersection_residual_is_max_of_members():
-    inter = Intersection((PsdCone(), EntryClip(1.0)))
-    m = np.diag([3.0, -2.0])
-    expect = max(PsdCone().residual(m), EntryClip(1.0).residual(m))
-    assert inter.residual(m) == pytest.approx(expect, rel=1e-12)
-
-
-def test_intersection_rejects_nesting_and_empty():
-    inner = Intersection((PsdCone(),))
-    with pytest.raises(ValueError):
-        Intersection((inner, EntryClip(1.0)))
-    with pytest.raises(ValueError):
-        Intersection(())
