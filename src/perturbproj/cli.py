@@ -36,8 +36,6 @@ from .marginals import (
 from .mechanism import PrivacyParams, RandomStream
 from .projections import EigenFailure, EntryClip, FrobeniusBall, PsdTrace
 from .similarity import (
-    MODE_EXACT,
-    MODE_PRACTICAL,
     read_vectors_csv,
     release_cosine_exact,
     release_cosine_practical,
@@ -81,26 +79,38 @@ def run_similarity(args) -> int:
     _check_privacy(args.epsilon, args.delta)
     if not args.sensitivity > 0:
         raise ValueError(f"--sensitivity must be > 0, got {args.sensitivity:g}")
+    if args.iters is not None and args.mode == "exact":
+        raise ValueError("--iters applies to --mode practical only; the exact mode's "
+                         "solver stops on its own convergence test")
     if args.iters is not None and args.iters < 1:
         raise ValueError(f"--iters must be >= 1, got {args.iters}")
     vectors = read_vectors_csv(args.input, header=args.header)
     params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
-    iters = args.iters if args.iters is not None else default_iterations(vectors.count)
-    config = EngineConfig(iterations=iters, stream=RandomStream(args.seed))
-    release_fn = release_cosine_exact if args.mode == "exact" else release_cosine_practical
-    release = release_fn(vectors, params, config)
+    stream = RandomStream(args.seed)
+    if args.mode == "exact":
+        # the exact release reads only the stream from its config
+        release = release_cosine_exact(vectors, params,
+                                       EngineConfig(iterations=1, stream=stream))
+    else:
+        iters = args.iters if args.iters is not None else default_iterations(vectors.count)
+        release = release_cosine_practical(vectors, params,
+                                           EngineConfig(iterations=iters, stream=stream))
     out = Path(args.out)
     write_release_csv(release, out)
-    _sidecar(out, {
+    meta = {
         "epsilon": params.epsilon,
         "delta": params.delta,
         "sensitivity": params.sensitivity,
         "sigma": release.sigma,
         "seed": args.seed,
-        "method": MODE_EXACT if args.mode == "exact" else MODE_PRACTICAL,
+        "method": release.mode,
+        "solver": release.solver,
         "iterations": release.iterations,
         "residuals": list(release.residuals),
-    })
+    }
+    if release.kkt_residual is not None:
+        meta["kkt_residual"] = release.kkt_residual
+    _sidecar(out, meta)
     return 0
 
 
@@ -164,8 +174,7 @@ def run_bench(args) -> int:
         sizes = _parse_sizes(args.sizes)
         params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
         if args.experiment == "cosine-scaling":
-            report = scaling_experiment_cosine(sizes, params, args.trials, stream,
-                                               iterations=args.iters)
+            report = scaling_experiment_cosine(sizes, params, args.trials, stream)
         else:
             report = scaling_experiment_marginals(sizes, args.order, args.m, params,
                                                   args.trials, stream,
@@ -243,7 +252,6 @@ def _add_bench_flags(p) -> None:
     p.add_argument("--m", type=int, default=100, help="record count for marginal scaling")
     p.add_argument("--sparsity", type=int, default=None)
     p.add_argument("--sensitivity", type=float, default=1.0)
-    p.add_argument("--iters", type=int, default=None)
     p.add_argument("--per-trial-csv", default=None,
                    help="also write raw per-trial errors as CSV")
     _add_privacy_flags(p, required=False)

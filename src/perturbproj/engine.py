@@ -57,13 +57,20 @@ def default_iterations(n: int) -> int:
     return max(1, math.ceil(12.0 * math.log2(n)))
 
 
-def _checked_square(a: np.ndarray) -> np.ndarray:
+def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream) -> tuple:
+    """The one noise draw of a matrix release: returns (sym(a) + W, sigma).
+
+    Checks that a is square and symmetric, calibrates sigma from params, and
+    adds a symmetric Gaussian matrix W drawn once from stream.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-8, rtol=0.0):
         raise ValueError("input matrix must be symmetric")
-    return (a + a.T) / 2.0
+    sigma = calibrate_sigma(params)
+    w = sample_symmetric_gaussian(a.shape[0], NoiseSpec(sigma), stream)
+    return (a + a.T) / 2.0 + w, sigma
 
 
 def _member_sets(sets) -> tuple:
@@ -76,10 +83,8 @@ def _member_sets(sets) -> tuple:
 def perturb_and_project(a: np.ndarray, set_: ConvexSet, params: PrivacyParams,
                         stream: RandomStream) -> ReleaseOutput:
     """Single calibrated symmetric noise draw followed by one closed-form projection."""
-    a = _checked_square(a)
-    sigma = calibrate_sigma(params)
-    w = sample_symmetric_gaussian(a.shape[0], NoiseSpec(sigma), stream)
-    point = set_.project(a + w)
+    noisy, sigma = perturb_symmetric(a, params, stream)
+    point = set_.project(noisy)
     return ReleaseOutput(
         point=point,
         sigma_used=sigma,
@@ -105,10 +110,7 @@ def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
     single draw at the start is the only randomness consumed.
     """
     sets = _member_sets(sets)
-    a = _checked_square(a)
-    sigma = calibrate_sigma(params)
-    w = sample_symmetric_gaussian(a.shape[0], NoiseSpec(sigma), config.stream)
-    x = a + w
+    x, sigma = perturb_symmetric(a, params, config.stream)
     trajectory = [x.copy()] if config.record_trajectory else None
     for _ in range(config.iterations):
         x = averaged_projection_step(x, sets)

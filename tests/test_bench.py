@@ -140,7 +140,7 @@ def test_cosine_scaling_validation():
     with pytest.raises(ValueError):
         scaling_experiment_cosine([8, 4], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):
-        scaling_experiment_cosine([512], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([2048], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):
         scaling_experiment_cosine([4], NORMAL, 1, RandomStream(0))
 

@@ -49,6 +49,28 @@ def test_similarity_rerun_is_byte_identical(tmp_path, vectors_csv):
     assert out1.with_suffix(".json").read_bytes() == out2.with_suffix(".json").read_bytes()
 
 
+def test_similarity_exact_sidecar_records_solver_facts(tmp_path, vectors_csv):
+    out = tmp_path / "x.csv"
+    assert cli.main(["similarity", "--input", str(vectors_csv), "--epsilon", "1",
+                     "--delta", "1e-6", "--seed", "3", "--out", str(out)]) == 0
+    meta = json.loads(out.with_suffix(".json").read_text())
+    assert meta["method"] == "EXACT_SET"
+    assert meta["solver"] == "dual-newton"
+    assert isinstance(meta["iterations"], int) and meta["iterations"] >= 1
+    assert 0.0 <= meta["kkt_residual"] <= 1e-12 * 100
+    assert "wall_time_s" not in meta
+
+
+def test_similarity_exact_rejects_iters(tmp_path, vectors_csv, capsys):
+    out = tmp_path / "x.csv"
+    code = cli.main(["similarity", "--input", str(vectors_csv), "--epsilon", "1",
+                     "--delta", "1e-6", "--mode", "exact", "--iters", "40",
+                     "--out", str(out)])
+    assert code == 2
+    assert "--iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_similarity_bad_row_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,0\n0.5,0\n")

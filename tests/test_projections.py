@@ -1,19 +1,30 @@
 import numpy as np
 import pytest
 
+from perturbproj.engine import dykstra_reference
+from perturbproj.mechanism import (
+    NoiseSpec,
+    PrivacyParams,
+    RandomStream,
+    calibrate_sigma,
+    sample_symmetric_gaussian,
+)
 from perturbproj.projections import (
     TOL_PROJ,
     DiagClip,
     EigenFailure,
     EntryClip,
     FrobeniusBall,
+    ProjectionConvergenceError,
     PsdCone,
+    PsdDiagBox,
     PsdTrace,
     project_entry_clip,
     project_frobenius_ball,
     project_psd,
     project_psd_trace,
     project_simplex,
+    solve_psd_diag_box,
     symmetrize,
 )
 
@@ -93,6 +104,7 @@ ALL_SETS = [
     PsdTrace(1.0),
     PsdTrace(2.5),
     DiagClip(0.0, 1.0),
+    PsdDiagBox(),
 ]
 
 
@@ -163,3 +175,49 @@ def test_set_parameter_validation():
             bad(-1.0)
     with pytest.raises(ValueError):
         DiagClip(1.0, 0.0)
+
+
+def _noisy_gram(n, epsilon, seed):
+    """Gram matrix of n random unit vectors plus the noise of one release."""
+    g = np.random.default_rng(seed).standard_normal((n, 3))
+    v = g / np.linalg.norm(g, axis=1, keepdims=True)
+    sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6, 1.0))
+    return v @ v.T + sample_symmetric_gaussian(n, NoiseSpec(sigma), RandomStream(seed + 100))
+
+
+# Dykstra from the noisy matrix is the reference; at n=32 and small epsilon it
+# needs tens of seconds per input, so those cases are left out.
+NEWTON_CASES = ([(n, eps) for n in (1, 2, 8, 32) for eps in (1e12, 10.0, 1.0)]
+                + [(n, eps) for n in (1, 2, 8) for eps in (0.1, 0.01)])
+
+
+@pytest.mark.parametrize("n,epsilon", NEWTON_CASES)
+def test_psd_diag_box_matches_dykstra_from_the_noisy_matrix(n, epsilon):
+    for seed in range(2):
+        a = symmetrize(_noisy_gram(n, epsilon, seed))
+        scale = max(1.0, float(np.max(np.abs(a))))
+        x = PsdDiagBox().project(a)
+        ref = dykstra_reference(a, (PsdCone(), DiagClip(0.0, 1.0)))
+        assert np.max(np.abs(x - ref)) <= 1e-9 * scale
+        assert np.array_equal(x, x.T)
+        assert x.diagonal().max() <= 1.0
+        assert np.linalg.eigvalsh(x)[0] >= -1e-10 * scale
+
+
+def test_psd_diag_box_returns_a_member_unchanged():
+    rng = np.random.default_rng(5)
+    for rank in (3, 6):  # rank 3: eigh puts round-off below zero
+        g = rng.standard_normal((6, rank))
+        member = g @ g.T
+        member = member / member.diagonal().max()
+        assert np.array_equal(PsdDiagBox().project(member), member)
+    solved = solve_psd_diag_box(np.eye(3))
+    assert np.array_equal(solved.point, np.eye(3))
+    assert solved.iterations == 0 and solved.kkt_residual == 0.0
+
+
+def test_psd_diag_box_iteration_cap_raises_eigen_failure_subclass():
+    assert issubclass(ProjectionConvergenceError, EigenFailure)
+    a = symmetrize(_noisy_gram(8, 0.01, 0))
+    with pytest.raises(ProjectionConvergenceError, match="KKT residual"):
+        solve_psd_diag_box(a, max_iter=1)

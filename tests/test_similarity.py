@@ -3,9 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from perturbproj.engine import EngineConfig, default_iterations, perturb_and_project
+from perturbproj.engine import (
+    EngineConfig,
+    default_iterations,
+    dykstra_reference,
+    perturb_and_project,
+)
 from perturbproj.mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_symmetric_gaussian
-from perturbproj.projections import EntryClip, PsdTrace
+from perturbproj.projections import DiagClip, EntryClip, PsdCone, PsdTrace
 from perturbproj.similarity import (
     MODE_EXACT,
     MODE_PRACTICAL,
@@ -112,6 +117,29 @@ def test_release_exact_feasibility():
     assert rel.matrix.diagonal().max() <= 1.0 + 1e-6
     assert max(rel.residuals) <= 1e-7
     assert rel.sigma == pytest.approx(5.386772268905419, rel=1e-12)
+
+
+def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
+    import perturbproj.engine as engine
+
+    draws = []
+
+    def tracked(n, spec, stream):
+        w = sample_symmetric_gaussian(n, spec, stream)
+        draws.append(w)
+        return w
+
+    monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
+    rng = np.random.default_rng(13)
+    vs = _unit_rows(rng, 10)
+    rel = release_cosine_exact(vs, NORMAL, EngineConfig(iterations=1, stream=RandomStream(14)))
+    assert len(draws) == 1
+    noisy = gram(vs) + draws[0]
+    ref = dykstra_reference(noisy, (PsdCone(), DiagClip(0.0, 1.0)))
+    assert np.max(np.abs(rel.matrix - ref)) <= 1e-9 * max(1.0, float(np.max(np.abs(noisy))))
+    assert rel.matrix.diagonal().max() <= 1.0
+    assert rel.solver == "dual-newton"
+    assert rel.iterations >= 1 and rel.kkt_residual <= 1e-12 * float(np.max(np.abs(noisy)))
 
 
 def test_release_practical_zero_noise_returns_gram():
