@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._parallel import parallel_map
-from .engine import EngineConfig, perturb_and_project
+from .engine import perturb_and_project
 from .marginals import (
     BinaryDataset,
     _guard_size,
@@ -284,8 +284,7 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
             g = data_rng.standard_normal((n, n))
             vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
             truth = gram(vectors)
-            released = release_cosine_exact(
-                vectors, params, EngineConfig(iterations=1, stream=noise))
+            released = release_cosine_exact(vectors, params, noise)
             clip_only = perturb_and_project(truth, EntryClip(1.0), params, noise)
             return (float(np.sum((released.matrix - truth) ** 2)),
                     float(np.sum((clip_only.point - truth) ** 2)))

@@ -23,7 +23,6 @@ from .bench import (
     scaling_experiment_marginals,
     stability_experiment,
 )
-from .engine import EngineConfig, default_iterations
 from .marginals import (
     avg_query_sq_error,
     parity_tensor,
@@ -79,22 +78,10 @@ def run_similarity(args) -> int:
     _check_privacy(args.epsilon, args.delta)
     if not args.sensitivity > 0:
         raise ValueError(f"--sensitivity must be > 0, got {args.sensitivity:g}")
-    if args.iters is not None and args.mode == "exact":
-        raise ValueError("--iters applies to --mode practical only; the exact mode's "
-                         "solver stops on its own convergence test")
-    if args.iters is not None and args.iters < 1:
-        raise ValueError(f"--iters must be >= 1, got {args.iters}")
     vectors = read_vectors_csv(args.input, header=args.header)
     params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
-    stream = RandomStream(args.seed)
-    if args.mode == "exact":
-        # the exact release reads only the stream from its config
-        release = release_cosine_exact(vectors, params,
-                                       EngineConfig(iterations=1, stream=stream))
-    else:
-        iters = args.iters if args.iters is not None else default_iterations(vectors.count)
-        release = release_cosine_practical(vectors, params,
-                                           EngineConfig(iterations=iters, stream=stream))
+    release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
+    release = release_cosine(vectors, params, RandomStream(args.seed))
     out = Path(args.out)
     write_release_csv(release, out)
     meta = {
@@ -105,10 +92,10 @@ def run_similarity(args) -> int:
         "seed": args.seed,
         "method": release.mode,
         "solver": release.solver,
-        "iterations": release.iterations,
         "residuals": list(release.residuals),
     }
-    if release.kkt_residual is not None:
+    if release.kkt_residual is not None:  # the exact mode's dual Newton solver ran
+        meta["iterations"] = release.iterations
         meta["kkt_residual"] = release.kkt_residual
     _sidecar(out, meta)
     return 0
@@ -270,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_privacy_flags(sim, required=True)
     sim.add_argument("--sensitivity", type=float, default=1.0)
     sim.add_argument("--mode", choices=["exact", "practical"], default="exact")
-    sim.add_argument("--iters", type=int, default=None)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", required=True, help="released matrix CSV path")
     sim.add_argument("--header", action="store_true", help="skip the first input line")

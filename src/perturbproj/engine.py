@@ -7,7 +7,6 @@ the calibrated Gaussian draw carries through unchanged.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,7 +27,7 @@ class DykstraConvergenceWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Iteration count, randomness handle, and trajectory switch for a release."""
+    """Iteration count, stream and trajectory switch of perturb_and_alternately_project."""
 
     iterations: int
     stream: RandomStream
@@ -48,13 +47,6 @@ class ReleaseOutput:
     iterations_used: int
     final_residuals: tuple
     trajectory: Optional[list] = None
-
-
-def default_iterations(n: int) -> int:
-    """Default alternating-iteration count for an n x n problem, 12*log2(n) rounded up."""
-    if n < 2:
-        return 1
-    return max(1, math.ceil(12.0 * math.log2(n)))
 
 
 def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream) -> tuple:

@@ -245,15 +245,20 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
 def _threshold_keep(flat: np.ndarray, keep: int) -> np.ndarray:
     """Zero all but the `keep` largest-magnitude entries.
 
-    Stable sort on descending magnitude keeps the lexicographically smaller
-    flat index on ties.
+    A partition finds the cut, the keep-th largest magnitude. Every entry
+    above it is kept, and the remaining places go to the entries at the cut
+    in ascending flat index, so ties keep the lexicographically smaller index.
     """
     if keep >= flat.size:
         return flat.copy()
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    kept = order[:keep]
-    out[kept] = flat[kept]
+    if keep <= 0:
+        return np.zeros_like(flat)
+    mag = np.abs(flat)
+    cut = np.partition(mag, flat.size - keep)[flat.size - keep]
+    above = mag > cut
+    out = np.where(above, flat, 0.0)
+    ties = np.flatnonzero(mag == cut)[:keep - np.count_nonzero(above)]
+    out[ties] = flat[ties]
     return out
 
 
@@ -459,7 +464,7 @@ def read_dataset_csv(path, header: bool = False, count_column: bool = False,
                 raise ValueError(f"line {lineno}: expected {width} values, got {len(vals)}")
             if count_column:
                 c = vals[-1]
-                if c != int(c) or c < 1:
+                if not math.isfinite(c) or c != int(c) or c < 1:
                     raise ValueError(f"line {lineno}: count must be a positive integer, got {c:g}")
                 counts.append(int(c))
                 vals = vals[:-1]

@@ -62,8 +62,8 @@ class NoiseSpec:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
 
 def calibrate_sigma(params: PrivacyParams) -> float:
@@ -76,11 +76,20 @@ def calibrate_sigma(params: PrivacyParams) -> float:
     return params.sensitivity * math.sqrt(2.0 * math.log(2.0 / params.delta)) / params.epsilon
 
 
+def _scaled_draw(shape, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
+    """sigma times iid standard normals; refuses a draw that overflowed to inf."""
+    with np.errstate(over="ignore"):  # reported below as an error instead
+        draw = stream.generator().standard_normal(shape) * spec.sigma
+    if not np.all(np.isfinite(draw)):
+        raise ValueError(f"noise of scale sigma={spec.sigma:g} overflows float64")
+    return draw
+
+
 def sample_gaussian(shape, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
     """iid N(0, sigma^2) array of the given shape; exact zeros when sigma == 0."""
     if spec.sigma == 0:
         return np.zeros(shape)
-    return stream.generator().standard_normal(shape) * spec.sigma
+    return _scaled_draw(shape, spec, stream)
 
 
 def sample_symmetric_gaussian(n: int, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
@@ -88,14 +97,14 @@ def sample_symmetric_gaussian(n: int, spec: NoiseSpec, stream: RandomStream) -> 
 
     Every independent coordinate (diagonal included) has standard deviation
     sigma, which is what the l2 calibration over the upper-triangle
-    coordinates of a symmetric statistic requires.
+    coordinates of a symmetric statistic requires. The draws fill the upper
+    triangle row by row.
     """
     if n < 1:
         raise ValueError(f"matrix side must be at least 1, got {n!r}")
     w = np.zeros((n, n))
     if spec.sigma == 0:
         return w
-    rows, cols = np.triu_indices(n)
-    w[rows, cols] = stream.generator().standard_normal(rows.size) * spec.sigma
-    w[cols, rows] = w[rows, cols]
+    w[np.triu(np.ones((n, n), dtype=bool))] = _scaled_draw(n * (n + 1) // 2, spec, stream)
+    w += np.triu(w, 1).T
     return w

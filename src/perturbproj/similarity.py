@@ -1,12 +1,12 @@
 """Private pairwise cosine-similarity release.
 
 The clean statistic is the Gram matrix of a set of unit vectors. Both release
-modes draw calibrated symmetric noise once and then map the noisy matrix into
-a structured set. The exact mode takes the one Euclidean projection onto
-{X psd, diag(X) <= 1} that the paper's error bound is stated for, computed by
-a dual Newton solver that certifies its KKT residual. The practical mode runs
-averaged alternating projections toward the cheaper {Frobenius norm <= n}
-intersected with {entries in [-1,1]}.
+modes draw calibrated symmetric noise once from a RandomStream and then map
+the noisy matrix into a structured set in one step. The exact mode takes the
+one Euclidean projection onto {X psd, diag(X) <= 1} that the paper's error
+bound is stated for, computed by a dual Newton solver that certifies its KKT
+residual. The practical mode shrinks the noisy matrix radially to Frobenius
+norm n and then clips every entry to [-1, 1]; no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-# dykstra_reference is unused here; perfbench/tracing.py rebinds it by this name.
-from .engine import (EngineConfig, dykstra_reference, perturb_and_alternately_project,
-                     perturb_symmetric)
-from .mechanism import PrivacyParams
+# dykstra_reference and perturb_and_alternately_project are unused here;
+# perfbench/tracing.py rebinds both by these names.
+from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
+from .mechanism import PrivacyParams, RandomStream
 from .projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, solve_psd_diag_box
 
 ROW_NORM_TOL = 1e-6
@@ -29,7 +29,7 @@ MODE_EXACT = "EXACT_SET"
 MODE_PRACTICAL = "PRACTICAL"
 
 SOLVER_EXACT = "dual-newton"
-SOLVER_PRACTICAL = "averaged-projections"
+SOLVER_PRACTICAL = "shrink-then-clip"
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,19 @@ class UnitVectorSet:
 class SimilarityRelease:
     """Released similarity matrix plus the run metadata a sidecar records.
 
-    iterations counts the solver's own iterations; kkt_residual is the dual
-    Newton solver's final KKT residual and is None in practical mode.
+    iterations and kkt_residual are the dual Newton solver's iteration count
+    and final KKT residual; both are None in practical mode, which takes one
+    closed-form step.
     """
 
     matrix: np.ndarray
     params: PrivacyParams
     mode: str
-    iterations: int
     sigma: float
     residuals: tuple
     solver: str
+    iterations: Optional[int] = None
     kkt_residual: Optional[float] = None
-    trajectory: Optional[list] = None
 
 
 def read_vectors_csv(path, header: bool = False) -> UnitVectorSet:
@@ -136,50 +136,52 @@ def gram_sensitivity(a: UnitVectorSet, b: UnitVectorSet) -> float:
 
 
 def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams,
-                         config: EngineConfig) -> SimilarityRelease:
+                         stream: RandomStream) -> SimilarityRelease:
     """The Euclidean projection of the noisy Gram matrix onto {X psd, diag(X) <= 1}.
 
-    One noise draw from config.stream, then one call of the dual Newton
-    solver (solve_psd_diag_box), which stops on its own KKT test; so
-    config.iterations and config.record_trajectory are not read. The release
+    One noise draw from stream, then one call of the dual Newton solver
+    (solve_psd_diag_box), which stops on its own KKT test. The release
     records the solver's iteration count and final KKT residual, and the
     distances to the psd cone and to {diag(X) in [0, 1]}; diag(X) <= 1 holds
     exactly.
     """
-    noisy, sigma = perturb_symmetric(gram(vectors), params, config.stream)
+    noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
     solved = solve_psd_diag_box(noisy)
     point = solved.point
     return SimilarityRelease(
         matrix=point,
         params=params,
         mode=MODE_EXACT,
-        iterations=solved.iterations,
         sigma=sigma,
         residuals=(PsdCone().residual(point), DiagClip(0.0, 1.0).residual(point)),
         solver=SOLVER_EXACT,
+        iterations=solved.iterations,
         kkt_residual=solved.kkt_residual,
     )
 
 
 def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
-                             config: EngineConfig) -> SimilarityRelease:
-    """Noisy Gram matrix mapped toward {||X||_F <= n} intersected with {|X_ij| <= 1}.
+                             stream: RandomStream) -> SimilarityRelease:
+    """Noisy Gram matrix shrunk to Frobenius norm n, then clipped to [-1, 1].
 
-    Pure averaged alternation with weight 1/2 per set and no polish; the
-    reported entry-clip residual rho bounds how far any entry can sit outside
-    [-1, 1]. One noise draw, inside the engine.
+    One noise draw from stream, one radial shrink onto {||X||_F <= n} and one
+    entry clip. Every entry of the output lies in [-1, 1], and therefore
+    ||X||_F <= n too, so both reported residuals (Frobenius ball, entry box)
+    are 0. The shrink is what makes this better than a plain clip: it pulls
+    every entry toward 0 by the same factor before clipping, which on paired
+    draws never gave a larger squared error than the averaged alternating
+    projections between the two sets (perturb_and_alternately_project).
     """
-    sets = (FrobeniusBall(float(vectors.count)), EntryClip(1.0))
-    out = perturb_and_alternately_project(gram(vectors), sets, params, config)
+    ball, box = FrobeniusBall(float(vectors.count)), EntryClip(1.0)
+    noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
+    point = box.project(ball.project(noisy))
     return SimilarityRelease(
-        matrix=out.point,
+        matrix=point,
         params=params,
         mode=MODE_PRACTICAL,
-        iterations=out.iterations_used,
-        sigma=out.sigma_used,
-        residuals=out.final_residuals,
+        sigma=sigma,
+        residuals=(ball.residual(point), box.residual(point)),
         solver=SOLVER_PRACTICAL,
-        trajectory=out.trajectory,
     )
 
 

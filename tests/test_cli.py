@@ -28,7 +28,7 @@ def test_similarity_happy_path(tmp_path, vectors_csv):
     out = tmp_path / "x.csv"
     code = cli.main([
         "similarity", "--input", str(vectors_csv), "--epsilon", "1", "--delta", "1e-6",
-        "--sensitivity", "1", "--mode", "practical", "--iters", "40",
+        "--sensitivity", "1", "--mode", "practical",
         "--seed", "7", "--out", str(out)])
     assert code == 0
     matrix = np.loadtxt(out, delimiter=",")
@@ -38,6 +38,9 @@ def test_similarity_happy_path(tmp_path, vectors_csv):
         assert key in meta
     assert meta["method"] == "PRACTICAL"
     assert meta["sigma"] == pytest.approx(5.386772268905419, rel=1e-12)
+    assert meta["solver"] == "shrink-then-clip"
+    assert meta["residuals"] == [0.0, 0.0]
+    assert "iterations" not in meta and "kkt_residual" not in meta
 
 
 def test_similarity_rerun_is_byte_identical(tmp_path, vectors_csv):
@@ -61,10 +64,11 @@ def test_similarity_exact_sidecar_records_solver_facts(tmp_path, vectors_csv):
     assert "wall_time_s" not in meta
 
 
-def test_similarity_exact_rejects_iters(tmp_path, vectors_csv, capsys):
+@pytest.mark.parametrize("mode", ["exact", "practical"])
+def test_similarity_exact_rejects_iters(tmp_path, vectors_csv, capsys, mode):
     out = tmp_path / "x.csv"
     code = cli.main(["similarity", "--input", str(vectors_csv), "--epsilon", "1",
-                     "--delta", "1e-6", "--mode", "exact", "--iters", "40",
+                     "--delta", "1e-6", "--mode", mode, "--iters", "40",
                      "--out", str(out)])
     assert code == 2
     assert "--iters" in capsys.readouterr().err
@@ -155,6 +159,35 @@ def test_marginals_sparsity_violation_exits_2(dataset_csv, tmp_path, capsys):
                      "--out", str(tmp_path / "t.bin")])
     assert code == 2
     assert "sparsity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["inf", "nan"])
+def test_marginals_non_finite_count_names_line(tmp_path, capsys, count):
+    path = tmp_path / "c.csv"
+    path.write_text(f"1,0,2\n0,1,{count}\n")
+    out = tmp_path / "t.bin"
+    code = cli.main(["marginals", "--input", str(path), "--epsilon", "1",
+                     "--delta", "1e-6", "--mode", "gaussian", "--count-column",
+                     "--out", str(out)])
+    assert code == 2
+    assert "line 2: count must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["marginals", "--mode", "gaussian", "--epsilon", "1e-320"],
+    ["marginals", "--mode", "threshold", "--sparsity", "4", "--epsilon", "1e-320"],
+    ["marginals", "--mode", "even-flatten", "--epsilon", "1e-320"],
+    ["similarity", "--mode", "practical", "--epsilon", "1", "--sensitivity", "1e308"],
+    ["similarity", "--mode", "exact", "--epsilon", "1", "--sensitivity", "1e308"],
+], ids=["gaussian", "threshold", "even-flatten", "practical", "exact"])
+def test_infinite_noise_exits_2_before_writing(tmp_path, vectors_csv, dataset_csv, argv):
+    source = vectors_csv if argv[0] == "similarity" else dataset_csv
+    out = tmp_path / "out.bin"
+    code = cli.main([*argv, "--input", str(source), "--delta", "1e-6", "--seed", "1",
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 def test_marginals_gaussian_mode(dataset_csv, tmp_path):

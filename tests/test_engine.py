@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from perturbproj.engine import (
     DykstraConvergenceWarning,
     EngineConfig,
     averaged_projection_step,
-    default_iterations,
     dykstra_reference,
     perturb_and_alternately_project,
     perturb_and_project,
@@ -30,13 +27,6 @@ NORMAL = PrivacyParams(1.0, 1e-6, 1.0)
 def _sym(rng, n, scale=1.0):
     g = rng.standard_normal((n, n)) * scale
     return (g + g.T) / 2
-
-
-def test_default_iterations():
-    assert default_iterations(1) == 1
-    assert default_iterations(2) == 12
-    assert default_iterations(64) == 72
-    assert default_iterations(100) == math.ceil(12 * math.log2(100))
 
 
 def test_engine_config_validation():

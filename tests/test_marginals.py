@@ -225,6 +225,29 @@ def test_threshold_tie_break_keeps_first_flat_indices():
     assert np.array_equal(kept, np.array([1.0, -1.0, 0.0, 0.0]))
 
 
+def test_threshold_keep_matches_stable_argsort_rule():
+    from perturbproj.marginals import _threshold_keep
+
+    def stable_argsort_keep(flat, keep):
+        if keep >= flat.size:
+            return flat.copy()
+        kept = np.argsort(-np.abs(flat), kind="stable")[:keep]
+        out = np.zeros_like(flat)
+        out[kept] = flat[kept]
+        return out
+
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        size = int(rng.integers(1, 80))
+        if trial % 4 == 0:
+            flat = rng.standard_normal(size)
+        else:  # few distinct magnitudes of both signs: many ties
+            flat = rng.integers(-3, 4, size) * 0.5
+        for keep in (1, size - 1, size, size + 3, int(rng.integers(1, size + 1))):
+            got = _threshold_keep(flat, keep)
+            assert got.tobytes() == stable_argsort_keep(flat, keep).tobytes(), (flat, keep)
+
+
 def test_gaussian_only_sensitivity():
     rng = np.random.default_rng(13)
     dense = _random_data(rng, 4, 10)

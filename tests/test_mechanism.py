@@ -65,6 +65,17 @@ def test_sample_gaussian_zero_sigma():
         NoiseSpec(-0.5)
 
 
+def test_noise_must_be_finite():
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(sigma)
+    # a finite sigma whose scaled draws overflow float64
+    with pytest.raises(ValueError, match="overflows"):
+        sample_gaussian(100, NoiseSpec(1e308), RandomStream(0))
+    with pytest.raises(ValueError, match="overflows"):
+        sample_symmetric_gaussian(20, NoiseSpec(1e308), RandomStream(0))
+
+
 def test_sample_gaussian_moments():
     out = sample_gaussian(10**5, NoiseSpec(2.0), RandomStream(7))
     assert abs(float(out.mean())) < 0.05
@@ -101,3 +112,14 @@ def test_symmetric_gaussian_entry_variance():
     w = sample_symmetric_gaussian(n, NoiseSpec(1.5), RandomStream(9))
     upper = w[np.triu_indices(n)]
     assert abs(float(upper.std()) - 1.5) < 0.1
+
+
+def test_symmetric_gaussian_matches_triu_indices_construction():
+    for n in (1, 2, 5, 64, 300):
+        stream = RandomStream(4, n)
+        rows, cols = np.triu_indices(n)
+        ref = np.zeros((n, n))
+        ref[rows, cols] = stream.generator().standard_normal(rows.size) * 1.7
+        ref[cols, rows] = ref[rows, cols]
+        w = sample_symmetric_gaussian(n, NoiseSpec(1.7), stream)
+        assert w.tobytes() == ref.tobytes()

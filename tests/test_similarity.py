@@ -5,12 +5,12 @@ import pytest
 
 from perturbproj.engine import (
     EngineConfig,
-    default_iterations,
     dykstra_reference,
+    perturb_and_alternately_project,
     perturb_and_project,
 )
 from perturbproj.mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_symmetric_gaussian
-from perturbproj.projections import DiagClip, EntryClip, PsdCone, PsdTrace
+from perturbproj.projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, PsdTrace
 from perturbproj.similarity import (
     MODE_EXACT,
     MODE_PRACTICAL,
@@ -101,8 +101,7 @@ def test_read_vectors_csv(tmp_path):
 
 def test_release_exact_zero_noise_returns_gram():
     vs = UnitVectorSet(np.eye(4))
-    cfg = EngineConfig(iterations=default_iterations(4), stream=RandomStream(1))
-    rel = release_cosine_exact(vs, HUGE_EPS, cfg)
+    rel = release_cosine_exact(vs, HUGE_EPS, RandomStream(1))
     assert np.allclose(rel.matrix, np.eye(4), atol=1e-6)
     assert rel.mode == MODE_EXACT
 
@@ -110,8 +109,7 @@ def test_release_exact_zero_noise_returns_gram():
 def test_release_exact_feasibility():
     rng = np.random.default_rng(2)
     vs = _unit_rows(rng, 12)
-    cfg = EngineConfig(iterations=default_iterations(12), stream=RandomStream(3))
-    rel = release_cosine_exact(vs, NORMAL, cfg)
+    rel = release_cosine_exact(vs, NORMAL, RandomStream(3))
     eigs = np.linalg.eigvalsh((rel.matrix + rel.matrix.T) / 2)
     assert eigs.min() >= -1e-6
     assert rel.matrix.diagonal().max() <= 1.0 + 1e-6
@@ -132,7 +130,7 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     rng = np.random.default_rng(13)
     vs = _unit_rows(rng, 10)
-    rel = release_cosine_exact(vs, NORMAL, EngineConfig(iterations=1, stream=RandomStream(14)))
+    rel = release_cosine_exact(vs, NORMAL, RandomStream(14))
     assert len(draws) == 1
     noisy = gram(vs) + draws[0]
     ref = dykstra_reference(noisy, (PsdCone(), DiagClip(0.0, 1.0)))
@@ -145,8 +143,7 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
 def test_release_practical_zero_noise_returns_gram():
     rng = np.random.default_rng(4)
     vs = _unit_rows(rng, 6)
-    cfg = EngineConfig(iterations=30, stream=RandomStream(5))
-    rel = release_cosine_practical(vs, HUGE_EPS, cfg)
+    rel = release_cosine_practical(vs, HUGE_EPS, RandomStream(5))
     assert np.allclose(rel.matrix, gram(vs), atol=1e-6)
     assert rel.mode == MODE_PRACTICAL
 
@@ -154,11 +151,45 @@ def test_release_practical_zero_noise_returns_gram():
 def test_release_practical_entries_within_reported_residual():
     rng = np.random.default_rng(6)
     vs = _unit_rows(rng, 16)
-    cfg = EngineConfig(iterations=default_iterations(16), stream=RandomStream(7))
-    rel = release_cosine_practical(vs, NORMAL, cfg)
+    rel = release_cosine_practical(vs, NORMAL, RandomStream(7))
     rho = rel.residuals[1]
     assert np.abs(rel.matrix).max() <= 1.0 + rho + 1e-12
     assert rho <= 1e-6
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
+        monkeypatch, n, eps):
+    # paired on the noise stream against the averaged alternation between the
+    # same two sets, run for ceil(12 log2 n) steps
+    import perturbproj.engine as engine
+
+    draws = []
+
+    def tracked(side, spec, stream):
+        draws.append(side)
+        return sample_symmetric_gaussian(side, spec, stream)
+
+    monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
+    params = PrivacyParams(eps, 1e-6, 1.0)
+    sets = (FrobeniusBall(float(n)), EntryClip(1.0))
+    steps = math.ceil(12 * math.log2(n))
+    for s in range(20):
+        rng = np.random.default_rng(60_000 + s)
+        vs = _unit_rows(rng, n)
+        truth = gram(vs)
+        noise = RandomStream(70_000 + s)
+        draws.clear()
+        rel = release_cosine_practical(vs, params, noise)
+        assert draws == [n]
+        ref = perturb_and_alternately_project(truth, sets, params,
+                                              EngineConfig(iterations=steps, stream=noise))
+        assert np.sum((rel.matrix - truth) ** 2) <= np.sum((ref.point - truth) ** 2)
+        assert np.abs(rel.matrix).max() <= 1.0
+        assert rel.residuals == (0.0, 0.0)
+        assert rel.solver == "shrink-then-clip"
+        assert rel.iterations is None and rel.kkt_residual is None
 
 
 def test_release_single_noise_draw(monkeypatch):
@@ -173,10 +204,9 @@ def test_release_single_noise_draw(monkeypatch):
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     rng = np.random.default_rng(8)
     vs = _unit_rows(rng, 6)
-    cfg = EngineConfig(iterations=10, stream=RandomStream(9))
-    release_cosine_exact(vs, NORMAL, cfg)
+    release_cosine_exact(vs, NORMAL, RandomStream(9))
     assert len(calls) == 1
-    release_cosine_practical(vs, NORMAL, cfg)
+    release_cosine_practical(vs, NORMAL, RandomStream(9))
     assert len(calls) == 2
 
 
@@ -188,9 +218,9 @@ def test_practical_error_within_factor_three_of_exact():
         rng = np.random.default_rng(10_000 + s)
         vs = _unit_rows(rng, n)
         truth = gram(vs)
-        cfg = EngineConfig(iterations=default_iterations(n), stream=RandomStream(20_000 + s))
-        exact = release_cosine_exact(vs, NORMAL, cfg)
-        practical = release_cosine_practical(vs, NORMAL, cfg)
+        noise = RandomStream(20_000 + s)
+        exact = release_cosine_exact(vs, NORMAL, noise)
+        practical = release_cosine_practical(vs, NORMAL, noise)
         err_exact = float(np.linalg.norm(exact.matrix - truth))
         err_practical = float(np.linalg.norm(practical.matrix - truth))
         ratios.append(err_practical / err_exact)
@@ -205,8 +235,7 @@ def test_exact_beats_clip_only_baseline():
         vs = _unit_rows(rng, n)
         truth = gram(vs)
         noise = RandomStream(40_000 + s)
-        exact = release_cosine_exact(
-            vs, NORMAL, EngineConfig(iterations=default_iterations(n), stream=noise))
+        exact = release_cosine_exact(vs, NORMAL, noise)
         baseline = perturb_and_project(truth, EntryClip(1.0), NORMAL, noise)
         if np.sum((exact.matrix - truth) ** 2) < np.sum((baseline.point - truth) ** 2):
             wins += 1
@@ -231,8 +260,7 @@ def test_holder_chain_sanity():
 def test_write_release_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     vs = _unit_rows(rng, 5)
-    cfg = EngineConfig(iterations=10, stream=RandomStream(12))
-    rel = release_cosine_practical(vs, NORMAL, cfg)
+    rel = release_cosine_practical(vs, NORMAL, RandomStream(12))
     out = tmp_path / "x.csv"
     write_release_csv(rel, out)
     back = np.loadtxt(out, delimiter=",")
