@@ -6,6 +6,12 @@ set. Even k reshapes T / (m * n^{k/2}) into its n^{k/2} x n^{k/2} matrix,
 perturbs it once, and projects onto the psd trace ball; the baselines add
 entrywise noise to T, with optional thresholding for sparse records. Feature
 indices in queries are 1-based.
+
+Both statistic layers cost what the data costs: a CSV input is parsed by one
+np.loadtxt call, and T is built by scattering each sparse record's own w^k
+support entries and by blocked GEMM for the dense ones (parity_tensor).
+Record multiplicities may add up to at most 2^53, where float64 sums of
+integers stop being exact.
 """
 
 from __future__ import annotations
@@ -26,9 +32,39 @@ from .projections import PsdTrace
 
 MAX_RELEASE_BYTES = 2**31
 
+# Every entry of T is at most the total multiplicity, and float64 sums of
+# integers are exact up to 2^53; a larger total would round the counts.
+MAX_COUNT_TOTAL = 2**53
+
+# A record with w ones goes to the scatter builder when LIGHT_COST * w^k <= n^k:
+# one scattered entry costs about LIGHT_COST GEMM multiply-adds. Timing each
+# builder alone on 2000 records of fixed weight (2-vCPU x86-64, OpenBLAS
+# 0.3.31) put the equal-cost n^k / w^k at 110-150 for k=3 (n=64, 128) and
+# below 80-105 for k=4 (n=24, 32). At k=2 (n=64, 256) it was 450-1000, as
+# the GEMM is cheap there and the scan of each record's n features dominates,
+# so this value sends some k=2 records to a builder up to about 2x slower, a
+# few milliseconds.
+LIGHT_COST = 125.0
+
 METHOD_EVEN = "EVEN_FLATTEN"
 METHOD_THRESHOLD = "THRESHOLD_BASELINE"
 METHOD_GAUSSIAN = "GAUSSIAN_ONLY"
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask) when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _first_total_over(counts: np.ndarray) -> int:
+    """First index at which the running total of counts (all >= 1) passes 2^53.
+
+    The int64 running sum covers only the counts before the first one above
+    2^53, so it cannot wrap; len(counts) when the limit is never passed.
+    """
+    single = _first(counts > MAX_COUNT_TOTAL)
+    total = np.cumsum(counts[:single].astype(np.int64))
+    return min(single, _first(total > MAX_COUNT_TOTAL))
 
 
 @dataclass(frozen=True)
@@ -58,6 +94,9 @@ class BinaryDataset:
                 raise ValueError("counts must have one entry per record row")
             if not np.all(counts == np.floor(counts)) or np.any(counts < 1):
                 raise ValueError("counts must be integers >= 1")
+            over = _first_total_over(counts)
+            if over < len(counts):
+                raise ValueError(f"counts add up to more than 2^53 by record {over + 1}")
             counts = counts.astype(np.int64)
         if self.sparsity is not None:
             if not (isinstance(self.sparsity, int) and self.sparsity >= 1):
@@ -160,30 +199,80 @@ def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
         )
 
 
+def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, light: int,
+                    k: int, flat: np.ndarray) -> None:
+    """Add counts_r * x_r^{(x)k} to the flat (C-order) n^k array for every record
+    whose number of ones, weights[r], is between 1 and light.
+
+    For a block of records with w ones, np.nonzero gives the (records, w)
+    support matrix, the k-fold index product of each row gives its w^k flat
+    indices, and one count-weighted bincount adds them all. A block holds at
+    most n^k // w^k records, so its index array is never larger than T.
+    """
+    n = x.shape[1]
+    size = n**k
+    present = np.bincount(weights, minlength=light + 1)[:light + 1]
+    for w in np.flatnonzero(present[1:]) + 1:
+        members = np.flatnonzero(weights == w)
+        step = max(size // w**k, 1)
+        for lo in range(0, len(members), step):
+            block = members[lo:lo + step]
+            support = np.nonzero(x[block])[1].reshape(len(block), w)
+            index = support
+            for _ in range(k - 1):
+                index = ((index * n)[:, :, None] + support[:, None, :]).reshape(len(block), -1)
+            flat += np.bincount(index.ravel(), weights=np.repeat(counts[block], w**k),
+                                minlength=size)
+
+
+def _gemm_parity(x: np.ndarray, counts: np.ndarray, rows: Optional[np.ndarray], k: int,
+                 t: np.ndarray) -> None:
+    """Add counts_r * x_r^{(x)k} to t, viewed as (n^{k-1}, n), for the records
+    in rows (all records when rows is None).
+
+    One GEMM per block of records: the row-wise (k-1)-fold Kronecker power of
+    the block against the count-weighted block. Blocks of n records keep that
+    slab no larger than T; at k <= 2 the slab is the records themselves, so
+    one block covers them all. Only the block is copied out of x.
+    """
+    n = x.shape[1]
+    total = len(x) if rows is None else len(rows)
+    step = n if k >= 3 else max(total, 1)
+    for lo in range(0, total, step):
+        pick = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+        block = x[pick]
+        if k == 1:
+            t += counts[pick] @ block
+            continue
+        slab = block
+        for _ in range(k - 2):
+            slab = (slab[:, :, None] * block[:, None, :]).reshape(len(block), -1)
+        t += slab.T @ (counts[pick, None] * block)
+
+
 def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     """T = sum over records of multiplicity * e^{(x)k}, in raw counts.
 
     Entry at multi-index alpha is the number of records whose features at all
     positions of alpha equal 1 (repeats in alpha collapse since e_i^2 = e_i).
-    Built as one GEMM per block of records: the row-wise (k-1)-fold Kronecker
-    power of the block against the count-weighted block, exact in float64
-    below 2^53. Blocks of n records keep that slab no larger than T; at
-    k <= 2 the slab is the records themselves, so one block covers them all.
+    A record with w ones touches only w^k entries. It is light when
+    LIGHT_COST * w^k <= n^k and is then scattered from its own support
+    (_scatter_parity); all other records go through the blocked GEMM
+    (_gemm_parity). Both builders add exact integers in float64 (the counts
+    total at most 2^53), so T is bit-identical however the records split.
     """
     n = data.n_features
-    _guard_size(n, k, len(data.records), copies=4)  # T, slab, GEMM product
+    # T, then the GEMM's slab and product or the scatter's index, weights and bincount
+    _guard_size(n, k, len(data.records), copies=4)
     x = data.records
     counts = data.counts.astype(float)
-    if k == 1:
-        return MarginalTensor(order=1, side=n, values=counts @ x, scale=1.0)
-    step = n if k >= 3 else max(len(x), 1)
+    weights = (x @ np.ones(n)).astype(np.intp)  # ones per record, exact
+    # records with at most `light` ones are light; -1 when none is
+    light = max((w for w in range(n + 1) if LIGHT_COST * w**k <= n**k), default=-1)
     t = np.zeros((n ** (k - 1), n))
-    for lo in range(0, len(x), step):
-        block = x[lo:lo + step]
-        slab = block
-        for _ in range(k - 2):
-            slab = (slab[:, :, None] * block[:, None, :]).reshape(len(block), -1)
-        t += slab.T @ (counts[lo:lo + step, None] * block)
+    _scatter_parity(x, counts, weights, light, k, t.reshape(-1))
+    heavy = weights > light
+    _gemm_parity(x, counts, None if heavy.all() else np.flatnonzero(heavy), k, t)
     return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k), scale=1.0)
 
 
@@ -437,47 +526,82 @@ def avg_query_sq_error(released: Union[MarginalRelease, MarginalTensor],
     return float(np.mean(diff * diff))
 
 
+def _parse_numeric_lines(lines: list) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", ndmin=2, quotechar='"', comments=None)
+
+
+def _is_blank(line: str) -> bool:
+    """True when every CSV cell of the line is whitespace (blank or comma-only)."""
+    if '"' in line:
+        return all(not cell.strip() for cell in next(csv.reader([line])))
+    return not line.replace(",", "").strip()
+
+
+def _read_numeric_csv(path, header: bool) -> tuple:
+    """Parse a comma-separated file of decimal floats; returns (values, linenos).
+
+    The header (line 1, when asked) and lines whose cells are all whitespace
+    are dropped; linenos[i] is the 1-based file line of values[i]. All kept
+    lines are parsed by one np.loadtxt call (comments=None, so a '#' is a
+    parse error, not a comment). Only when that fails are the lines parsed
+    one by one, to name the first that does not parse or has the wrong width.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    lines, linenos = [], []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if (header and lineno == 1) or _is_blank(line):
+            continue
+        lines.append(line)
+        linenos.append(lineno)
+    if not lines:
+        return np.empty((0, 0)), np.empty(0, dtype=np.int64)
+    try:
+        values = _parse_numeric_lines(lines)
+    except ValueError:
+        width = None
+        for line, lineno in zip(lines, linenos):
+            try:
+                row = _parse_numeric_lines([line])
+            except ValueError:
+                raise ValueError(f"line {lineno}: could not parse row as decimal floats") from None
+            if width is None:
+                width = row.shape[1]
+            elif row.shape[1] != width:
+                raise ValueError(f"line {lineno}: expected {width} values, got {row.shape[1]}")
+        raise
+    return values, np.array(linenos)
+
+
 def read_dataset_csv(path, header: bool = False, count_column: bool = False,
                      sparsity: Optional[int] = None) -> BinaryDataset:
     """Parse 0/1 records, one per CSV row; errors carry 1-based line numbers.
 
-    With count_column the last column is a positive integer multiplicity.
+    With count_column the last column is a positive integer multiplicity; the
+    multiplicities may add up to at most 2^53 (MAX_COUNT_TOTAL).
     """
-    rows, counts = [], []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse row as numbers")
-            if width is None:
-                width = len(vals)
-                if count_column and width < 2:
-                    raise ValueError(f"line {lineno}: need at least one feature besides the count")
-            elif len(vals) != width:
-                raise ValueError(f"line {lineno}: expected {width} values, got {len(vals)}")
-            if count_column:
-                c = vals[-1]
-                if not math.isfinite(c) or c != int(c) or c < 1:
-                    raise ValueError(f"line {lineno}: count must be a positive integer, got {c:g}")
-                counts.append(int(c))
-                vals = vals[:-1]
-            if any(v not in (0.0, 1.0) for v in vals):
-                raise ValueError(f"line {lineno}: features must be 0 or 1")
-            rows.append(vals)
-    if not rows:
+    values, linenos = _read_numeric_csv(path, header)
+    if not len(values):
         raise ValueError("no records found in input")
-    return BinaryDataset(
-        records=np.array(rows, dtype=float),
-        counts=np.array(counts, dtype=np.int64) if count_column else None,
-        sparsity=sparsity,
-    )
+    if count_column and values.shape[1] < 2:
+        raise ValueError(f"line {linenos[0]}: need at least one feature besides the count")
+    records, counts = ((np.ascontiguousarray(values[:, :-1]), values[:, -1]) if count_column
+                       else (values, None))
+    # (first bad row, its message); on a tie the check listed first wins, as
+    # a row's count was checked before its features when rows were read one by one
+    checks = []
+    if count_column:
+        bad = _first(~(np.isfinite(counts) & (counts == np.floor(counts)) & (counts >= 1)))
+        checks.append((bad, lambda i: f"count must be a positive integer, got {counts[i]:g}"))
+        checks.append((_first_total_over(counts[:bad]),
+                       lambda i: "counts add up to more than 2^53, past which float64 "
+                                 "counts are not exact"))
+    checks.append((_first(~np.isin(records, (0.0, 1.0)).all(axis=1)),
+                   lambda i: "features must be 0 or 1"))
+    row, message = min(checks, key=lambda check: check[0])
+    if row < len(values):
+        raise ValueError(f"line {linenos[row]}: {message(row)}")
+    return BinaryDataset(records=records, counts=counts, sparsity=sparsity)
 
 
 def save_release(release: MarginalRelease, path) -> Path:

@@ -72,11 +72,21 @@ def project_entry_clip(m: np.ndarray, bound: float) -> np.ndarray:
 
 
 def project_frobenius_ball(m: np.ndarray, radius: float) -> np.ndarray:
-    """Scale radially onto the Frobenius ball when outside, else copy through."""
-    norm = float(np.linalg.norm(m))
+    """Scale radially onto the Frobenius ball when outside, else copy through.
+
+    When the sum of squares overflows, the norm is taken of m / max|m| and the
+    shrink applied to that, so entries of order 1e300 still shrink to order 1
+    instead of to 0.
+    """
+    m = np.asarray(m, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is handled below
+        norm = float(np.linalg.norm(m))
     if norm <= radius:
-        return np.array(m, dtype=float, copy=True)
-    return np.asarray(m, dtype=float) * (radius / norm)
+        return m.copy()
+    if np.isinf(norm):
+        m = m / np.max(np.abs(m))
+        norm = float(np.linalg.norm(m))
+    return m * (radius / norm)
 
 
 def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:

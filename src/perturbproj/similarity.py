@@ -11,7 +11,6 @@ norm n and then clips every entry to [-1, 1]; no eigendecomposition.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,6 +19,7 @@ import numpy as np
 # dykstra_reference and perturb_and_alternately_project are unused here;
 # perfbench/tracing.py rebinds both by these names.
 from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
+from .marginals import _first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream
 from .projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, solve_psd_diag_box
 
@@ -88,34 +88,19 @@ class SimilarityRelease:
 
 def read_vectors_csv(path, header: bool = False) -> UnitVectorSet:
     """Parse one vector per CSV row; errors carry 1-based file line numbers."""
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if header and lineno == 1:
-                continue
-            if not cells or all(c.strip() == "" for c in cells):
-                continue
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError:
-                raise ValueError(f"line {lineno}: could not parse row as decimal floats")
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError(f"line {lineno}: expected {width} values, got {len(vals)}")
-            if not all(np.isfinite(vals)):
-                raise ValueError(f"line {lineno}: non-finite value")
-            norm = float(np.linalg.norm(vals))
-            if abs(norm - 1.0) > ROW_NORM_TOL:
-                raise ValueError(
-                    f"line {lineno}: row norm {norm:.6g} not within {ROW_NORM_TOL:g} of 1"
-                )
-            rows.append(vals)
-    if not rows:
+    values, linenos = _read_numeric_csv(path, header)
+    if not len(values):
         raise ValueError("no vector rows found in input")
-    return UnitVectorSet(np.array(rows, dtype=float))
+    finite = np.isfinite(values).all(axis=1)
+    norms = np.linalg.norm(values, axis=1)
+    bad = _first(~finite | (np.abs(norms - 1.0) > ROW_NORM_TOL))
+    if bad < len(values):
+        if not finite[bad]:
+            raise ValueError(f"line {linenos[bad]}: non-finite value")
+        raise ValueError(
+            f"line {linenos[bad]}: row norm {norms[bad]:.6g} not within {ROW_NORM_TOL:g} of 1"
+        )
+    return UnitVectorSet(values)
 
 
 def gram(vectors: UnitVectorSet) -> np.ndarray:

@@ -174,6 +174,45 @@ def test_marginals_non_finite_count_names_line(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows,line", [
+    (["1,0,1e19"], 1),
+    (["1,0,2", f"0,1,{2**52 + 1}", f"1,1,{2**52 + 1}"], 3),
+], ids=["1e19", "two-halves"])
+def test_marginals_count_total_above_2_pow_53_names_line(tmp_path, capsys, rows, line):
+    path = tmp_path / "c.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "t.bin"
+    code = cli.main(["marginals", "--input", str(path), "--epsilon", "1",
+                     "--delta", "1e-6", "--mode", "gaussian", "--count-column",
+                     "--out", str(out)])
+    assert code == 2
+    assert f"line {line}: counts add up to more than 2^53" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_marginals_count_of_2_pow_53_is_accepted(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(f"1,0,{2**53}\n")
+    out = tmp_path / "t.bin"
+    code = cli.main(["marginals", "--input", str(path), "--epsilon", "1",
+                     "--delta", "1e-6", "--mode", "gaussian", "--count-column",
+                     "--order", "1", "--seed", "1", "--out", str(out)])
+    assert code == 0 and out.exists()
+
+
+def test_practical_release_at_huge_sensitivity_is_not_all_zero(tmp_path, vectors_csv):
+    # the noise's sum of squares overflows float64; the shrink must still
+    # leave entries of order 1 for the clip
+    out = tmp_path / "x.csv"
+    code = cli.main(["similarity", "--input", str(vectors_csv), "--epsilon", "1",
+                     "--delta", "1e-6", "--mode", "practical", "--sensitivity", "1e300",
+                     "--seed", "1", "--out", str(out)])
+    assert code == 0
+    matrix = np.loadtxt(out, delimiter=",")
+    assert np.max(np.abs(matrix)) == 1.0
+    assert np.count_nonzero(matrix) > 0
+
+
 @pytest.mark.parametrize("argv", [
     ["marginals", "--mode", "gaussian", "--epsilon", "1e-320"],
     ["marginals", "--mode", "threshold", "--sparsity", "4", "--epsilon", "1e-320"],

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -6,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import perturbproj.cli as cli
 import perturbproj.marginals as marginals
 from perturbproj.engine import perturb_and_project
 from perturbproj.marginals import (
@@ -83,6 +85,48 @@ def test_parity_tensor_matches_brute_force():
         tensor = parity_tensor(data, k)
         for idx in itertools.product(range(n), repeat=k):
             assert tensor.values[idx] == _brute_count(data, idx)
+
+
+def _brute_tensor(data, k):
+    n = data.n_features
+    out = np.zeros((n,) * k)
+    for idx in itertools.product(range(n), repeat=k):
+        out[idx] = _brute_count(data, idx)
+    return out
+
+
+@pytest.mark.parametrize("light_cost", [0.0, 4.0, math.inf], ids=["scatter", "mixed", "gemm"])
+def test_parity_tensor_builders_match_brute_force(monkeypatch, light_cost):
+    # LIGHT_COST 0 scatters every record and inf sends every record through the
+    # GEMM; 4 splits records of different weights between the two. Weights run
+    # from 0 to n, so rows with no ones are in every case, and 3n + 2 records
+    # leave a partial last block on both sides (scatter blocks hold
+    # n^k // w^k records, GEMM blocks n at k >= 3).
+    monkeypatch.setattr(marginals, "LIGHT_COST", light_cost)
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4):
+        n = 5 if k < 4 else 4
+        m = 3 * n + 2
+        weights = np.resize(np.arange(n + 1), m)
+        records = (np.argsort(rng.random((m, n)), axis=1) < weights[:, None]).astype(float)
+        data = BinaryDataset(records, counts=rng.integers(1, 10, size=m))
+        assert np.array_equal(parity_tensor(data, k).values, _brute_tensor(data, k))
+
+
+def test_parity_tensor_is_bit_identical_under_any_split(monkeypatch):
+    rng = np.random.default_rng(12)
+    n, m = 24, 500
+    sparse = (np.argsort(rng.random((m, n)), axis=1) < rng.integers(0, 5, size=m)[:, None])
+    dense = rng.random((m, n)) < 0.4
+    for records in (sparse, dense, np.vstack([sparse, dense])):
+        data = BinaryDataset(records.astype(float), counts=rng.integers(1, 10, size=len(records)))
+        for k in (1, 2, 3):
+            built = {}
+            for light_cost in (0.0, marginals.LIGHT_COST, math.inf):
+                monkeypatch.setattr(marginals, "LIGHT_COST", light_cost)
+                built[light_cost] = parity_tensor(data, k).values
+            first, *rest = built.values()
+            assert all(np.array_equal(first, other) for other in rest)
 
 
 def test_parity_tensor_permutation_symmetry():
@@ -381,3 +425,88 @@ def test_read_dataset_csv(tmp_path):
     path.write_text("1,1\n")
     with pytest.raises(ValueError, match="sparsity"):
         read_dataset_csv(path, sparsity=1)
+
+
+def _csv_float_rows(path, header):
+    """The row-by-row csv.reader + float() parse that read_dataset_csv replaced."""
+    rows = []
+    with open(path, newline="") as fh:
+        for lineno, cells in enumerate(csv.reader(fh), start=1):
+            if (header and lineno == 1) or all(not c.strip() for c in cells):
+                continue
+            vals = [float(c) for c in cells]
+            if (rows and len(vals) != len(rows[0])) or any(v not in (0.0, 1.0) for v in vals):
+                raise ValueError(f"line {lineno}")
+            rows.append(vals)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("text,header", [
+    ("#1,0\n0,1\n", False),
+    ('"1","0"\n0,1\n', False),
+    (" 1 , 0\n0 ,1 \n", False),
+    ("1\t,0\n\t0,1\t\n", False),
+    ("1\t0\n0\t1\n", False),
+    ("1,0\r\n0,1\r\n", False),
+    ("1,0\n,\n ,, \n\n0,1\n", False),
+    ("a,b\n1,0\n0,1\n", True),
+    ("a,b\n1,0\n0,1\n", False),
+    ("1_0,0\n", False),
+    ("\ufeff1,0\n0,1\n", False),
+    ("\ufeffa,b\n1,0\n", True),
+    ("1,0,\n0,1,\n", False),
+    ("1,0\n0,1,\n", False),
+    ("1,0\n0,1\n0,1,1\n", False),
+], ids=["hash", "quoted", "spaces", "tabs", "tab-separated", "crlf", "comma-only", "header",
+        "no-header", "underscore", "bom", "bom-header", "trailing-commas", "trailing-comma",
+        "wide-row"])
+def test_read_dataset_csv_matches_row_by_row_parse(tmp_path, capsys, text, header):
+    path = tmp_path / "d.csv"
+    path.write_text(text, newline="")
+    try:
+        expected = _csv_float_rows(path, header)
+    except ValueError:
+        expected = None
+    if expected is not None:
+        assert np.array_equal(read_dataset_csv(path, header=header).records, expected)
+        return
+    with pytest.raises(ValueError, match=r"^line \d+: "):
+        read_dataset_csv(path, header=header)
+    out = tmp_path / "t.bin"
+    argv = ["marginals", "--input", str(path), "--epsilon", "1", "--delta", "1e-6",
+            "--mode", "gaussian", "--out", str(out)]
+    assert cli.main(argv + ["--header"] * header) == 2
+    assert "error: line " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_read_dataset_csv_names_first_bad_row_across_checks(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,0,1\n0,1,0\n1,2,1\n0,1,x\n")
+    with pytest.raises(ValueError, match="line 4: could not parse"):
+        read_dataset_csv(path, count_column=True)
+    path.write_text("1,0,1\n0,1,1.5\n2,1,1\n")
+    with pytest.raises(ValueError, match="line 2: count must be a positive integer, got 1.5"):
+        read_dataset_csv(path, count_column=True)
+    path.write_text("1,0,1\n0,2,1\n1,1,0\n")
+    with pytest.raises(ValueError, match="line 2: features must be 0 or 1"):
+        read_dataset_csv(path, count_column=True)
+    path.write_text("1\n")
+    with pytest.raises(ValueError, match="line 1: need at least one feature"):
+        read_dataset_csv(path, count_column=True)
+
+
+def test_counts_may_total_at_most_2_pow_53(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(f"1,0,{2**53}\n")
+    assert read_dataset_csv(path, count_column=True).counts.tolist() == [2**53]
+    path.write_text(f"0,0,1\n1,0,{2**52 + 1}\n0,1,{2**52 + 1}\n")
+    with pytest.raises(ValueError, match="line 3: counts add up to more than 2\\^53"):
+        read_dataset_csv(path, count_column=True)
+    path.write_text("1,0,2\n0,1,1e19\n")
+    with pytest.raises(ValueError, match="line 2: counts add up to more than 2\\^53"):
+        read_dataset_csv(path, count_column=True)
+    with pytest.raises(ValueError, match="record 2"):
+        BinaryDataset(np.eye(2), counts=np.array([2**52 + 1, 2**52 + 1]))
+    with pytest.raises(ValueError, match="record 1"):
+        BinaryDataset(np.eye(2), counts=np.array([1e19, 1.0]))

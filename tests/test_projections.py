@@ -58,6 +58,9 @@ def test_project_frobenius_ball_examples():
     assert np.array_equal(project_frobenius_ball(np.zeros((3, 3)), 1.0), np.zeros((3, 3)))
     small = np.array([[0.9, 0.0], [0.0, 0.0]])
     assert np.array_equal(project_frobenius_ball(small, 1.0), small)
+    # a sum of squares past float64's range still shrinks onto the sphere
+    huge = np.full((3, 3), 1e300)
+    assert np.allclose(project_frobenius_ball(huge, 3.0), np.ones((3, 3)), rtol=1e-12)
 
 
 def test_project_simplex_examples():

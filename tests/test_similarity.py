@@ -99,6 +99,27 @@ def test_read_vectors_csv(tmp_path):
         read_vectors_csv(path)
 
 
+def test_read_vectors_csv_parses_like_float_and_names_lines(tmp_path):
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((50, 7))
+    path = tmp_path / "v.csv"
+    np.savetxt(path, g / np.linalg.norm(g, axis=1, keepdims=True), delimiter=",", fmt="%.17g")
+    lines = path.read_text().splitlines()
+    expected = np.array([[float(c) for c in line.split(",")] for line in lines])
+    assert np.array_equal(read_vectors_csv(path).rows, expected)
+
+    # blank lines count toward the line numbers the checks report
+    path.write_text("1,0\n\n0,1\n0,nan\n0.6,0.8\n")
+    with pytest.raises(ValueError, match="line 4: non-finite value"):
+        read_vectors_csv(path)
+    path.write_text("1,0\n\n0,1\n0.5,0.5\n0,inf\n")
+    with pytest.raises(ValueError, match="line 4: row norm 0.707107 not within"):
+        read_vectors_csv(path)
+    path.write_text("1,0\n0,x\n0,1,0\n")
+    with pytest.raises(ValueError, match="line 2: could not parse row as decimal floats"):
+        read_vectors_csv(path)
+
+
 def test_release_exact_zero_noise_returns_gram():
     vs = UnitVectorSet(np.eye(4))
     rel = release_cosine_exact(vs, HUGE_EPS, RandomStream(1))
