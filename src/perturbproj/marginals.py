@@ -7,11 +7,12 @@ perturbs it once, and projects onto the psd trace ball; the baselines add
 entrywise noise to T, with optional thresholding for sparse records. Feature
 indices in queries are 1-based.
 
-Both statistic layers cost what the data costs: a CSV input is parsed by one
-np.loadtxt call, and T is built by scattering each sparse record's own w^k
-support entries and by blocked GEMM for the dense ones (parity_tensor).
-Record multiplicities may add up to at most 2^53, where float64 sums of
-integers stop being exact.
+Both statistic layers cost what the data costs. A CSV input that is a grid of
+single 0/1 cells is decoded from its bytes; any other input is parsed by one
+np.loadtxt call. Records are stored one byte per cell (uint8). T is built by
+scattering each sparse record's own w^k support entries and by blocked GEMM
+for the dense ones (parity_tensor). Record multiplicities may add up to at
+most 2^53, where float64 sums of integers stop being exact.
 """
 
 from __future__ import annotations
@@ -36,15 +37,17 @@ MAX_RELEASE_BYTES = 2**31
 # integers are exact up to 2^53; a larger total would round the counts.
 MAX_COUNT_TOTAL = 2**53
 
-# A record with w ones goes to the scatter builder when LIGHT_COST * w^k <= n^k:
-# one scattered entry costs about LIGHT_COST GEMM multiply-adds. Timing each
-# builder alone on 2000 records of fixed weight (2-vCPU x86-64, OpenBLAS
-# 0.3.31) put the equal-cost n^k / w^k at 110-150 for k=3 (n=64, 128) and
-# below 80-105 for k=4 (n=24, 32). At k=2 (n=64, 256) it was 450-1000, as
-# the GEMM is cheap there and the scan of each record's n features dominates,
-# so this value sends some k=2 records to a builder up to about 2x slower, a
-# few milliseconds.
+# A record with w ones goes to the scatter builder when
+# LIGHT_COST * (w^k + SCAN_COST * n) <= n^k: one scattered entry costs about
+# LIGHT_COST GEMM multiply-adds, and scanning one of the record's n features
+# for its support about SCAN_COST scattered entries. Timing each builder alone
+# on 2000 uint8 records of fixed weight (2-vCPU x86-64, OpenBLAS 0.3.31) gave
+# 7-16 ns per scattered entry and 5 ns per scanned feature, against
+# 0.06-0.27 ns per multiply-add; the equal-cost n^k / w^k was about 120-150 at
+# k=3 (n=64, 128), above 80-105 at k=4 (n=24, 32), and at k=2 about 256 for
+# n=256 and above 1000 for n=64, where the scan term dominates.
 LIGHT_COST = 125.0
+SCAN_COST = 0.7
 
 METHOD_EVEN = "EVEN_FLATTEN"
 METHOD_THRESHOLD = "THRESHOLD_BASELINE"
@@ -71,9 +74,9 @@ def _first_total_over(counts: np.ndarray) -> int:
 class BinaryDataset:
     """Binary records with multiplicities; adjacency means one record swapped.
 
-    records holds one row per distinct (or repeated, both fine) record, counts
-    the multiplicity of each row. A declared sparsity t promises every record
-    has at most t ones and is validated here.
+    records holds one row per distinct (or repeated, both fine) record, stored
+    as uint8, counts the multiplicity of each row. A declared sparsity t
+    promises every record has at most t ones and is validated here.
     """
 
     records: np.ndarray
@@ -81,11 +84,13 @@ class BinaryDataset:
     sparsity: Optional[int] = None
 
     def __post_init__(self):
-        records = np.asarray(self.records, dtype=float)
+        records = np.asarray(self.records)
         if records.ndim != 2 or records.shape[1] < 1:
             raise ValueError(f"records must be 2-d with >= 1 feature, got shape {records.shape}")
-        if not np.all(np.isin(records, (0.0, 1.0))):
+        # checked before the cast, so 0.5, 2 or NaN are refused, never truncated
+        if not ((records == 0) | (records == 1)).all():
             raise ValueError("records must be 0/1 valued")
+        records = np.ascontiguousarray(records, dtype=np.uint8)
         if self.counts is None:
             counts = np.ones(records.shape[0], dtype=np.int64)
         else:
@@ -187,11 +192,12 @@ class MarginalRelease:
 def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
     """Fail before allocating if a release's peak would pass MAX_RELEASE_BYTES.
 
-    The peak is `copies` (measured per path) float64 n^k arrays plus the records.
+    The peak is `copies` (measured per path) float64 n^k arrays plus the
+    records, one byte per cell.
     """
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k!r}")
-    need = 8 * (copies * n**k + rows * n)
+    need = 8 * copies * n**k + rows * n
     if need > MAX_RELEASE_BYTES:
         raise ValueError(
             f"order {k} over {n} features needs about {need >> 20} MiB, "
@@ -200,17 +206,19 @@ def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
 
 
 def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, light: int,
-                    k: int, flat: np.ndarray) -> None:
-    """Add counts_r * x_r^{(x)k} to the flat (C-order) n^k array for every record
+                    k: int) -> np.ndarray:
+    """The flat (C-order) n^k sum of counts_r * x_r^{(x)k} over every record
     whose number of ones, weights[r], is between 1 and light.
 
     For a block of records with w ones, np.nonzero gives the (records, w)
     support matrix, the k-fold index product of each row gives its w^k flat
     indices, and one count-weighted bincount adds them all. A block holds at
-    most n^k // w^k records, so its index array is never larger than T.
+    most n^k // w^k records, so its index array is never larger than T. The
+    first block's bincount becomes the sum; zeros when no record is light.
     """
     n = x.shape[1]
     size = n**k
+    flat = None
     present = np.bincount(weights, minlength=light + 1)[:light + 1]
     for w in np.flatnonzero(present[1:]) + 1:
         members = np.flatnonzero(weights == w)
@@ -221,8 +229,13 @@ def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, ligh
             index = support
             for _ in range(k - 1):
                 index = ((index * n)[:, :, None] + support[:, None, :]).reshape(len(block), -1)
-            flat += np.bincount(index.ravel(), weights=np.repeat(counts[block], w**k),
-                                minlength=size)
+            part = np.bincount(index.ravel(), weights=np.repeat(counts[block], w**k),
+                               minlength=size)
+            if flat is None:
+                flat = part
+            else:
+                flat += part
+    return np.zeros(size) if flat is None else flat
 
 
 def _gemm_parity(x: np.ndarray, counts: np.ndarray, rows: Optional[np.ndarray], k: int,
@@ -231,16 +244,18 @@ def _gemm_parity(x: np.ndarray, counts: np.ndarray, rows: Optional[np.ndarray], 
     in rows (all records when rows is None).
 
     One GEMM per block of records: the row-wise (k-1)-fold Kronecker power of
-    the block against the count-weighted block. Blocks of n records keep that
-    slab no larger than T; at k <= 2 the slab is the records themselves, so
-    one block covers them all. Only the block is copied out of x.
+    the block against the count-weighted block. Only the block is copied out
+    of x, as float64. At k >= 3 blocks of n records keep the slab no larger
+    than T; at k <= 2 the slab is the block itself, and blocks of at most
+    2^16 cells keep its float64 copy small (converting all records at once
+    made the k=2 build about 2x slower at n=64, m=2000).
     """
     n = x.shape[1]
     total = len(x) if rows is None else len(rows)
-    step = n if k >= 3 else max(total, 1)
+    step = n if k >= 3 else max(2**16 // n, 1)
     for lo in range(0, total, step):
         pick = slice(lo, lo + step) if rows is None else rows[lo:lo + step]
-        block = x[pick]
+        block = x[pick].astype(float)
         if k == 1:
             t += counts[pick] @ block
             continue
@@ -256,9 +271,9 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     Entry at multi-index alpha is the number of records whose features at all
     positions of alpha equal 1 (repeats in alpha collapse since e_i^2 = e_i).
     A record with w ones touches only w^k entries. It is light when
-    LIGHT_COST * w^k <= n^k and is then scattered from its own support
-    (_scatter_parity); all other records go through the blocked GEMM
-    (_gemm_parity). Both builders add exact integers in float64 (the counts
+    LIGHT_COST * (w^k + SCAN_COST * n) <= n^k and is then scattered from its
+    own support (_scatter_parity); all other records go through the blocked
+    GEMM (_gemm_parity). Both builders add exact integers in float64 (the counts
     total at most 2^53), so T is bit-identical however the records split.
     """
     n = data.n_features
@@ -266,11 +281,11 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     _guard_size(n, k, len(data.records), copies=4)
     x = data.records
     counts = data.counts.astype(float)
-    weights = (x @ np.ones(n)).astype(np.intp)  # ones per record, exact
+    weights = x.sum(axis=1, dtype=np.intp)  # ones per record
     # records with at most `light` ones are light; -1 when none is
-    light = max((w for w in range(n + 1) if LIGHT_COST * w**k <= n**k), default=-1)
-    t = np.zeros((n ** (k - 1), n))
-    _scatter_parity(x, counts, weights, light, k, t.reshape(-1))
+    light = max((w for w in range(n + 1) if LIGHT_COST * (w**k + SCAN_COST * n) <= n**k),
+                default=-1)
+    t = _scatter_parity(x, counts, weights, light, k).reshape(n ** (k - 1), n)
     heavy = weights > light
     _gemm_parity(x, counts, None if heavy.all() else np.flatnonzero(heavy), k, t)
     return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k), scale=1.0)
@@ -372,9 +387,8 @@ def release_threshold_baseline(data: BinaryDataset, k: int, t: int, params: Priv
         )
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 * t ** (k / 2.0))
     sigma = calibrate_sigma(release_params)
-    truth = parity_tensor(data, k)
-    noisy = truth.values.ravel(order="C") + sample_gaussian(
-        n**k, NoiseSpec(sigma), stream)
+    noisy = parity_tensor(data, k).values.ravel()  # a view: the draw is added into T
+    noisy += sample_gaussian(n**k, NoiseSpec(sigma), stream)
     kept = _threshold_keep(noisy, data.size * t**k)
     return MarginalRelease(
         tensor=MarginalTensor(order=k, side=n, values=kept.reshape((n,) * k), scale=1.0),
@@ -397,8 +411,8 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     t_eff = data.sparsity if data.sparsity is not None else n
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 * t_eff ** (k / 2.0))
     sigma = calibrate_sigma(release_params)
-    truth = parity_tensor(data, k)
-    noisy = truth.values + sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
+    noisy = parity_tensor(data, k).values
+    noisy += sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
     return MarginalRelease(
         tensor=MarginalTensor(order=k, side=n, values=noisy, scale=1.0),
         params=release_params,
@@ -573,20 +587,53 @@ def _read_numeric_csv(path, header: bool) -> tuple:
     return values, np.array(linenos)
 
 
+def _read_grid(path, header: bool) -> Optional[np.ndarray]:
+    """The (rows, width) uint8 cells of a file that is a grid of 0/1, else None.
+
+    Each line of a grid (after the header, when asked) is `width` single-byte
+    cells 0 or 1 joined by ',' and ended by '\n'. On such a file
+    _read_numeric_csv gives the same values, on consecutive lines, so the
+    bytes are decoded in place of parsing. Any other byte, such as a float, a
+    quote, a space, a CR, a blank line or a last line without '\n', gives None.
+    """
+    data = Path(path).read_bytes()
+    if header:
+        end = data.find(b"\n") + 1
+        # a text-mode read would split a header at '\r' and decode other bytes
+        if not end or b"\r" in data[:end] or not data[:end].isascii():
+            return None
+        data = data[end:]
+    line = data.find(b"\n") + 1  # bytes per line, 2 * width
+    if line < 2 or line % 2 or len(data) % line:
+        return None
+    grid = np.frombuffer(data, dtype=np.uint8).reshape(-1, line)
+    joins = np.full(line // 2, ord(","), dtype=np.uint8)
+    joins[-1] = ord("\n")
+    if not (grid[:, 1::2] == joins).all():
+        return None
+    cells = grid[:, ::2] - ord("0")  # uint8, so bytes below '0' wrap above 1
+    return cells if cells.max() <= 1 else None
+
+
 def read_dataset_csv(path, header: bool = False, count_column: bool = False,
                      sparsity: Optional[int] = None) -> BinaryDataset:
     """Parse 0/1 records, one per CSV row; errors carry 1-based line numbers.
 
     With count_column the last column is a positive integer multiplicity; the
-    multiplicities may add up to at most 2^53 (MAX_COUNT_TOTAL).
+    multiplicities may add up to at most 2^53 (MAX_COUNT_TOTAL). A file that
+    is a grid of single 0/1 cells is decoded from its bytes (_read_grid);
+    every other file, and every file with a count column, is parsed by
+    _read_numeric_csv.
     """
+    grid = None if count_column else _read_grid(path, header)
+    if grid is not None:
+        return BinaryDataset(records=grid, sparsity=sparsity)
     values, linenos = _read_numeric_csv(path, header)
     if not len(values):
         raise ValueError("no records found in input")
     if count_column and values.shape[1] < 2:
         raise ValueError(f"line {linenos[0]}: need at least one feature besides the count")
-    records, counts = ((np.ascontiguousarray(values[:, :-1]), values[:, -1]) if count_column
-                       else (values, None))
+    records, counts = (values[:, :-1], values[:, -1]) if count_column else (values, None)
     # (first bad row, its message); on a tie the check listed first wins, as
     # a row's count was checked before its features when rows were read one by one
     checks = []
@@ -612,7 +659,7 @@ def save_release(release: MarginalRelease, path) -> Path:
     sigma, seed, stream_index).
     """
     path = Path(path)
-    path.write_bytes(release.tensor.flat.astype("<f8").tobytes())
+    path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
     sidecar = path.with_suffix(".json")
     meta = {
         "order": release.tensor.order,

@@ -78,8 +78,9 @@ def calibrate_sigma(params: PrivacyParams) -> float:
 
 def _scaled_draw(shape, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
     """sigma times iid standard normals; refuses a draw that overflowed to inf."""
+    draw = stream.generator().standard_normal(shape)
     with np.errstate(over="ignore"):  # reported below as an error instead
-        draw = stream.generator().standard_normal(shape) * spec.sigma
+        draw *= spec.sigma
     if not np.all(np.isfinite(draw)):
         raise ValueError(f"noise of scale sigma={spec.sigma:g} overflows float64")
     return draw

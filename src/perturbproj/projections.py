@@ -10,6 +10,7 @@ its own convergence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,15 +47,17 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _eigh_sym(m: np.ndarray):
+def _eigh_sym(m: np.ndarray, vectors: bool = True):
     # Symmetrize first so eigh sees an exactly Hermitian input; retry once
-    # with a tiny diagonal jitter before giving up.
+    # with a tiny diagonal jitter before giving up. Without vectors only the
+    # eigenvalues are computed (eigvalsh).
     s = symmetrize(np.asarray(m, dtype=float))
+    eig = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        return np.linalg.eigh(s)
+        return eig(s)
     except np.linalg.LinAlgError:
         try:
-            return np.linalg.eigh(s + 1e-12 * np.eye(s.shape[0]))
+            return eig(s + 1e-12 * np.eye(s.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(f"eigendecomposition failed for shape {s.shape}") from exc
 
@@ -291,6 +294,16 @@ class PsdCone(ConvexSet):
 
     def project(self, m):
         return project_psd(m)
+
+    def residual(self, m):
+        """||m - project_psd(m)||_F from the eigenvalues of sym(m) alone.
+
+        m - project_psd(m) is skew(m) plus the negative-eigenvalue part of
+        sym(m); the two are orthogonal, so their norms add in squares.
+        """
+        m = np.asarray(m, dtype=float)
+        negative = np.minimum(_eigh_sym(m, vectors=False), 0.0)
+        return math.hypot(float(np.linalg.norm((m - m.T) / 2.0)), float(np.linalg.norm(negative)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,13 @@ from perturbproj.marginals import (
     save_release,
     sparse_injective_norm_oracle,
 )
-from perturbproj.mechanism import PrivacyParams, RandomStream, calibrate_sigma
+from perturbproj.mechanism import (
+    NoiseSpec,
+    PrivacyParams,
+    RandomStream,
+    calibrate_sigma,
+    sample_gaussian,
+)
 
 NORMAL = PrivacyParams(1.0, 1e-6, 1.0)
 HUGE_EPS = PrivacyParams(1e9, 1e-6, 1.0)
@@ -45,8 +51,11 @@ def _brute_count(data, idx):
 
 
 def test_binary_dataset_validation():
-    with pytest.raises(ValueError):
-        BinaryDataset(np.array([[0.0, 2.0]]))
+    # 0.5, 2 and NaN are refused before the records are cast to uint8
+    for bad in (0.5, 2.0, np.nan):
+        with pytest.raises(ValueError, match="0/1"):
+            BinaryDataset(np.array([[0.0, bad]]))
+    assert BinaryDataset(np.array([[0.0, 1.0]])).records.dtype == np.uint8
     with pytest.raises(ValueError):
         BinaryDataset(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
@@ -261,6 +270,27 @@ def test_threshold_baseline():
         release_threshold_baseline(BinaryDataset(np.ones((2, 3))), 2, 1, NORMAL, RandomStream(0))
 
 
+def test_baselines_equal_parity_plus_noise_byte_for_byte():
+    # the releases add the draw into their own T; the bytes must be those of
+    # the plain sum of the parity tensor and the same stream's draw
+    from perturbproj.marginals import _threshold_keep
+
+    rng = np.random.default_rng(15)
+    n, t = 10, 3
+    records = np.argsort(rng.random((40, n)), axis=1) < rng.integers(0, t + 1, size=40)[:, None]
+    data = BinaryDataset(records, counts=rng.integers(1, 5, size=40))
+    for k in (1, 2, 3):
+        stream = RandomStream(16, k)
+        parity = parity_tensor(data, k).values
+        rel = release_threshold_baseline(data, k, t, NORMAL, stream)
+        noise = sample_gaussian(n**k, NoiseSpec(rel.sigma), stream)
+        old = _threshold_keep(parity.ravel() + noise, data.size * t**k)
+        assert rel.tensor.flat.tobytes() == old.tobytes()
+        rel = release_gaussian_only(data, k, NORMAL, stream)
+        old = parity + sample_gaussian((n,) * k, NoiseSpec(rel.sigma), stream)
+        assert rel.tensor.values.tobytes() == old.tobytes()
+
+
 def test_threshold_tie_break_keeps_first_flat_indices():
     from perturbproj.marginals import _threshold_keep
 
@@ -427,57 +457,97 @@ def test_read_dataset_csv(tmp_path):
         read_dataset_csv(path, sparsity=1)
 
 
-def _csv_float_rows(path, header):
-    """The row-by-row csv.reader + float() parse that read_dataset_csv replaced."""
+def _csv_float_rows(path, header, count_column=False):
+    """The row-by-row csv.reader + float() parse that read_dataset_csv replaced;
+    returns (records, counts), counts None without a count column."""
     rows = []
     with open(path, newline="") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
             if (header and lineno == 1) or all(not c.strip() for c in cells):
                 continue
             vals = [float(c) for c in cells]
-            if (rows and len(vals) != len(rows[0])) or any(v not in (0.0, 1.0) for v in vals):
+            features = vals[:-1] if count_column else vals
+            if ((rows and len(vals) != len(rows[0])) or not features
+                    or any(v not in (0.0, 1.0) for v in features)
+                    or (count_column and not (vals[-1] >= 1 and vals[-1] == int(vals[-1])))):
                 raise ValueError(f"line {lineno}")
             rows.append(vals)
-    return np.array(rows)
+    rows = np.array(rows)
+    return (rows[:, :-1], rows[:, -1]) if count_column else (rows, None)
 
 
-@pytest.mark.parametrize("text,header", [
-    ("#1,0\n0,1\n", False),
-    ('"1","0"\n0,1\n', False),
-    (" 1 , 0\n0 ,1 \n", False),
-    ("1\t,0\n\t0,1\t\n", False),
-    ("1\t0\n0\t1\n", False),
-    ("1,0\r\n0,1\r\n", False),
-    ("1,0\n,\n ,, \n\n0,1\n", False),
-    ("a,b\n1,0\n0,1\n", True),
-    ("a,b\n1,0\n0,1\n", False),
-    ("1_0,0\n", False),
-    ("\ufeff1,0\n0,1\n", False),
-    ("\ufeffa,b\n1,0\n", True),
-    ("1,0,\n0,1,\n", False),
-    ("1,0\n0,1,\n", False),
-    ("1,0\n0,1\n0,1,1\n", False),
+@pytest.mark.parametrize("text,header,count_column", [
+    ("#1,0\n0,1\n", False, False),
+    ('"1","0"\n0,1\n', False, False),
+    (" 1 , 0\n0 ,1 \n", False, False),
+    ("1\t,0\n\t0,1\t\n", False, False),
+    ("1\t0\n0\t1\n", False, False),
+    ("1,0\r\n0,1\r\n", False, False),
+    ("1,0\n,\n ,, \n\n0,1\n", False, False),
+    ("a,b\n1,0\n0,1\n", True, False),
+    ("a,b\n1,0\n0,1\n", False, False),
+    ("1_0,0\n", False, False),
+    ("\ufeff1,0\n0,1\n", False, False),
+    ("\ufeffa,b\n1,0\n", True, False),
+    ("1,0,\n0,1,\n", False, False),
+    ("1,0\n0,1,\n", False, False),
+    ("1,0\n0,1\n0,1,1\n", False, False),
+    # inputs at the edge of the 0/1 byte grid, which is decoded without loadtxt
+    ("1,0,1\n0,1,1\n", False, False),
+    ("a,b,c\n1,0,1\n0,1,1\n", True, False),
+    ("a\rb\n1,0\n", True, False),
+    ("1,0\n0,1", False, False),
+    ("1,0\r\n0,1\n", False, False),
+    ("1,0\n\n0,1\n", False, False),
+    ("1,0\n0,2\n", False, False),
+    ("1,0,\n", False, False),
+    ("1,0,1\n0,1,1\n", False, True),
+    ("1,0,3\n0,1,1\n", False, True),
+    ("1\n0\n1\n", False, False),
+    ("1\n", False, False),
 ], ids=["hash", "quoted", "spaces", "tabs", "tab-separated", "crlf", "comma-only", "header",
         "no-header", "underscore", "bom", "bom-header", "trailing-commas", "trailing-comma",
-        "wide-row"])
-def test_read_dataset_csv_matches_row_by_row_parse(tmp_path, capsys, text, header):
+        "wide-row", "grid", "grid-header", "cr-in-header", "no-final-newline", "one-crlf",
+        "blank-middle", "two-cell", "grid-trailing-comma", "grid-count-column",
+        "count-column", "width-1", "one-cell"])
+def test_read_dataset_csv_matches_row_by_row_parse(tmp_path, capsys, text, header, count_column):
     path = tmp_path / "d.csv"
     path.write_text(text, newline="")
     try:
-        expected = _csv_float_rows(path, header)
+        expected, counts = _csv_float_rows(path, header, count_column)
     except ValueError:
         expected = None
     if expected is not None:
-        assert np.array_equal(read_dataset_csv(path, header=header).records, expected)
+        data = read_dataset_csv(path, header=header, count_column=count_column)
+        assert np.array_equal(data.records, expected)
+        assert np.array_equal(data.counts, np.ones(len(expected)) if counts is None else counts)
         return
     with pytest.raises(ValueError, match=r"^line \d+: "):
-        read_dataset_csv(path, header=header)
+        read_dataset_csv(path, header=header, count_column=count_column)
     out = tmp_path / "t.bin"
     argv = ["marginals", "--input", str(path), "--epsilon", "1", "--delta", "1e-6",
             "--mode", "gaussian", "--out", str(out)]
-    assert cli.main(argv + ["--header"] * header) == 2
+    assert cli.main(argv + ["--header"] * header + ["--count-column"] * count_column) == 2
     assert "error: line " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_clean_grid_is_decoded_without_loadtxt(tmp_path, monkeypatch):
+    def no_loadtxt(lines):
+        raise AssertionError("np.loadtxt ran on a 0/1 grid")
+
+    monkeypatch.setattr(marginals, "_parse_numeric_lines", no_loadtxt)
+    rng = np.random.default_rng(14)
+    records = (rng.random((50, 9)) < 0.3).astype(np.uint8)
+    text = "".join(",".join(map(str, row)) + "\n" for row in records)
+    path = tmp_path / "d.csv"
+    for header in ("", "f1,f2,f3,f4,f5,f6,f7,f8,f9\n"):
+        path.write_text(header + text)
+        data = read_dataset_csv(path, header=bool(header), sparsity=9)
+        assert data.records.dtype == np.uint8 and np.array_equal(data.records, records)
+    path.write_text(text.replace("1", "1.0", 1))  # one float cell: parsed, not decoded
+    with pytest.raises(AssertionError, match="grid"):
+        read_dataset_csv(path)
 
 
 def test_read_dataset_csv_names_first_bad_row_across_checks(tmp_path):

@@ -98,6 +98,24 @@ def test_residual_examples():
     assert PsdCone().residual(member) <= TOL_PROJ
 
 
+def test_psd_residual_from_eigenvalues_matches_distance_to_projection(monkeypatch):
+    rng = np.random.default_rng(3)
+    cases = []
+    for n in (1, 2, 5, 17, 40):
+        for scale in (1e-3, 1.0, 1e4):
+            cases.append(_sym(rng, n, scale))
+            cases.append(rng.standard_normal((n, n)) * scale)
+    cases.append(project_psd(_sym(rng, 6)) + np.triu(np.ones((6, 6)), 1))
+    expected = [float(np.linalg.norm(m - project_psd(m))) for m in cases]
+
+    def no_eigenvectors(*args, **kwargs):
+        raise AssertionError("the psd residual needs eigenvalues only")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
+    for m, old in zip(cases, expected):
+        assert abs(PsdCone().residual(m) - old) <= 1e-12 * float(np.linalg.norm(m))
+
+
 ALL_SETS = [
     PsdCone(),
     EntryClip(1.0),
