@@ -12,7 +12,7 @@ estimates agree:
   trace_bound * max(lambda_max(W), 0).
 
 Every trial owns the sub-stream shifted by its index, so reports are byte
-deterministic no matter how many worker threads run.
+deterministic whatever the trial order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .engine import perturb_and_project
 from .marginals import (
     BinaryDataset,
@@ -182,7 +181,7 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
             f"no closed-form support function for set kind {getattr(set_, 'kind', type(set_).__name__)!r}"
         )
 
-    sups = np.array(parallel_map(one, range(trials)))
+    sups = np.array([one(j) for j in range(trials)])
     mean, se = _mean_se(sups)
     return ComplexityEstimate(set_kind=set_.kind, value=mean, std_error=se,
                               trials=trials, n=n, ambient=ambient)
@@ -212,7 +211,7 @@ def stability_experiment(set_: ConvexSet, anchor: np.ndarray, trials: int,
         moved = set_.project(anchor + draw(j))
         return float(np.sum((moved - base) ** 2))
 
-    sq = np.array(parallel_map(one, range(trials)))
+    sq = np.array([one(j) for j in range(trials)])
     mean, se = _mean_se(sq)
     return StabilityResult(estimate=mean, std_error=se, trials=trials)
 
@@ -289,7 +288,7 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
             return (float(np.sum((released.matrix - truth) ** 2)),
                     float(np.sum((clip_only.point - truth) ** 2)))
 
-        rows = parallel_map(one, range(trials))
+        rows = [one(j) for j in range(trials)]
         err = np.array([r[0] for r in rows])
         base_err = np.array([r[1] for r in rows])
         mse, se = _mean_se(err)
@@ -366,7 +365,7 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
                     release_threshold_baseline(data, k, sparsity, params, noise), truth))
             return tuple(errs)
 
-        rows = parallel_map(one, range(trials))
+        rows = [one(j) for j in range(trials)]
         cols = [np.array([r[i] for r in rows]) for i in range(len(methods))]
         mse, se = _mean_se(cols[0])
         g_mse, g_se = _mean_se(cols[1])

@@ -9,6 +9,7 @@ epsilon, delta, sensitivity, sigma, seed, and method.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -244,7 +245,9 @@ def _add_bench_flags(p) -> None:
     _add_privacy_flags(p, required=False)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="perturbproj",
         description="Differentially private matrix and marginal releases by "

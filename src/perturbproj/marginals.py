@@ -21,7 +21,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -75,13 +75,16 @@ class BinaryDataset:
     """Binary records with multiplicities; adjacency means one record swapped.
 
     records holds one row per distinct (or repeated, both fine) record, stored
-    as uint8, counts the multiplicity of each row. A declared sparsity t
-    promises every record has at most t ones and is validated here.
+    as uint8, counts the multiplicity of each row, and weights the number of
+    ones in each row, counted once here for every later check and build. A
+    declared sparsity t promises every record has at most t ones and is
+    validated here.
     """
 
     records: np.ndarray
     counts: Optional[np.ndarray] = None
     sparsity: Optional[int] = None
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         records = np.asarray(self.records)
@@ -103,10 +106,10 @@ class BinaryDataset:
             if over < len(counts):
                 raise ValueError(f"counts add up to more than 2^53 by record {over + 1}")
             counts = counts.astype(np.int64)
+        weights = records.sum(axis=1, dtype=np.intp)
         if self.sparsity is not None:
             if not (isinstance(self.sparsity, int) and self.sparsity >= 1):
                 raise ValueError(f"sparsity must be a positive integer, got {self.sparsity!r}")
-            weights = records.sum(axis=1)
             bad = np.nonzero(weights > self.sparsity)[0]
             if bad.size:
                 raise ValueError(
@@ -115,6 +118,7 @@ class BinaryDataset:
                 )
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_features(self) -> int:
@@ -281,12 +285,11 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     _guard_size(n, k, len(data.records), copies=4)
     x = data.records
     counts = data.counts.astype(float)
-    weights = x.sum(axis=1, dtype=np.intp)  # ones per record
     # records with at most `light` ones are light; -1 when none is
     light = max((w for w in range(n + 1) if LIGHT_COST * (w**k + SCAN_COST * n) <= n**k),
                 default=-1)
-    t = _scatter_parity(x, counts, weights, light, k).reshape(n ** (k - 1), n)
-    heavy = weights > light
+    t = _scatter_parity(x, counts, data.weights, light, k).reshape(n ** (k - 1), n)
+    heavy = data.weights > light
     _gemm_parity(x, counts, None if heavy.all() else np.flatnonzero(heavy), k, t)
     return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k), scale=1.0)
 
@@ -378,12 +381,11 @@ def release_threshold_baseline(data: BinaryDataset, k: int, t: int, params: Priv
     _guard_size(n, k, len(data.records), copies=6)  # T, noise, sort buffers
     if not (isinstance(t, int) and t >= 1):
         raise ValueError(f"sparsity t must be a positive integer, got {t!r}")
-    weights = data.records.sum(axis=1)
-    bad = np.nonzero(weights > t)[0]
+    bad = np.nonzero(data.weights > t)[0]
     if bad.size:
         raise ValueError(
             f"dataset is not {t}-sparse: record {int(bad[0]) + 1} has "
-            f"{int(weights[bad[0]])} ones"
+            f"{int(data.weights[bad[0]])} ones"
         )
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 * t ** (k / 2.0))
     sigma = calibrate_sigma(release_params)

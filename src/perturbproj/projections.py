@@ -140,22 +140,42 @@ class DualNewtonResult:
 
 
 def _divided_differences(lam: np.ndarray) -> np.ndarray:
-    """Matrix Omega of divided differences of max(., 0) at ascending eigenvalues.
+    """Block Omega[:k, k:] of the divided differences of max(., 0), lam ascending.
 
-    Omega[i, j] = (lam_i+ - lam_j+) / (lam_i - lam_j): 1 between two positive
+    Omega[i, j] = (lam_i+ - lam_j+) / (lam_i - lam_j) is 1 between two positive
     eigenvalues, 0 between two nonpositive ones (equal pairs included), and
-    lam_pos / (lam_pos - lam_neg) between one of each.
+    lam_pos / (lam_pos - lam_neg) between one of each; only that mixed k x r
+    block, lam[:k] <= 0 < lam[k:], is built.
     """
-    n = lam.size
-    k = int(np.searchsorted(lam, 0.0, side="right"))  # lam[:k] <= 0 < lam[k:]
-    omega = np.zeros((n, n))
-    omega[k:, k:] = 1.0
-    if 0 < k < n:
-        pos = lam[k:]
-        block = pos[None, :] / (pos[None, :] - lam[:k, None])
-        omega[:k, k:] = block
-        omega[k:, :k] = block.T
-    return omega
+    k = int(np.searchsorted(lam, 0.0, side="right"))
+    pos = lam[k:]
+    return pos[None, :] / (pos[None, :] - lam[:k, None])
+
+
+def _generalized_hessian(lam: np.ndarray, q: np.ndarray, free: np.ndarray):
+    """The map d -> V d and the diagonal of V on the free rows, Q_f = q[free].
+
+    V d = diag(Q_f (Omega o Q_f^T Diag(d) Q_f) Q_f^T). Omega is 0 where both
+    eigenvalues are nonpositive and 1 where both are positive, so with
+    Q = [Q_a Q_b] split at k, only the columns M = Q_f^T D Q_b,f meet a
+    nonzero Omega: V d = rowsum((Q_b,f M_b + 2 Q_a,f (Omega_ab o M_a)) o Q_b,f),
+    two GEMMs of n n_f r each (Zhao, Sun & Toh, SIOPT 2010), and
+    diag V = s^2 + 2 rowsum((Q_a,f^2 Omega_ab) o Q_b,f^2) with s the row sums
+    of Q_b,f^2.
+    """
+    omega2 = 2.0 * _divided_differences(lam)
+    k = omega2.shape[0]
+    qf = q[free]
+    qbf = qf[:, k:]
+
+    def apply(d):
+        inner = qf.T @ (d[:, None] * qbf)
+        inner[:k] *= omega2
+        return np.einsum("ij,ij->i", qf @ inner, qbf)
+
+    qbf2 = qbf * qbf
+    sb = np.sum(qbf2, axis=1)
+    return apply, sb * sb + np.einsum("ij,ij->i", (qf[:, :k] ** 2) @ omega2, qbf2)
 
 
 def _conjugate_gradient(apply, rhs, precond, tol):
@@ -192,9 +212,10 @@ def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNe
     gradient, the others solve (V + NEWTON_SHIFT I) d = -gradient by
     diagonally preconditioned CG, where V d = diag(Q (Omega o Q^T Diag(d) Q) Q^T)
     is the generalized Hessian from the divided differences Omega of
-    A - Diag y = Q Lambda Q^T (Qi & Sun, SIMAX 2006; Malick, SIMAX 2004), two
-    GEMMs per product. An Armijo search along the projected arc
-    max(y + alpha d, 0) keeps theta decreasing up to round-off, and every
+    A - Diag y = Q Lambda Q^T (Qi & Sun, SIMAX 2006; Malick, SIMAX 2004).
+    A product costs O(n n_f r) for n_f free coordinates and r positive
+    eigenvalues (_generalized_hessian). An Armijo search along the projected
+    arc max(y + alpha d, 0) keeps theta decreasing up to round-off, and every
     trial point costs one eigh, reused when accepted.
 
     The solver stops when the KKT residual ||min(y, 1 - diag X)||_inf is at
@@ -218,9 +239,10 @@ def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNe
     theta = 0.5 * float(np.sum(np.maximum(lam, 0.0) ** 2))
     iterations = 0
     while True:
-        lam_pos = np.maximum(lam, 0.0)
-        q2 = q * q
-        grad = 1.0 - q2 @ lam_pos
+        # Only the r = n - k positive eigenpairs, Q_b = q[:, k:], enter X(y).
+        k = int(np.searchsorted(lam, 0.0, side="right"))
+        qb, lam_b = q[:, k:], lam[k:]
+        grad = 1.0 - (qb * qb) @ lam_b
         kkt = float(np.max(np.abs(np.minimum(y, grad))))
         if kkt <= tol:
             break
@@ -232,18 +254,11 @@ def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNe
 
         pinned = (y <= kkt) & (grad > 0.0)
         free = ~pinned
-        omega = _divided_differences(lam)
-        qf = q[free]
-
-        def hessian(d, qf=qf, omega=omega):
-            inner = (qf.T * d) @ qf
-            inner *= omega
-            return np.einsum("ij,ij->i", qf @ inner, qf) + NEWTON_SHIFT * d
-
-        precond = np.einsum("ij,ij->i", q2[free] @ omega, q2[free]) + NEWTON_SHIFT
+        hessian, diag_v = _generalized_hessian(lam, q, free)
         rhs = -grad[free]
         step = np.where(pinned, -grad, 0.0)
-        step[free] = _conjugate_gradient(hessian, rhs, precond,
+        step[free] = _conjugate_gradient(lambda d: hessian(d) + NEWTON_SHIFT * d, rhs,
+                                         diag_v + NEWTON_SHIFT,
                                          min(0.1, kkt) * float(np.linalg.norm(rhs)))
 
         # Where X(y) has an empty row the Hessian is flat and the step is
@@ -269,7 +284,7 @@ def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNe
                 f"dual Newton line search found no decrease at KKT residual {kkt:.3g}")
         y, lam, q, theta = y_next, lam_next, q_next, theta_next
 
-    x = symmetrize((q * lam_pos) @ q.T)
+    x = symmetrize((qb * lam_b) @ qb.T)
     s = 1.0 / np.sqrt(np.maximum(np.diagonal(x), 1.0))
     x *= np.outer(s, s)
     np.fill_diagonal(x, np.minimum(np.diagonal(x), 1.0))

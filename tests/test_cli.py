@@ -305,8 +305,27 @@ def test_bench_deterministic_across_thread_env(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
-def test_invalid_pp_threads_is_validation_error(tmp_path, monkeypatch, vectors_csv):
-    monkeypatch.setenv("PP_THREADS", "zero")
-    code = cli.main(["bench", "cosine-scaling", "--sizes", "4", "--trials", "2",
-                     "--seed", "0", "--out", str(tmp_path / "x.json")])
-    assert code == 2
+def test_reused_parser_matches_a_fresh_one(tmp_path, vectors_csv, dataset_csv, capsys):
+    privacy = ["--epsilon", "1", "--delta", "1e-6", "--seed", "3"]
+    commands = [
+        ["similarity", "--input", str(vectors_csv), *privacy, "--out", "{d}/s.csv"],
+        ["marginals", "--input", str(dataset_csv), *privacy, "--out", "{d}/m.bin"],
+        ["bench", "stability", "--n", "3", "--trials", "20", "--seed", "1",
+         "--out", "{d}/b.json"],
+        ["similarity", "--epsilon", "1"],
+        ["marginals", "--help"],
+    ]
+    seen = {}
+    for run in ("fresh", "reused"):
+        outdir = tmp_path / run
+        outdir.mkdir()
+        codes = []
+        for argv in commands:
+            if run == "fresh":
+                cli._build_parser.cache_clear()
+            codes.append(cli.main([arg.replace("{d}", str(outdir)) for arg in argv]))
+        files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+        seen[run] = (codes, files, capsys.readouterr().out)
+    assert seen["fresh"][0] == [0, 0, 0, 2, 0]
+    assert len(seen["fresh"][1]) == 5 and "--count-column" in seen["fresh"][2]
+    assert seen["reused"] == seen["fresh"]

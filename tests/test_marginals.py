@@ -70,6 +70,12 @@ def test_binary_dataset_validation():
     assert empty.size == 0
 
 
+def test_binary_dataset_counts_ones_per_record():
+    data = BinaryDataset(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+                         counts=np.array([2, 1, 4]))
+    assert data.weights.dtype == np.intp and data.weights.tolist() == [2, 0, 3]
+
+
 def test_parity_query_validation():
     q = ParityQuery((3, 1))
     assert q.alpha == (1, 3)

@@ -25,6 +25,7 @@ from perturbproj.projections import (
     project_psd_trace,
     project_simplex,
     solve_psd_diag_box,
+    _generalized_hessian,
     symmetrize,
 )
 
@@ -242,3 +243,42 @@ def test_psd_diag_box_iteration_cap_raises_eigen_failure_subclass():
     a = symmetrize(_noisy_gram(8, 0.01, 0))
     with pytest.raises(ProjectionConvergenceError, match="KKT residual"):
         solve_psd_diag_box(a, max_iter=1)
+
+
+def _dense_hessian(lam, q, free, d):
+    """diag(Q_f (Omega o Q_f^T Diag(d) Q_f) Q_f^T) with the full n x n Omega."""
+    pos = np.maximum(lam, 0.0)
+    gap = lam[:, None] - lam[None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        omega = (pos[:, None] - pos[None, :]) / gap
+    ties = gap == 0.0
+    omega[ties] = np.broadcast_to(lam[:, None] > 0.0, gap.shape)[ties]
+    qf = q[free]
+    return np.diagonal(qf @ (omega * ((qf.T * d) @ qf)) @ qf.T)
+
+
+@pytest.mark.parametrize("r", [0, 1, 8, 15, 16])
+def test_low_rank_hessian_matches_the_dense_formula(r):
+    n = 16
+    rng = np.random.default_rng(r)
+    a = _sym(rng, n)
+    lam = np.linalg.eigvalsh(a)
+    # shift so exactly r eigenvalues stay positive
+    shift = np.concatenate([[lam[0] - 1.0], (lam[1:] + lam[:-1]) / 2.0, [lam[-1] + 1.0]])[n - r]
+    lam, q = np.linalg.eigh(a - shift * np.eye(n))
+    assert np.count_nonzero(lam > 0) == r
+    for free in [np.ones(n, dtype=bool)] + [rng.random(n) < p for p in (0.3, 0.6, 0.9)]:
+        free[rng.integers(n)] = True
+        hessian, diag_v = _generalized_hessian(lam, q, free)
+        d = rng.standard_normal(int(free.sum()))
+        want = _dense_hessian(lam, q, free, d)
+        assert np.linalg.norm(hessian(d) - want) <= 1e-12 * np.linalg.norm(want)
+        unit = np.eye(free.sum())
+        want_diag = np.array([_dense_hessian(lam, q, free, e)[i] for i, e in enumerate(unit)])
+        assert np.linalg.norm(diag_v - want_diag) <= 1e-12 * np.linalg.norm(want_diag)
+
+
+@pytest.mark.parametrize("n,epsilon,iterations", [(64, 0.1, 10), (128, 1.0, 8)])
+def test_psd_diag_box_iteration_count_is_pinned(n, epsilon, iterations):
+    solved = solve_psd_diag_box(symmetrize(_noisy_gram(n, epsilon, 0)))
+    assert solved.iterations == iterations

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,3 +287,24 @@ def test_write_release_csv_roundtrip(tmp_path):
     write_release_csv(rel, out)
     back = np.loadtxt(out, delimiter=",")
     assert np.array_equal(back, rel.matrix)
+
+
+def test_write_release_csv_bytes_equal_savetxt(tmp_path):
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((6, 6))
+    sym = (g + g.T) / 2.0
+    sym[0, 1] = sym[1, 0] = -0.0
+    sym[2, 3] = sym[3, 2] = 1e-300
+    sym[4, 4] = 0.1
+    signed_zero = sym.copy()
+    signed_zero[0, 5], signed_zero[5, 0] = -0.0, 0.0  # equal, but not bit for bit
+    skew = sym.copy()
+    skew[1, 4] += 1e-3
+    vs = _unit_rows(rng, 9)
+    released = [release(vs, NORMAL, RandomStream(14)).matrix
+                for release in (release_cosine_exact, release_cosine_practical)]
+    for i, m in enumerate([sym, signed_zero, skew, np.array([[0.5]])] + released):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_release_csv(SimpleNamespace(matrix=m), got)
+        np.savetxt(want, m, delimiter=",", fmt="%.17g")
+        assert got.read_bytes() == want.read_bytes(), i
