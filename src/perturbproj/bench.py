@@ -18,9 +18,8 @@ deterministic whatever the trial order.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,11 +35,7 @@ from .marginals import (
 )
 from .mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_gaussian, sample_symmetric_gaussian
 from .projections import ConvexSet, EntryClip, FrobeniusBall, PsdTrace, UnsupportedSetError
-from .similarity import UnitVectorSet, gram, release_cosine_exact
-
-# The exact release's dual Newton solver holds about eight n x n float64
-# matrices at its peak: 66 MiB over the input at n = 1024.
-MAX_COSINE_SIZE = 1024
+from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, release_cosine_exact
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -82,7 +77,7 @@ class ScalingReport:
     points are sorted by n. fitted_exponent and fit_r2 are None when any mean
     error is zero (nothing to fit on a log scale). per_trial keeps the raw
     (n, trial, method, error) rows for optional CSV export and stays out of
-    the JSON dict.
+    the JSON dict, whose wall_time_s is always null so reports are byte-stable.
     """
 
     experiment: str
@@ -91,11 +86,10 @@ class ScalingReport:
     fitted_exponent: Optional[float]
     fit_r2: Optional[float]
     seed: int
-    wall_time_s: Optional[float]
     extras: dict = field(default_factory=dict)
     per_trial: list = field(default_factory=list)
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "experiment": self.experiment,
             "config": self.config,
@@ -103,7 +97,7 @@ class ScalingReport:
             "fitted_exponent": self.fitted_exponent,
             "fit_r2": self.fit_r2,
             "seed": self.seed,
-            "wall_time_s": self.wall_time_s if include_wall_time else None,
+            "wall_time_s": None,
         }
         out.update(self.extras)
         return out
@@ -114,29 +108,22 @@ def _mean_se(values: np.ndarray) -> tuple:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def complexity_box_closed_form(n: int, kind: str = "vector") -> float:
-    """Exact E sup over the unit entry-clip box: (#coordinates) * E|g|.
-
-    kind "vector" counts n coordinates; "sym-matrix" counts the n(n+1)/2
-    independent entries of a symmetric matrix.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if kind == "vector":
-        coords = n
-    elif kind == "sym-matrix":
-        coords = n * (n + 1) // 2
-    else:
-        raise ValueError(f"kind must be 'vector' or 'sym-matrix', got {kind!r}")
-    return coords * ROOT_2_OVER_PI
-
-
 def _box_coords(n: int, ambient: str) -> int:
+    """Independent coordinates of the box: n for "vector", n(n+1)/2 for
+    "matrix" or "sym-matrix" (a symmetric matrix's upper triangle)."""
     if ambient == "vector":
         return n
     if ambient in ("matrix", "sym-matrix"):
         return n * (n + 1) // 2
     raise ValueError(f"ambient must be 'vector' or 'matrix', got {ambient!r}")
+
+
+def complexity_box_closed_form(n: int, ambient: str = "vector") -> float:
+    """Exact E sup over the unit entry-clip box: (#coordinates) * E|g|,
+    with the coordinates counted by _box_coords."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+    return _box_coords(n, ambient) * ROOT_2_OVER_PI
 
 
 def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomStream,
@@ -246,7 +233,7 @@ def _fit_or_none(points: Sequence) -> tuple:
         return None, None
 
 
-def _check_sizes(sizes: Sequence[int], cap: Optional[int] = None) -> list:
+def _check_sizes(sizes: Sequence[int]) -> list:
     sizes = [int(s) for s in sizes]
     if not sizes:
         raise ValueError("need at least one size")
@@ -254,64 +241,75 @@ def _check_sizes(sizes: Sequence[int], cap: Optional[int] = None) -> list:
         raise ValueError(f"sizes must be >= 1, got {sizes}")
     if sizes != sorted(sizes):
         raise ValueError(f"sizes must be ascending, got {sizes}")
-    if cap is not None and sizes[-1] > cap:
-        raise ValueError(f"sizes must be <= {cap}, got {sizes[-1]}")
     return sizes
+
+
+def _paired_scaling(experiment: str, sizes: list, trials: int, stream: RandomStream,
+                    methods: Sequence[tuple], trial: Callable, config: dict) -> ScalingReport:
+    """Run trial(n, data_rng, noise) for every size and trial, one error per method.
+
+    Trial j at the si-th size takes its data from sub-stream 2(si*trials + j)
+    and its noise from the next one, which every method shares. methods lists
+    (name, prefix) pairs: each point gets `{prefix}mse` and `{prefix}std_error`
+    per method, the first method's fit becomes fitted_exponent and fit_r2,
+    and the others' go to the extras as `{prefix}exponent` and `{prefix}fit_r2`.
+    """
+    points, per_trial = [], []
+    for si, n in enumerate(sizes):
+        bases = [2 * (si * trials + j) for j in range(trials)]
+        rows = [trial(n, stream.shifted(b).generator(), stream.shifted(b + 1)) for b in bases]
+        point = {"n": n, "trials": trials}
+        for i, (name, prefix) in enumerate(methods):
+            errors = [float(r[i]) for r in rows]
+            point[f"{prefix}mse"], point[f"{prefix}std_error"] = _mean_se(errors)
+            per_trial.extend((n, j, name, e) for j, e in enumerate(errors))
+        points.append(point)
+
+    fits = [_fit_or_none([(p["n"], p[f"{prefix}mse"]) for p in points]) for _, prefix in methods]
+    extras = {}
+    for (_, prefix), (exponent, r2) in zip(methods[1:], fits[1:]):
+        extras.update({f"{prefix}exponent": exponent, f"{prefix}fit_r2": r2})
+    return ScalingReport(
+        experiment=experiment,
+        config=config,
+        points=points,
+        fitted_exponent=fits[0][0],
+        fit_r2=fits[0][1],
+        seed=stream.seed,
+        extras=extras,
+        per_trial=per_trial,
+    )
 
 
 def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trials: int,
                               stream: RandomStream) -> ScalingReport:
     """Squared-error scaling of the cosine release vs a clip-only baseline.
 
-    Per trial: rows i.i.d. uniform on the sphere (normalized Gaussians), one
-    sub-stream for the data and the next for the noise, and the baseline
-    reuses the exact release's noise stream so the comparison is paired draw
-    for draw. Errors are squared Frobenius distances to the clean Gram matrix,
-    averaged over trials per size; the fit is on the release curve.
+    Per trial: rows i.i.d. uniform on the sphere (normalized Gaussians), and
+    the baseline reuses the exact release's noise stream so the comparison is
+    paired draw for draw. Errors are squared Frobenius distances to the clean
+    Gram matrix, averaged over trials per size; the fit is on the release
+    curve. The largest size must pass the exact release's size guard.
     """
-    sizes = _check_sizes(sizes, cap=MAX_COSINE_SIZE)
+    sizes = _check_sizes(sizes)
+    _guard_release(sizes[-1], sizes[-1], EXACT_COPIES)
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials!r}")
-    started = time.perf_counter()
-    points, per_trial = [], []
-    for si, n in enumerate(sizes):
 
-        def one(j: int, n=n, si=si) -> tuple:
-            base = 2 * (si * trials + j)
-            data_rng = stream.shifted(base).generator()
-            noise = stream.shifted(base + 1)
-            g = data_rng.standard_normal((n, n))
-            vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
-            truth = gram(vectors)
-            released = release_cosine_exact(vectors, params, noise)
-            clip_only = perturb_and_project(truth, EntryClip(1.0), params, noise)
-            return (float(np.sum((released.matrix - truth) ** 2)),
-                    float(np.sum((clip_only.point - truth) ** 2)))
+    def trial(n: int, data_rng, noise: RandomStream) -> tuple:
+        g = data_rng.standard_normal((n, n))
+        vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
+        truth = gram(vectors)
+        released = release_cosine_exact(vectors, params, noise)
+        clip_only = perturb_and_project(truth, EntryClip(1.0), params, noise)
+        return (float(np.sum((released.matrix - truth) ** 2)),
+                float(np.sum((clip_only.point - truth) ** 2)))
 
-        rows = [one(j) for j in range(trials)]
-        err = np.array([r[0] for r in rows])
-        base_err = np.array([r[1] for r in rows])
-        mse, se = _mean_se(err)
-        b_mse, b_se = _mean_se(base_err)
-        points.append({"n": n, "mse": mse, "std_error": se, "trials": trials,
-                       "baseline_mse": b_mse, "baseline_std_error": b_se})
-        per_trial.extend((n, j, "perturb-project", float(e)) for j, e in enumerate(err))
-        per_trial.extend((n, j, "clip-only", float(e)) for j, e in enumerate(base_err))
-
-    exponent, r2 = _fit_or_none([(p["n"], p["mse"]) for p in points])
-    b_exp, b_r2 = _fit_or_none([(p["n"], p["baseline_mse"]) for p in points])
-    return ScalingReport(
-        experiment="cosine-scaling",
-        config={"sizes": sizes, "trials": trials, "epsilon": params.epsilon,
-                "delta": params.delta, "sensitivity": params.sensitivity},
-        points=points,
-        fitted_exponent=exponent,
-        fit_r2=r2,
-        seed=stream.seed,
-        wall_time_s=time.perf_counter() - started,
-        extras={"baseline_exponent": b_exp, "baseline_fit_r2": b_r2},
-        per_trial=per_trial,
-    )
+    return _paired_scaling(
+        "cosine-scaling", sizes, trials, stream,
+        [("perturb-project", ""), ("clip-only", "baseline_")], trial,
+        {"sizes": sizes, "trials": trials, "epsilon": params.epsilon,
+         "delta": params.delta, "sensitivity": params.sensitivity})
 
 
 def _random_dataset(rng, n: int, m: int, sparsity: Optional[int]) -> BinaryDataset:
@@ -345,55 +343,23 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
         raise ValueError(f"trials must be >= 2, got {trials!r}")
     if sparsity is not None and not (1 <= sparsity):
         raise ValueError(f"sparsity must be >= 1, got {sparsity!r}")
-    started = time.perf_counter()
-    methods = ["even-flatten", "gaussian-only"] + (["threshold"] if sparsity is not None else [])
-    points, per_trial = [], []
-    for si, n in enumerate(sizes):
-
-        def one(j: int, n=n, si=si) -> tuple:
-            base = 2 * (si * trials + j)
-            data_rng = stream.shifted(base).generator()
-            noise = stream.shifted(base + 1)
-            data = _random_dataset(data_rng, n, m, sparsity)
-            truth = parity_tensor(data, k)
-            errs = [
-                avg_query_sq_error(release_even_k(data, k, params, noise), truth),
-                avg_query_sq_error(release_gaussian_only(data, k, params, noise), truth),
-            ]
-            if sparsity is not None:
-                errs.append(avg_query_sq_error(
-                    release_threshold_baseline(data, k, sparsity, params, noise), truth))
-            return tuple(errs)
-
-        rows = [one(j) for j in range(trials)]
-        cols = [np.array([r[i] for r in rows]) for i in range(len(methods))]
-        mse, se = _mean_se(cols[0])
-        g_mse, g_se = _mean_se(cols[1])
-        point = {"n": n, "mse": mse, "std_error": se, "trials": trials,
-                 "gaussian_mse": g_mse, "gaussian_std_error": g_se}
-        if sparsity is not None:
-            t_mse, t_se = _mean_se(cols[2])
-            point.update({"threshold_mse": t_mse, "threshold_std_error": t_se})
-        points.append(point)
-        for name, col in zip(methods, cols):
-            per_trial.extend((n, j, name, float(e)) for j, e in enumerate(col))
-
-    exponent, r2 = _fit_or_none([(p["n"], p["mse"]) for p in points])
-    g_exp, g_r2 = _fit_or_none([(p["n"], p["gaussian_mse"]) for p in points])
-    extras = {"gaussian_exponent": g_exp, "gaussian_fit_r2": g_r2}
+    methods = [("even-flatten", ""), ("gaussian-only", "gaussian_")]
     if sparsity is not None:
-        t_exp, t_r2 = _fit_or_none([(p["n"], p["threshold_mse"]) for p in points])
-        extras.update({"threshold_exponent": t_exp, "threshold_fit_r2": t_r2})
-    return ScalingReport(
-        experiment="marginal-scaling",
-        config={"sizes": sizes, "order": k, "m": m, "trials": trials,
-                "epsilon": params.epsilon, "delta": params.delta,
-                "sparsity": sparsity},
-        points=points,
-        fitted_exponent=exponent,
-        fit_r2=r2,
-        seed=stream.seed,
-        wall_time_s=time.perf_counter() - started,
-        extras=extras,
-        per_trial=per_trial,
-    )
+        methods.append(("threshold", "threshold_"))
+
+    def trial(n: int, data_rng, noise: RandomStream) -> tuple:
+        data = _random_dataset(data_rng, n, m, sparsity)
+        truth = parity_tensor(data, k)
+        errs = [
+            avg_query_sq_error(release_even_k(data, k, params, noise), truth),
+            avg_query_sq_error(release_gaussian_only(data, k, params, noise), truth),
+        ]
+        if sparsity is not None:
+            errs.append(avg_query_sq_error(
+                release_threshold_baseline(data, k, sparsity, params, noise), truth))
+        return tuple(errs)
+
+    return _paired_scaling(
+        "marginal-scaling", sizes, trials, stream, methods, trial,
+        {"sizes": sizes, "order": k, "m": m, "trials": trials,
+         "epsilon": params.epsilon, "delta": params.delta, "sparsity": sparsity})

@@ -42,13 +42,10 @@ from .similarity import (
     write_release_csv,
 )
 
-_SET_FLAG = {"box": "bound", "frobenius": "radius", "psd-trace": "trace"}
-
-
 def _check_privacy(epsilon: float, delta: float) -> None:
     """Refuse bad privacy flags before touching any input."""
-    if not epsilon > 0:
-        raise ValueError(f"--epsilon must be > 0, got {epsilon:g}")
+    if not 0 < epsilon < float("inf"):
+        raise ValueError(f"--epsilon must be finite and > 0, got {epsilon:g}")
     if not 0 < delta < 1:
         raise ValueError(f"--delta must be in (0, 1), got {delta:g}")
 
@@ -69,10 +66,6 @@ def _write_json(payload: dict, out) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _sidecar(path: Path, payload: dict) -> None:
-    path.with_suffix(".json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def run_similarity(args) -> int:
@@ -98,7 +91,7 @@ def run_similarity(args) -> int:
     if release.kkt_residual is not None:  # the exact mode's dual Newton solver ran
         meta["iterations"] = release.iterations
         meta["kkt_residual"] = release.kkt_residual
-    _sidecar(out, meta)
+    _write_json(meta, out.with_suffix(".json"))
     return 0
 
 
@@ -167,7 +160,7 @@ def run_bench(args) -> int:
             report = scaling_experiment_marginals(sizes, args.order, args.m, params,
                                                   args.trials, stream,
                                                   sparsity=args.sparsity)
-        payload = report.to_dict(include_wall_time=False)
+        payload = report.to_dict()
         if args.per_trial_csv:
             _write_per_trial(report.per_trial, args.per_trial_csv)
     elif args.experiment == "stability":
@@ -176,8 +169,7 @@ def run_bench(args) -> int:
             raise ValueError("stability compares against the box closed form; use --set box")
         shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
         result = stability_experiment(set_, np.zeros(shape), args.trials, stream)
-        bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(
-            args.n, "vector" if args.ambient == "vector" else "sym-matrix")
+        bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(args.n, args.ambient)
         payload = {
             "experiment": "stability",
             "set_kind": set_.kind,
@@ -197,8 +189,7 @@ def run_bench(args) -> int:
                                           ambient=args.ambient)
         closed = None
         if args.set == "box":
-            closed = args.bound * complexity_box_closed_form(
-                args.n, "vector" if args.ambient == "vector" else "sym-matrix")
+            closed = args.bound * complexity_box_closed_form(args.n, args.ambient)
         payload = {
             "experiment": "complexity",
             "set_kind": estimate.set_kind,
@@ -220,7 +211,7 @@ def run_bench(args) -> int:
 
 def _add_privacy_flags(p, required: bool) -> None:
     p.add_argument("--epsilon", type=float, required=required,
-                   default=None if required else 1.0, help="privacy budget, > 0")
+                   default=None if required else 1.0, help="privacy budget, finite and > 0")
     p.add_argument("--delta", type=float, required=required,
                    default=None if required else 1e-6, help="failure probability, in (0, 1)")
 
@@ -231,7 +222,7 @@ def _add_bench_flags(p) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p.add_argument("--n", type=int, default=4, help="side length for stability/complexity")
-    p.add_argument("--set", choices=sorted(_SET_FLAG), default="box")
+    p.add_argument("--set", choices=["box", "frobenius", "psd-trace"], default="box")
     p.add_argument("--ambient", choices=["vector", "matrix"], default="matrix")
     p.add_argument("--bound", type=float, default=1.0, help="entry bound for --set box")
     p.add_argument("--radius", type=float, default=1.0, help="radius for --set frobenius")

@@ -8,8 +8,8 @@ the calibrated Gaussian draw carries through unchanged.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,28 +25,13 @@ class DykstraConvergenceWarning(RuntimeWarning):
     """Dykstra hit the iteration cap before the per-cycle change fell below tol."""
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Iteration count, stream and trajectory switch of perturb_and_alternately_project."""
-
-    iterations: int
-    stream: RandomStream
-    record_trajectory: bool = False
-
-    def __post_init__(self):
-        if not (isinstance(self.iterations, int) and self.iterations >= 1):
-            raise ValueError(f"iterations must be an integer >= 1, got {self.iterations!r}")
-
-
 @dataclass
 class ReleaseOutput:
     """Released point plus the run diagnostics a sidecar needs."""
 
     point: np.ndarray
     sigma_used: float
-    iterations_used: int
     final_residuals: tuple
-    trajectory: Optional[list] = None
 
 
 def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream) -> tuple:
@@ -80,7 +65,6 @@ def perturb_and_project(a: np.ndarray, set_: ConvexSet, params: PrivacyParams,
     return ReleaseOutput(
         point=point,
         sigma_used=sigma,
-        iterations_used=1,
         final_residuals=(set_.residual(point),),
     )
 
@@ -95,25 +79,22 @@ def averaged_projection_step(x: np.ndarray, sets: Sequence[ConvexSet]) -> np.nda
 
 
 def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
-                                    config: EngineConfig) -> ReleaseOutput:
-    """One noise draw, then `config.iterations` averaged projection steps.
+                                    stream: RandomStream, iterations: int) -> ReleaseOutput:
+    """One noise draw from stream, then `iterations` averaged projection steps.
 
     The iteration is deterministic given the noisy starting point, so the
     single draw at the start is the only randomness consumed.
     """
+    if not (isinstance(iterations, int) and iterations >= 1):
+        raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     sets = _member_sets(sets)
-    x, sigma = perturb_symmetric(a, params, config.stream)
-    trajectory = [x.copy()] if config.record_trajectory else None
-    for _ in range(config.iterations):
+    x, sigma = perturb_symmetric(a, params, stream)
+    for _ in range(iterations):
         x = averaged_projection_step(x, sets)
-        if trajectory is not None:
-            trajectory.append(x.copy())
     return ReleaseOutput(
         point=x,
         sigma_used=sigma,
-        iterations_used=config.iterations,
         final_residuals=tuple(s.residual(x) for s in sets),
-        trajectory=trajectory,
     )
 
 

@@ -49,6 +49,10 @@ MAX_COUNT_TOTAL = 2**53
 LIGHT_COST = 125.0
 SCAN_COST = 0.7
 
+# Per-start iteration cap and step tolerance of the sparse-norm power iteration.
+POWER_MAX_ITER = 500
+POWER_TOL = 1e-8
+
 METHOD_EVEN = "EVEN_FLATTEN"
 METHOD_THRESHOLD = "THRESHOLD_BASELINE"
 METHOD_GAUSSIAN = "GAUSSIAN_ONLY"
@@ -148,17 +152,15 @@ class ParityQuery:
 
 @dataclass(frozen=True)
 class MarginalTensor:
-    """Order-k tensor over n features; values carry the applied scale.
+    """Order-k tensor over n features, in raw-count units.
 
     values is the dense (n,)*k array; flat lexicographic (C) order is the wire
-    format. scale is the multiplier already applied to raw counts, so raw
-    entries are values / scale.
+    format.
     """
 
     order: int
     side: int
     values: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -168,17 +170,11 @@ class MarginalTensor:
                 values = values.reshape(expected)
             else:
                 raise ValueError(f"values shape {values.shape} does not match {expected}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
         object.__setattr__(self, "values", values)
 
     @property
     def flat(self) -> np.ndarray:
         return self.values.ravel(order="C")
-
-    def raw(self) -> np.ndarray:
-        """Values in raw-count units (scale undone)."""
-        return self.values if self.scale == 1.0 else self.values / self.scale
 
 
 @dataclass
@@ -193,20 +189,22 @@ class MarginalRelease:
     residuals: tuple = ()
 
 
+def _guard_bytes(need: int, what: str) -> None:
+    """Fail before allocating if `what` would peak above MAX_RELEASE_BYTES."""
+    if need > MAX_RELEASE_BYTES:
+        raise ValueError(f"{what} needs about {need >> 20} MiB, "
+                         f"over the size guard of {MAX_RELEASE_BYTES >> 20} MiB")
+
+
 def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
-    """Fail before allocating if a release's peak would pass MAX_RELEASE_BYTES.
+    """The size guard of a marginal release.
 
     The peak is `copies` (measured per path) float64 n^k arrays plus the
     records, one byte per cell.
     """
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k!r}")
-    need = 8 * copies * n**k + rows * n
-    if need > MAX_RELEASE_BYTES:
-        raise ValueError(
-            f"order {k} over {n} features needs about {need >> 20} MiB, "
-            f"over the size guard of {MAX_RELEASE_BYTES >> 20} MiB"
-        )
+    _guard_bytes(8 * copies * n**k + rows * n, f"order {k} over {n} features")
 
 
 def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, light: int,
@@ -291,11 +289,11 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     t = _scatter_parity(x, counts, data.weights, light, k).reshape(n ** (k - 1), n)
     heavy = data.weights > light
     _gemm_parity(x, counts, None if heavy.all() else np.flatnonzero(heavy), k, t)
-    return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k), scale=1.0)
+    return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k))
 
 
 def answer_parity_query(tensor: MarginalTensor, query: Union[ParityQuery, tuple]) -> float:
-    """Tensor entry at the query's indices, padded and rescaled to raw counts.
+    """Tensor entry at the query's indices, padded to order k.
 
     A shorter query is answered by repeating its last index up to order k,
     valid on parity tensors of binary data because e_i^2 = e_i.
@@ -309,7 +307,7 @@ def answer_parity_query(tensor: MarginalTensor, query: Union[ParityQuery, tuple]
         raise ValueError(f"feature index {max(alpha)} out of range [1, {tensor.side}]")
     idx = tuple(i - 1 for i in alpha)
     idx = idx + (idx[-1],) * (tensor.order - len(idx))
-    return float(tensor.values[idx]) / tensor.scale
+    return float(tensor.values[idx])
 
 
 def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
@@ -340,7 +338,7 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
                               PsdTrace(1.0), release_params, stream)
     values = (out.point * back).reshape((n,) * k)
     return MarginalRelease(
-        tensor=MarginalTensor(order=k, side=n, values=values, scale=1.0),
+        tensor=MarginalTensor(order=k, side=n, values=values),
         params=release_params,
         method=METHOD_EVEN,
         sigma=out.sigma_used,
@@ -393,7 +391,7 @@ def release_threshold_baseline(data: BinaryDataset, k: int, t: int, params: Priv
     noisy += sample_gaussian(n**k, NoiseSpec(sigma), stream)
     kept = _threshold_keep(noisy, data.size * t**k)
     return MarginalRelease(
-        tensor=MarginalTensor(order=k, side=n, values=kept.reshape((n,) * k), scale=1.0),
+        tensor=MarginalTensor(order=k, side=n, values=kept.reshape((n,) * k)),
         params=release_params,
         method=METHOD_THRESHOLD,
         sigma=sigma,
@@ -416,7 +414,7 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     noisy = parity_tensor(data, k).values
     noisy += sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
     return MarginalRelease(
-        tensor=MarginalTensor(order=k, side=n, values=noisy, scale=1.0),
+        tensor=MarginalTensor(order=k, side=n, values=noisy),
         params=release_params,
         method=METHOD_GAUSSIAN,
         sigma=sigma,
@@ -430,8 +428,6 @@ class SearchBudget:
 
     max_supports: int = 10**4
     restarts: int = 5
-    max_iter: int = 500
-    tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -478,13 +474,13 @@ def _support_max(sub: np.ndarray, k: int, budget: SearchBudget, rng) -> float:
         starts.append(g / np.linalg.norm(g))
     best = -np.inf
     for x in starts:
-        for _ in range(budget.max_iter):
+        for _ in range(POWER_MAX_ITER):
             y = _tensor_apply(sub, x, k - 1) + alpha * x
             nrm = float(np.linalg.norm(y))
             if nrm == 0.0:
                 break
             x_new = y / nrm
-            if float(np.linalg.norm(x_new - x)) < budget.tol:
+            if float(np.linalg.norm(x_new - x)) < POWER_TOL:
                 x = x_new
                 break
             x = x_new
@@ -538,7 +534,7 @@ def avg_query_sq_error(released: Union[MarginalRelease, MarginalTensor],
         raise ValueError(
             f"shape mismatch: ({rel.order}, {rel.side}) vs ({truth.order}, {truth.side})"
         )
-    diff = rel.raw() - truth.raw()
+    diff = rel.values - truth.values
     return float(np.mean(diff * diff))
 
 
@@ -657,8 +653,8 @@ def save_release(release: MarginalRelease, path) -> Path:
     """Write the flat little-endian float64 tensor plus its JSON sidecar.
 
     Returns the sidecar path. Sidecar keys cover the wire metadata (order,
-    side, scale, method) and the audit record (epsilon, delta, sensitivity,
-    sigma, seed, stream_index).
+    side, scale, which is always 1, method) and the audit record (epsilon,
+    delta, sensitivity, sigma, seed, stream_index).
     """
     path = Path(path)
     path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
@@ -666,7 +662,7 @@ def save_release(release: MarginalRelease, path) -> Path:
     meta = {
         "order": release.tensor.order,
         "side": release.tensor.side,
-        "scale": release.tensor.scale,
+        "scale": 1.0,
         "method": release.method,
         "epsilon": release.params.epsilon,
         "delta": release.params.delta,
@@ -680,10 +676,15 @@ def save_release(release: MarginalRelease, path) -> Path:
 
 
 def load_tensor(path) -> tuple:
-    """Read a released tensor back; returns (MarginalTensor, sidecar dict)."""
+    """Read a released tensor back; returns (MarginalTensor, sidecar dict).
+
+    Every release is written in raw-count units, so a sidecar whose "scale"
+    is not 1 is refused.
+    """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
+    if meta["scale"] != 1:
+        raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
     flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    tensor = MarginalTensor(order=int(meta["order"]), side=int(meta["side"]),
-                            values=flat.copy(), scale=float(meta["scale"]))
+    tensor = MarginalTensor(order=int(meta["order"]), side=int(meta["side"]), values=flat.copy())
     return tensor, meta

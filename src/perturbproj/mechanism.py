@@ -22,8 +22,8 @@ class PrivacyParams:
     sensitivity: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
         if not self.sensitivity > 0:

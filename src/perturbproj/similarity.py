@@ -6,7 +6,9 @@ the noisy matrix into a structured set in one step. The exact mode takes the
 one Euclidean projection onto {X psd, diag(X) <= 1} that the paper's error
 bound is stated for, computed by a dual Newton solver that certifies its KKT
 residual. The practical mode shrinks the noisy matrix radially to Frobenius
-norm n and then clips every entry to [-1, 1]; no eigendecomposition.
+norm n and then clips every entry to [-1, 1]; no eigendecomposition. Both
+fail with the marginal releases' size guard before building the Gram matrix
+when their peak would pass MAX_RELEASE_BYTES.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 # dykstra_reference and perturb_and_alternately_project are unused here;
 # perfbench/tracing.py rebinds both by these names.
 from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
-from .marginals import _first, _read_numeric_csv
+from .marginals import _first, _guard_bytes, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream
 from .projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, solve_psd_diag_box
 
@@ -30,6 +32,12 @@ MODE_PRACTICAL = "PRACTICAL"
 
 SOLVER_EXACT = "dual-newton"
 SOLVER_PRACTICAL = "shrink-then-clip"
+
+# Peak of a release and its CSV write in float64 n x n matrices, from ru_maxrss
+# over the RSS with the vectors read at n = 1000-3000: exact 11-13.6 (eigh's
+# workspace included), practical 9.5-10.9 (mostly write_release_csv's strings).
+EXACT_COPIES = 14
+PRACTICAL_COPIES = 11
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,11 @@ def read_vectors_csv(path, header: bool = False) -> UnitVectorSet:
     return UnitVectorSet(values)
 
 
+def _guard_release(n: int, dim: int, copies: int) -> None:
+    """Size guard: `copies` float64 n x n matrices plus n vectors of length dim."""
+    _guard_bytes(8 * (copies * n * n + n * dim), f"a release of {n} vectors")
+
+
 def gram(vectors: UnitVectorSet) -> np.ndarray:
     """Pairwise inner products V V^T, symmetrized exactly."""
     g = vectors.rows @ vectors.rows.T
@@ -130,6 +143,7 @@ def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams,
     distances to the psd cone and to {diag(X) in [0, 1]}; diag(X) <= 1 holds
     exactly.
     """
+    _guard_release(vectors.count, vectors.dim, EXACT_COPIES)
     noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
     solved = solve_psd_diag_box(noisy)
     point = solved.point
@@ -157,6 +171,7 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
     draws never gave a larger squared error than the averaged alternating
     projections between the two sets (perturb_and_alternately_project).
     """
+    _guard_release(vectors.count, vectors.dim, PRACTICAL_COPIES)
     ball, box = FrobeniusBall(float(vectors.count)), EntryClip(1.0)
     noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
     point = box.project(ball.project(noisy))

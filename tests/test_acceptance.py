@@ -389,6 +389,7 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
          ["cx.json"]),
     ]
 
+    # BLAS and OpenMP thread counts are read once, at numpy's import in each process
     runs = (("threads1", "1"), ("threads4", "4"), ("rerun1", "1"))
     compared = 0
     for name, args, artifacts in invocations:
@@ -397,7 +398,7 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
             outdir = tmp_path / f"{name}-{run_name}"
             outdir.mkdir()
             argv = [arg.replace("{d}", str(outdir)) for arg in args]
-            env = dict(os.environ, PP_THREADS=threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "perturbproj.cli", *argv],
                 env=env, capture_output=True, text=True)

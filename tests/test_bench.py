@@ -25,6 +25,7 @@ def test_closed_form_values():
     assert complexity_box_closed_form(1) == pytest.approx(root, rel=1e-15)
     assert complexity_box_closed_form(4) == pytest.approx(4 * root, rel=1e-15)
     assert complexity_box_closed_form(4, "sym-matrix") == pytest.approx(10 * root, rel=1e-15)
+    assert complexity_box_closed_form(4, "matrix") == complexity_box_closed_form(4, "sym-matrix")
     with pytest.raises(ValueError):
         complexity_box_closed_form(0)
     with pytest.raises(ValueError):
@@ -119,8 +120,7 @@ def test_cosine_scaling_report_shape():
     assert all(p["mse"] > 0 and p["std_error"] >= 0 for p in report.points)
     assert report.fitted_exponent is not None
     assert report.seed == 6
-    assert report.wall_time_s > 0
-    d = report.to_dict(include_wall_time=False)
+    d = report.to_dict()
     assert d["wall_time_s"] is None
     assert "baseline_exponent" in d
     json.dumps(d)  # artifact must be serializable
@@ -128,19 +128,19 @@ def test_cosine_scaling_report_shape():
     assert len(rows) == 6
 
 
-def test_cosine_scaling_deterministic_across_threads(monkeypatch):
-    monkeypatch.setenv("PP_THREADS", "1")
+def test_cosine_scaling_deterministic_across_threads():
+    # BLAS thread counts are varied across processes by acceptance check 10;
+    # in one process this is a rerun check
     a = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(7))
-    monkeypatch.setenv("PP_THREADS", "4")
     b = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(7))
-    assert json.dumps(a.to_dict(False), sort_keys=True) == json.dumps(b.to_dict(False), sort_keys=True)
+    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
 def test_cosine_scaling_validation():
     with pytest.raises(ValueError):
         scaling_experiment_cosine([8, 4], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):
-        scaling_experiment_cosine([2048], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([8192], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):
         scaling_experiment_cosine([4], NORMAL, 1, RandomStream(0))
 

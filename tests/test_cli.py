@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import perturbproj.cli as cli
+from perturbproj.mechanism import PrivacyParams, RandomStream
 from perturbproj.projections import EigenFailure
 
 
@@ -82,6 +84,44 @@ def test_similarity_bad_row_names_line(tmp_path, capsys):
                      "--delta", "1e-6", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["similarity", "--mode", "practical", "--input", "{v}", "--out", "{d}/x.csv"],
+    ["similarity", "--mode", "exact", "--input", "{v}", "--out", "{d}/x.csv"],
+    ["marginals", "--input", "{m}", "--out", "{d}/x.bin"],
+    ["bench", "stability", "--n", "3", "--trials", "20", "--out", "{d}/x.json"],
+], ids=["practical", "exact", "marginals", "bench"])
+def test_infinite_epsilon_exits_2_before_writing(tmp_path, vectors_csv, dataset_csv, argv):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    argv = [a.format(v=vectors_csv, m=dataset_csv, d=outdir) for a in argv]
+    assert cli.main([*argv, "--epsilon", "inf", "--delta", "1e-6", "--seed", "1"]) == 2
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "practical"])
+def test_cosine_size_guard_exits_2_before_the_gram_matrix(tmp_path, capsys, mode):
+    # 12 000 vectors: one n x n float64 matrix alone is 1.1 GB
+    g = np.random.default_rng(2).standard_normal((12_000, 2))
+    path = tmp_path / "big.csv"
+    np.savetxt(path, g / np.linalg.norm(g, axis=1, keepdims=True), delimiter=",", fmt="%.17g")
+    out = tmp_path / "x.csv"
+    code = cli.main(["similarity", "--input", str(path), "--epsilon", "1", "--delta", "1e-6",
+                     "--mode", mode, "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "size guard" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+    vectors = cli.read_vectors_csv(path)
+    release = cli.release_cosine_exact if mode == "exact" else cli.release_cosine_practical
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size guard"):
+            release(vectors, PrivacyParams(1.0, 1e-6, 1.0), RandomStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("flags", [
@@ -293,11 +333,12 @@ def test_complexity_alias_matches_bench(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_bench_deterministic_across_thread_env(tmp_path, monkeypatch):
+def test_bench_deterministic_across_thread_env(tmp_path):
+    # BLAS thread counts are varied across processes by acceptance check 10;
+    # in one process this is a rerun check
     outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PP_THREADS", threads)
-        out = tmp_path / f"r{threads}.json"
+    for run in ("1", "2"):
+        out = tmp_path / f"r{run}.json"
         assert cli.main(["bench", "marginal-scaling", "--sizes", "4,8", "--order", "2",
                          "--m", "20", "--trials", "3", "--seed", "9",
                          "--sparsity", "1", "--out", str(out)]) == 0

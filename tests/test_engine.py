@@ -4,11 +4,11 @@ import pytest
 import perturbproj.engine as engine
 from perturbproj.engine import (
     DykstraConvergenceWarning,
-    EngineConfig,
     averaged_projection_step,
     dykstra_reference,
     perturb_and_alternately_project,
     perturb_and_project,
+    perturb_symmetric,
 )
 from perturbproj.mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_symmetric_gaussian
 from perturbproj.projections import (
@@ -29,9 +29,18 @@ def _sym(rng, n, scale=1.0):
     return (g + g.T) / 2
 
 
-def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(iterations=0, stream=RandomStream(0))
+def test_iterations_validation():
+    for iterations in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
+            perturb_and_alternately_project(np.eye(2), (PsdCone(),), NORMAL,
+                                            RandomStream(0), iterations)
+
+
+def test_perturb_symmetric_returns_a_plus_w():
+    a = _sym(np.random.default_rng(8), 4)
+    noisy, sigma = perturb_symmetric(a, NORMAL, RandomStream(8))
+    w = sample_symmetric_gaussian(4, NoiseSpec(sigma), RandomStream(8))
+    assert np.array_equal(noisy, a + w)
 
 
 def test_perturb_and_project_zero_noise_limit():
@@ -71,9 +80,7 @@ def test_single_noise_draw_per_release(monkeypatch):
     a = np.diag([1.0, -1.0, 0.0])
     perturb_and_project(a, PsdCone(), NORMAL, RandomStream(3))
     assert len(calls) == 1
-    perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), NORMAL,
-        EngineConfig(iterations=25, stream=RandomStream(4)))
+    perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, RandomStream(4), 25)
     assert len(calls) == 2
 
 
@@ -97,8 +104,7 @@ def test_averaged_step_examples():
 def test_alternating_zero_noise_fixed_point():
     a = np.diag([0.5, 0.25])
     out = perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS,
-        EngineConfig(iterations=40, stream=RandomStream(5)))
+        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, RandomStream(5), 40)
     assert np.allclose(out.point, a, atol=1e-6)
 
 
@@ -107,8 +113,7 @@ def test_alternating_reaches_diagonal_reference():
     # iteration converges there because the instance is diagonal
     a = np.diag([2.0, -2.0])
     out = perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS,
-        EngineConfig(iterations=200, stream=RandomStream(6)))
+        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, RandomStream(6), 200)
     assert np.linalg.norm(out.point - np.diag([1.0, 0.0])) <= 1e-3
     ref = dykstra_reference(a, (PsdCone(), EntryClip(1.0)))
     assert np.allclose(ref, np.diag([1.0, 0.0]), atol=1e-8)
@@ -118,32 +123,20 @@ def test_alternating_max_residual_non_increasing():
     sets = (PsdCone(), EntryClip(1.0))
     for s in range(100):
         rng = np.random.default_rng(s)
-        cfg = EngineConfig(iterations=40, stream=RandomStream(10_000 + s),
-                           record_trajectory=True)
-        out = perturb_and_alternately_project(_sym(rng, 8), sets, NORMAL, cfg)
-        profile = [max(st.residual(x) for st in sets) for x in out.trajectory]
+        x, _ = perturb_symmetric(_sym(rng, 8), NORMAL, RandomStream(10_000 + s))
+        profile = [max(st.residual(x) for st in sets)]
+        for _ in range(40):
+            x = averaged_projection_step(x, sets)
+            profile.append(max(st.residual(x) for st in sets))
         for before, after in zip(profile, profile[1:]):
             assert after <= before + 1e-9
 
 
-def test_trajectory_recording():
-    cfg = EngineConfig(iterations=7, stream=RandomStream(8), record_trajectory=True)
-    out = perturb_and_alternately_project(
-        np.zeros((4, 4)), (PsdCone(), EntryClip(1.0)), NORMAL, cfg)
-    assert len(out.trajectory) == 8
-    w = sample_symmetric_gaussian(4, NoiseSpec(out.sigma_used), RandomStream(8))
-    assert np.array_equal(out.trajectory[0], w)
-    no_traj = perturb_and_alternately_project(
-        np.zeros((4, 4)), (PsdCone(),), NORMAL,
-        EngineConfig(iterations=3, stream=RandomStream(8)))
-    assert no_traj.trajectory is None
-
-
 def test_alternating_deterministic():
     a = np.diag([1.0, 0.3, -0.5])
-    cfg = EngineConfig(iterations=30, stream=RandomStream(77))
-    o1 = perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, cfg)
-    o2 = perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, cfg)
+    sets = (PsdCone(), EntryClip(1.0))
+    o1 = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
+    o2 = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
     assert np.array_equal(o1.point, o2.point)
 
 

@@ -179,8 +179,6 @@ def test_answer_parity_query():
         answer_parity_query(t, (3,))
     with pytest.raises(ValueError):
         answer_parity_query(t, (1, 2, 2))
-    scaled = MarginalTensor(order=2, side=2, values=t.values * 3.0, scale=3.0)
-    assert answer_parity_query(scaled, (1,)) == 2.0
 
 
 def test_swap_sensitivity_bounds():
@@ -430,6 +428,17 @@ def test_save_and_load_release(tmp_path):
     # wire format: little-endian float64, lexicographic entry order
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
     assert np.array_equal(raw, rel.tensor.values.ravel(order="C"))
+
+
+def test_load_tensor_rejects_a_scale_other_than_1(tmp_path):
+    data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    path = tmp_path / "release.bin"
+    sidecar = save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
+    meta = json.loads(sidecar.read_text())
+    assert meta["scale"] == 1.0
+    sidecar.write_text(json.dumps(dict(meta, scale=2)))
+    with pytest.raises(ValueError, match="scale must be 1, got 2"):
+        load_tensor(path)
 
 
 def test_read_dataset_csv(tmp_path):

@@ -36,6 +36,7 @@ def test_calibrate_sigma_monotonicity():
 @pytest.mark.parametrize("eps,delta,sens", [
     (0.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (1.0, 0.0, 1.0),
     (1.0, 1.0, 1.0), (1.0, 1.5, 1.0), (1.0, 0.5, 0.0), (1.0, 0.5, -2.0),
+    (math.inf, 0.5, 1.0), (math.nan, 0.5, 1.0),
 ])
 def test_privacy_params_rejects_bad_values(eps, delta, sens):
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from perturbproj.engine import (
-    EngineConfig,
     dykstra_reference,
     perturb_and_alternately_project,
     perturb_and_project,
@@ -205,8 +204,7 @@ def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
         draws.clear()
         rel = release_cosine_practical(vs, params, noise)
         assert draws == [n]
-        ref = perturb_and_alternately_project(truth, sets, params,
-                                              EngineConfig(iterations=steps, stream=noise))
+        ref = perturb_and_alternately_project(truth, sets, params, noise, steps)
         assert np.sum((rel.matrix - truth) ** 2) <= np.sum((ref.point - truth) ** 2)
         assert np.abs(rel.matrix).max() <= 1.0
         assert rel.residuals == (0.0, 0.0)
