@@ -42,13 +42,6 @@ from .similarity import (
     write_release_csv,
 )
 
-def _check_privacy(epsilon: float, delta: float) -> None:
-    """Refuse bad privacy flags before touching any input."""
-    if not 0 < epsilon < float("inf"):
-        raise ValueError(f"--epsilon must be finite and > 0, got {epsilon:g}")
-    if not 0 < delta < 1:
-        raise ValueError(f"--delta must be in (0, 1), got {delta:g}")
-
 
 def _parse_sizes(text: str) -> list:
     try:
@@ -69,11 +62,8 @@ def _write_json(payload: dict, out) -> None:
 
 
 def run_similarity(args) -> int:
-    _check_privacy(args.epsilon, args.delta)
-    if not args.sensitivity > 0:
-        raise ValueError(f"--sensitivity must be > 0, got {args.sensitivity:g}")
-    vectors = read_vectors_csv(args.input, header=args.header)
     params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
+    vectors = read_vectors_csv(args.input, header=args.header)
     release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
     release = release_cosine(vectors, params, RandomStream(args.seed))
     out = Path(args.out)
@@ -96,7 +86,7 @@ def run_similarity(args) -> int:
 
 
 def run_marginals(args) -> int:
-    _check_privacy(args.epsilon, args.delta)
+    params = PrivacyParams(args.epsilon, args.delta, 1.0)
     k = args.order
     if k < 1:
         raise ValueError(f"--order must be >= 1, got {k}")
@@ -111,7 +101,6 @@ def run_marginals(args) -> int:
         raise ValueError(f"--sparsity must be >= 1, got {args.sparsity}")
     data = read_dataset_csv(args.input, header=args.header,
                             count_column=args.count_column, sparsity=args.sparsity)
-    params = PrivacyParams(args.epsilon, args.delta, 1.0)
     stream = RandomStream(args.seed)
     if args.mode == "even-flatten":
         release = release_even_k(data, k, params, stream)
@@ -143,7 +132,7 @@ def _write_per_trial(rows, path) -> None:
 
 
 def run_bench(args) -> int:
-    _check_privacy(args.epsilon, args.delta)
+    params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
     if args.trials < 2:
         raise ValueError(f"--trials must be >= 2, got {args.trials}")
     stream = RandomStream(args.seed)
@@ -153,7 +142,6 @@ def run_bench(args) -> int:
         if args.sizes is None:
             raise ValueError(f"{args.experiment} needs --sizes")
         sizes = _parse_sizes(args.sizes)
-        params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
         if args.experiment == "cosine-scaling":
             report = scaling_experiment_cosine(sizes, params, args.trials, stream)
         else:
@@ -216,26 +204,6 @@ def _add_privacy_flags(p, required: bool) -> None:
                    default=None if required else 1e-6, help="failure probability, in (0, 1)")
 
 
-def _add_bench_flags(p) -> None:
-    p.add_argument("--sizes", help="comma-separated problem sizes, ascending")
-    p.add_argument("--trials", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
-    p.add_argument("--n", type=int, default=4, help="side length for stability/complexity")
-    p.add_argument("--set", choices=["box", "frobenius", "psd-trace"], default="box")
-    p.add_argument("--ambient", choices=["vector", "matrix"], default="matrix")
-    p.add_argument("--bound", type=float, default=1.0, help="entry bound for --set box")
-    p.add_argument("--radius", type=float, default=1.0, help="radius for --set frobenius")
-    p.add_argument("--trace", type=float, default=1.0, help="trace cap for --set psd-trace")
-    p.add_argument("--order", type=int, default=2, help="marginal order k")
-    p.add_argument("--m", type=int, default=100, help="record count for marginal scaling")
-    p.add_argument("--sparsity", type=int, default=None)
-    p.add_argument("--sensitivity", type=float, default=1.0)
-    p.add_argument("--per-trial-csv", default=None,
-                   help="also write raw per-trial errors as CSV")
-    _add_privacy_flags(p, required=False)
-
-
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The whole parser, built once per process: parse_args leaves it unchanged."""
@@ -274,11 +242,23 @@ def _build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a benchmark experiment")
     ben.add_argument("experiment",
                      choices=["cosine-scaling", "marginal-scaling", "stability", "complexity"])
-    _add_bench_flags(ben)
-
-    comp = sub.add_parser("complexity", help="shorthand for `bench complexity`")
-    _add_bench_flags(comp)
-    comp.set_defaults(experiment="complexity")
+    ben.add_argument("--sizes", help="comma-separated problem sizes, ascending")
+    ben.add_argument("--trials", type=int, default=30)
+    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--out", default=None, help="report JSON path (default: stdout)")
+    ben.add_argument("--n", type=int, default=4, help="side length for stability/complexity")
+    ben.add_argument("--set", choices=["box", "frobenius", "psd-trace"], default="box")
+    ben.add_argument("--ambient", choices=["vector", "matrix"], default="matrix")
+    ben.add_argument("--bound", type=float, default=1.0, help="entry bound for --set box")
+    ben.add_argument("--radius", type=float, default=1.0, help="radius for --set frobenius")
+    ben.add_argument("--trace", type=float, default=1.0, help="trace cap for --set psd-trace")
+    ben.add_argument("--order", type=int, default=2, help="marginal order k")
+    ben.add_argument("--m", type=int, default=100, help="record count for marginal scaling")
+    ben.add_argument("--sparsity", type=int, default=None)
+    ben.add_argument("--sensitivity", type=float, default=1.0)
+    ben.add_argument("--per-trial-csv", default=None,
+                     help="also write raw per-trial errors as CSV")
+    _add_privacy_flags(ben, required=False)
 
     return parser
 

@@ -51,7 +51,7 @@ def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream
 
 
 def _member_sets(sets) -> tuple:
-    sets = (sets,) if isinstance(sets, ConvexSet) else tuple(sets)
+    sets = tuple(sets)
     if len(sets) < 1:
         raise ValueError("need at least one set")
     return sets

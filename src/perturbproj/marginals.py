@@ -140,7 +140,10 @@ class ParityQuery:
     alpha: tuple
 
     def __post_init__(self):
-        alpha = tuple(int(i) for i in self.alpha)
+        given = tuple(self.alpha)
+        if not all(isinstance(i, (int, np.integer)) or float(i).is_integer() for i in given):
+            raise ValueError(f"feature indices must be integers, got {given}")
+        alpha = tuple(int(i) for i in given)
         if len(alpha) < 1:
             raise ValueError("query needs at least one feature index")
         if len(set(alpha)) != len(alpha):

@@ -62,36 +62,6 @@ def _eigh_sym(m: np.ndarray, vectors: bool = True):
             raise EigenFailure(f"eigendecomposition failed for shape {s.shape}") from exc
 
 
-def project_psd(m: np.ndarray) -> np.ndarray:
-    """Zero out negative eigenvalues; nearest positive semidefinite matrix."""
-    vals, vecs = _eigh_sym(m)
-    vals = np.maximum(vals, 0.0)
-    return symmetrize((vecs * vals) @ vecs.T)
-
-
-def project_entry_clip(m: np.ndarray, bound: float) -> np.ndarray:
-    """Clip every entry to [-bound, bound]."""
-    return np.clip(m, -bound, bound)
-
-
-def project_frobenius_ball(m: np.ndarray, radius: float) -> np.ndarray:
-    """Scale radially onto the Frobenius ball when outside, else copy through.
-
-    When the sum of squares overflows, the norm is taken of m / max|m| and the
-    shrink applied to that, so entries of order 1e300 still shrink to order 1
-    instead of to 0.
-    """
-    m = np.asarray(m, dtype=float)
-    with np.errstate(over="ignore"):  # an overflow is handled below
-        norm = float(np.linalg.norm(m))
-    if norm <= radius:
-        return m.copy()
-    if np.isinf(norm):
-        m = m / np.max(np.abs(m))
-        norm = float(np.linalg.norm(m))
-    return m * (radius / norm)
-
-
 def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     """Project a vector onto {x : x >= 0, sum(x) <= budget}.
 
@@ -110,24 +80,6 @@ def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     rho = np.nonzero(u * np.arange(1, v.size + 1) > (cssv - budget))[0][-1]
     theta = (cssv[rho] - budget) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def project_psd_trace(m: np.ndarray, trace_bound: float) -> np.ndarray:
-    """Nearest matrix in {X : X psd, trace(X) <= trace_bound}.
-
-    Reduces to projecting the eigenvalue vector onto the nonnegative
-    trace-budget simplex.
-    """
-    vals, vecs = _eigh_sym(m)
-    vals = project_simplex(vals, trace_bound)
-    return symmetrize((vecs * vals) @ vecs.T)
-
-
-def project_diag_clip(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Clip only the diagonal entries to [lo, hi]; off-diagonals pass through."""
-    out = np.array(m, dtype=float, copy=True)
-    np.fill_diagonal(out, np.clip(np.diagonal(m), lo, hi))
-    return out
 
 
 @dataclass(frozen=True)
@@ -202,7 +154,7 @@ def _conjugate_gradient(apply, rhs, precond, tol):
     return x
 
 
-def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNewtonResult:
+def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
     """Nearest matrix to m in {X psd, diag(X) <= 1}, by Newton's method on the dual.
 
     The dual variable is y >= 0 with X(y) = (A - Diag y)+, A = sym(m); it
@@ -224,7 +176,7 @@ def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNe
     exactly, and moves X by no more than the certified tolerance allows. A
     member of the set, psd up to that tolerance, is returned unchanged.
     Raises ProjectionConvergenceError when the test does not hold within
-    max_iter iterations.
+    NEWTON_MAX_ITER iterations.
     """
     a = symmetrize(np.asarray(m, dtype=float))
     n = a.shape[0]
@@ -246,10 +198,10 @@ def solve_psd_diag_box(m: np.ndarray, max_iter: int = NEWTON_MAX_ITER) -> DualNe
         kkt = float(np.max(np.abs(np.minimum(y, grad))))
         if kkt <= tol:
             break
-        if iterations == max_iter:
+        if iterations == NEWTON_MAX_ITER:
             raise ProjectionConvergenceError(
                 f"dual Newton projection stopped at KKT residual {kkt:.3g} after "
-                f"{max_iter} iterations (tolerance {tol:.3g})")
+                f"{NEWTON_MAX_ITER} iterations (tolerance {tol:.3g})")
         iterations += 1
 
         pinned = (y <= kkt) & (grad > 0.0)
@@ -305,15 +257,20 @@ class ConvexSet:
 
 @dataclass(frozen=True)
 class PsdCone(ConvexSet):
+    """Positive semidefinite matrices."""
+
     kind: str = field(default="psd-cone", init=False)
 
     def project(self, m):
-        return project_psd(m)
+        """Zero out the negative eigenvalues of sym(m)."""
+        vals, vecs = _eigh_sym(m)
+        vals = np.maximum(vals, 0.0)
+        return symmetrize((vecs * vals) @ vecs.T)
 
     def residual(self, m):
-        """||m - project_psd(m)||_F from the eigenvalues of sym(m) alone.
+        """||m - project(m)||_F from the eigenvalues of sym(m) alone.
 
-        m - project_psd(m) is skew(m) plus the negative-eigenvalue part of
+        m - project(m) is skew(m) plus the negative-eigenvalue part of
         sym(m); the two are orthogonal, so their norms add in squares.
         """
         m = np.asarray(m, dtype=float)
@@ -333,11 +290,13 @@ class EntryClip(ConvexSet):
             raise ValueError(f"bound must be positive, got {self.bound!r}")
 
     def project(self, m):
-        return project_entry_clip(np.asarray(m, dtype=float), self.bound)
+        return np.clip(np.asarray(m, dtype=float), -self.bound, self.bound)
 
 
 @dataclass(frozen=True)
 class FrobeniusBall(ConvexSet):
+    """All arrays with Frobenius norm at most radius."""
+
     radius: float = 1.0
     kind: str = field(default="frobenius-ball", init=False)
 
@@ -346,7 +305,21 @@ class FrobeniusBall(ConvexSet):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
 
     def project(self, m):
-        return project_frobenius_ball(m, self.radius)
+        """Scale radially onto the ball when outside, else copy through.
+
+        When the sum of squares overflows, the norm is taken of m / max|m| and
+        the shrink applied to that, so entries of order 1e300 still shrink to
+        order 1 instead of to 0.
+        """
+        m = np.asarray(m, dtype=float)
+        with np.errstate(over="ignore"):  # an overflow is handled below
+            norm = float(np.linalg.norm(m))
+        if norm <= self.radius:
+            return m.copy()
+        if np.isinf(norm):
+            m = m / np.max(np.abs(m))
+            norm = float(np.linalg.norm(m))
+        return m * (self.radius / norm)
 
 
 @dataclass(frozen=True)
@@ -361,7 +334,10 @@ class PsdTrace(ConvexSet):
             raise ValueError(f"trace_bound must be positive, got {self.trace_bound!r}")
 
     def project(self, m):
-        return project_psd_trace(m, self.trace_bound)
+        """Project the eigenvalues of sym(m) onto the trace-budget simplex."""
+        vals, vecs = _eigh_sym(m)
+        vals = project_simplex(vals, self.trace_bound)
+        return symmetrize((vecs * vals) @ vecs.T)
 
 
 @dataclass(frozen=True)
@@ -377,7 +353,9 @@ class DiagClip(ConvexSet):
             raise ValueError(f"need lo <= hi, got ({self.lo!r}, {self.hi!r})")
 
     def project(self, m):
-        return project_diag_clip(m, self.lo, self.hi)
+        out = np.array(m, dtype=float, copy=True)
+        np.fill_diagonal(out, np.clip(np.diagonal(m), self.lo, self.hi))
+        return out
 
 
 @dataclass(frozen=True)

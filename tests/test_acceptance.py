@@ -15,9 +15,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import perturbproj
 from perturbproj import (
     BinaryDataset,
     DiagClip,
@@ -383,13 +385,16 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
         ("stability", ["bench", "stability", "--n", "4", "--trials", "500",
                        "--seed", "16", "--out", "{d}/st.json"],
          ["st.json"]),
-        ("complexity", ["complexity", "--set", "psd-trace", "--ambient", "matrix",
-                        "--n", "6", "--trials", "300", "--seed", "17",
+        ("complexity", ["bench", "complexity", "--set", "psd-trace", "--ambient",
+                        "matrix", "--n", "6", "--trials", "300", "--seed", "17",
                         "--out", "{d}/cx.json"],
          ["cx.json"]),
     ]
 
-    # BLAS and OpenMP thread counts are read once, at numpy's import in each process
+    # BLAS and OpenMP thread counts are read once, at numpy's import in each
+    # process; each subprocess imports the package these tests imported
+    source = str(Path(perturbproj.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     runs = (("threads1", "1"), ("threads4", "4"), ("rerun1", "1"))
     compared = 0
     for name, args, artifacts in invocations:
@@ -398,7 +403,8 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
             outdir = tmp_path / f"{name}-{run_name}"
             outdir.mkdir()
             argv = [arg.replace("{d}", str(outdir)) for arg in args]
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=pythonpath)
             proc = subprocess.run(
                 [sys.executable, "-m", "perturbproj.cli", *argv],
                 env=env, capture_output=True, text=True)

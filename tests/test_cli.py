@@ -324,13 +324,25 @@ def complexity_closed(n):
     return complexity_box_closed_form(n)
 
 
-def test_complexity_alias_matches_bench(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["bench", "complexity", "--set", "frobenius", "--n", "4",
-                     "--trials", "300", "--seed", "2", "--out", str(a)]) == 0
+def test_complexity_is_only_a_bench_experiment(tmp_path, capsys):
+    out = tmp_path / "c.json"
     assert cli.main(["complexity", "--set", "frobenius", "--n", "4",
-                     "--trials", "300", "--seed", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+                     "--trials", "300", "--seed", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("experiment", [
+    ["cosine-scaling", "--sizes", "4,8"],
+    ["marginal-scaling", "--sizes", "4,8", "--sparsity", "1"],
+    ["stability"],
+    ["complexity"],
+], ids=lambda argv: argv[0])
+def test_bench_refuses_nonpositive_sensitivity(tmp_path, experiment):
+    out = tmp_path / "b.json"
+    assert cli.main(["bench", *experiment, "--trials", "3", "--sensitivity", "0",
+                     "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_bench_deterministic_across_thread_env(tmp_path):

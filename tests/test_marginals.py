@@ -87,6 +87,13 @@ def test_parity_query_validation():
         ParityQuery(())
 
 
+def test_parity_query_refuses_non_integral_indices():
+    assert ParityQuery((2.0, np.int64(1))).alpha == (1, 2)
+    for bad in ((1.7, 2.9), (1, 2.5), (float("nan"),), (float("inf"), 1)):
+        with pytest.raises(ValueError, match="integers"):
+            ParityQuery(bad)
+
+
 def test_parity_tensor_matches_brute_force():
     # k >= 3 builds in blocks of n records: m up to 3n + 2 leaves a partial
     # last block, and random counts weight each record

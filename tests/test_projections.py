@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from perturbproj import projections
 from perturbproj.engine import dykstra_reference
 from perturbproj.mechanism import (
     NoiseSpec,
@@ -19,10 +20,6 @@ from perturbproj.projections import (
     PsdCone,
     PsdDiagBox,
     PsdTrace,
-    project_entry_clip,
-    project_frobenius_ball,
-    project_psd,
-    project_psd_trace,
     project_simplex,
     solve_psd_diag_box,
     _generalized_hessian,
@@ -36,32 +33,32 @@ def _sym(rng, n, scale=1.0):
 
 
 def test_project_psd_examples():
-    assert np.allclose(project_psd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(PsdCone().project(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-12)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(project_psd(flip), np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(PsdCone().project(flip), np.full((2, 2), 0.5), atol=1e-12)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((5, 5))
     psd = g @ g.T
-    assert np.linalg.norm(project_psd(psd) - psd) <= TOL_PROJ * (1 + np.linalg.norm(psd))
+    assert np.linalg.norm(PsdCone().project(psd) - psd) <= TOL_PROJ * (1 + np.linalg.norm(psd))
 
 
 def test_project_entry_clip_examples():
     m = np.array([[2.5, 0.0], [0.0, -3.0]])
-    assert np.array_equal(project_entry_clip(m, 1.0), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    assert np.array_equal(EntryClip(1.0).project(m), np.array([[1.0, 0.0], [0.0, -1.0]]))
     inside = np.array([[0.3, -0.2], [-0.2, 0.9]])
-    assert np.array_equal(project_entry_clip(inside, 1.0), inside)
-    assert np.array_equal(project_entry_clip(np.ones((2, 2)), 0.5), np.full((2, 2), 0.5))
+    assert np.array_equal(EntryClip(1.0).project(inside), inside)
+    assert np.array_equal(EntryClip(0.5).project(np.ones((2, 2))), np.full((2, 2), 0.5))
 
 
 def test_project_frobenius_ball_examples():
     m = np.array([[2.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(project_frobenius_ball(m, 1.0), m / 2.0)
-    assert np.array_equal(project_frobenius_ball(np.zeros((3, 3)), 1.0), np.zeros((3, 3)))
+    assert np.allclose(FrobeniusBall(1.0).project(m), m / 2.0)
+    assert np.array_equal(FrobeniusBall(1.0).project(np.zeros((3, 3))), np.zeros((3, 3)))
     small = np.array([[0.9, 0.0], [0.0, 0.0]])
-    assert np.array_equal(project_frobenius_ball(small, 1.0), small)
+    assert np.array_equal(FrobeniusBall(1.0).project(small), small)
     # a sum of squares past float64's range still shrinks onto the sphere
     huge = np.full((3, 3), 1e300)
-    assert np.allclose(project_frobenius_ball(huge, 3.0), np.ones((3, 3)), rtol=1e-12)
+    assert np.allclose(FrobeniusBall(3.0).project(huge), np.ones((3, 3)), rtol=1e-12)
 
 
 def test_project_simplex_examples():
@@ -85,9 +82,9 @@ def test_project_simplex_against_grid_search():
 
 
 def test_project_psd_trace_examples():
-    assert np.allclose(project_psd_trace(np.diag([0.5, 0.25]), 1.0), np.diag([0.5, 0.25]))
-    assert np.allclose(project_psd_trace(np.diag([2.0, 0.0]), 1.0), np.diag([1.0, 0.0]))
-    assert np.allclose(project_psd_trace(np.diag([1.0, 1.0, -1.0]), 1.0),
+    assert np.allclose(PsdTrace(1.0).project(np.diag([0.5, 0.25])), np.diag([0.5, 0.25]))
+    assert np.allclose(PsdTrace(1.0).project(np.diag([2.0, 0.0])), np.diag([1.0, 0.0]))
+    assert np.allclose(PsdTrace(1.0).project(np.diag([1.0, 1.0, -1.0])),
                        np.diag([0.5, 0.5, 0.0]), atol=1e-12)
 
 
@@ -95,7 +92,7 @@ def test_residual_examples():
     assert PsdCone().residual(np.diag([1.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
     assert EntryClip(1.0).residual(np.array([[2.0, 0.0], [0.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(2)
-    member = project_psd(_sym(rng, 4))
+    member = PsdCone().project(_sym(rng, 4))
     assert PsdCone().residual(member) <= TOL_PROJ
 
 
@@ -106,8 +103,8 @@ def test_psd_residual_from_eigenvalues_matches_distance_to_projection(monkeypatc
         for scale in (1e-3, 1.0, 1e4):
             cases.append(_sym(rng, n, scale))
             cases.append(rng.standard_normal((n, n)) * scale)
-    cases.append(project_psd(_sym(rng, 6)) + np.triu(np.ones((6, 6)), 1))
-    expected = [float(np.linalg.norm(m - project_psd(m))) for m in cases]
+    cases.append(PsdCone().project(_sym(rng, 6)) + np.triu(np.ones((6, 6)), 1))
+    expected = [float(np.linalg.norm(m - PsdCone().project(m))) for m in cases]
 
     def no_eigenvectors(*args, **kwargs):
         raise AssertionError("the psd residual needs eigenvalues only")
@@ -186,7 +183,7 @@ def test_symmetrize():
 
 def test_eigen_failure_on_non_finite():
     with pytest.raises((EigenFailure, ValueError)):
-        project_psd(np.full((3, 3), np.nan))
+        PsdCone().project(np.full((3, 3), np.nan))
 
 
 def test_set_parameter_validation():
@@ -238,11 +235,12 @@ def test_psd_diag_box_returns_a_member_unchanged():
     assert solved.iterations == 0 and solved.kkt_residual == 0.0
 
 
-def test_psd_diag_box_iteration_cap_raises_eigen_failure_subclass():
+def test_psd_diag_box_iteration_cap_raises_eigen_failure_subclass(monkeypatch):
     assert issubclass(ProjectionConvergenceError, EigenFailure)
     a = symmetrize(_noisy_gram(8, 0.01, 0))
+    monkeypatch.setattr(projections, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ProjectionConvergenceError, match="KKT residual"):
-        solve_psd_diag_box(a, max_iter=1)
+        solve_psd_diag_box(a)
 
 
 def _dense_hessian(lam, q, free, d):
