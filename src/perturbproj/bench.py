@@ -25,6 +25,7 @@ import numpy as np
 
 from .engine import perturb_and_project
 from .marginals import (
+    EVEN_K_COPIES,
     BinaryDataset,
     _guard_size,
     avg_query_sq_error,
@@ -301,9 +302,9 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
         vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
         truth = gram(vectors)
         released = release_cosine_exact(vectors, params, noise)
-        clip_only = perturb_and_project(truth, EntryClip(1.0), params, noise)
+        clip_only, _ = perturb_and_project(truth, EntryClip(1.0), params, noise)
         return (float(np.sum((released.matrix - truth) ** 2)),
-                float(np.sum((clip_only.point - truth) ** 2)))
+                float(np.sum((clip_only - truth) ** 2)))
 
     return _paired_scaling(
         "cosine-scaling", sizes, trials, stream,
@@ -336,7 +337,7 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
         raise ValueError(f"order k must be even and >= 2, got {k!r}")
     sizes = _check_sizes(sizes)
     for n in sizes:
-        _guard_size(n, k, m, copies=10)  # the even-k release, the largest path
+        _guard_size(n, k, m, copies=EVEN_K_COPIES)  # the even-k release, the largest path
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m!r}")
     if trials < 2:
@@ -356,7 +357,7 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
         ]
         if sparsity is not None:
             errs.append(avg_query_sq_error(
-                release_threshold_baseline(data, k, sparsity, params, noise), truth))
+                release_threshold_baseline(data, k, params, noise), truth))
         return tuple(errs)
 
     return _paired_scaling(

@@ -105,7 +105,7 @@ def run_marginals(args) -> int:
     if args.mode == "even-flatten":
         release = release_even_k(data, k, params, stream)
     elif args.mode == "threshold":
-        release = release_threshold_baseline(data, k, args.sparsity, params, stream)
+        release = release_threshold_baseline(data, k, params, stream)
     else:
         release = release_gaussian_only(data, k, params, stream)
     save_release(release, args.out)

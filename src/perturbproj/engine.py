@@ -2,13 +2,14 @@
 
 Noise is injected exactly once per release, at the start; everything after
 the single draw is deterministic post-processing, so the privacy guarantee of
-the calibrated Gaussian draw carries through unchanged.
+the calibrated Gaussian draw carries through unchanged. Every helper that
+draws returns the pair (matrix, sigma); none measures distances to the sets,
+which a caller gets from the set's own residual when it needs one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,15 +24,6 @@ DYKSTRA_MAX_ITER = 100_000
 
 class DykstraConvergenceWarning(RuntimeWarning):
     """Dykstra hit the iteration cap before the per-cycle change fell below tol."""
-
-
-@dataclass
-class ReleaseOutput:
-    """Released point plus the run diagnostics a sidecar needs."""
-
-    point: np.ndarray
-    sigma_used: float
-    final_residuals: tuple
 
 
 def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream) -> tuple:
@@ -58,15 +50,10 @@ def _member_sets(sets) -> tuple:
 
 
 def perturb_and_project(a: np.ndarray, set_: ConvexSet, params: PrivacyParams,
-                        stream: RandomStream) -> ReleaseOutput:
-    """Single calibrated symmetric noise draw followed by one closed-form projection."""
+                        stream: RandomStream) -> tuple:
+    """One calibrated symmetric noise draw, then one projection: returns (point, sigma)."""
     noisy, sigma = perturb_symmetric(a, params, stream)
-    point = set_.project(noisy)
-    return ReleaseOutput(
-        point=point,
-        sigma_used=sigma,
-        final_residuals=(set_.residual(point),),
-    )
+    return set_.project(noisy), sigma
 
 
 def averaged_projection_step(x: np.ndarray, sets: Sequence[ConvexSet]) -> np.ndarray:
@@ -79,8 +66,8 @@ def averaged_projection_step(x: np.ndarray, sets: Sequence[ConvexSet]) -> np.nda
 
 
 def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
-                                    stream: RandomStream, iterations: int) -> ReleaseOutput:
-    """One noise draw from stream, then `iterations` averaged projection steps.
+                                    stream: RandomStream, iterations: int) -> tuple:
+    """One noise draw, then `iterations` averaged projection steps: (point, sigma).
 
     The iteration is deterministic given the noisy starting point, so the
     single draw at the start is the only randomness consumed.
@@ -91,11 +78,7 @@ def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
     x, sigma = perturb_symmetric(a, params, stream)
     for _ in range(iterations):
         x = averaged_projection_step(x, sets)
-    return ReleaseOutput(
-        point=x,
-        sigma_used=sigma,
-        final_residuals=tuple(s.residual(x) for s in sets),
-    )
+    return x, sigma
 
 
 def dykstra_reference(a: np.ndarray, sets, max_iter: int = DYKSTRA_MAX_ITER,

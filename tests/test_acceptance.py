@@ -330,7 +330,7 @@ def test_one_sparse_threshold_release_pulls_ahead_as_features_grow():
             data = BinaryDataset(rows, sparsity=1)
             truth = parity_tensor(data, 2)
             noise = RandomStream(9500 + s).shifted(n)
-            thresh = release_threshold_baseline(data, 2, 1, params, noise)
+            thresh = release_threshold_baseline(data, 2, params, noise)
             plain = release_gaussian_only(data, 2, params, noise)
             t_errs[s] = avg_query_sq_error(thresh, truth)
             g_errs[s] = avg_query_sq_error(plain, truth)

@@ -45,28 +45,28 @@ def test_perturb_symmetric_returns_a_plus_w():
 
 def test_perturb_and_project_zero_noise_limit():
     a = np.diag([2.0, 0.0])
-    out = perturb_and_project(a, PsdTrace(1.0), HUGE_EPS, RandomStream(0))
-    assert np.allclose(out.point, np.diag([1.0, 0.0]), atol=1e-6)
+    point, _ = perturb_and_project(a, PsdTrace(1.0), HUGE_EPS, RandomStream(0))
+    assert np.allclose(point, np.diag([1.0, 0.0]), atol=1e-6)
     feasible = np.diag([0.4, 0.3])
-    out = perturb_and_project(feasible, PsdTrace(1.0), HUGE_EPS, RandomStream(1))
-    assert np.allclose(out.point, feasible, atol=1e-6)
+    point, _ = perturb_and_project(feasible, PsdTrace(1.0), HUGE_EPS, RandomStream(1))
+    assert np.allclose(point, feasible, atol=1e-6)
 
 
 def test_perturb_and_project_output_in_set():
     rng = np.random.default_rng(4)
     for i in range(10):
         a = _sym(rng, 6, scale=2.0)
-        out = perturb_and_project(a, PsdCone(), NORMAL, RandomStream(100 + i))
-        assert out.final_residuals[0] <= TOL_PROJ * (1 + np.linalg.norm(out.point))
-        assert out.sigma_used == pytest.approx(5.386772268905419, rel=1e-12)
-        assert np.array_equal(out.point, out.point.T)
+        point, sigma = perturb_and_project(a, PsdCone(), NORMAL, RandomStream(100 + i))
+        assert PsdCone().residual(point) <= TOL_PROJ * (1 + np.linalg.norm(point))
+        assert sigma == pytest.approx(5.386772268905419, rel=1e-12)
+        assert np.array_equal(point, point.T)
 
 
 def test_perturb_and_project_deterministic():
     a = np.diag([1.0, -1.0, 0.5])
-    o1 = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
-    o2 = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
-    assert np.array_equal(o1.point, o2.point)
+    p1, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
+    p2, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
+    assert np.array_equal(p1, p2)
 
 
 def test_single_noise_draw_per_release(monkeypatch):
@@ -103,18 +103,18 @@ def test_averaged_step_examples():
 
 def test_alternating_zero_noise_fixed_point():
     a = np.diag([0.5, 0.25])
-    out = perturb_and_alternately_project(
+    point, _ = perturb_and_alternately_project(
         a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, RandomStream(5), 40)
-    assert np.allclose(out.point, a, atol=1e-6)
+    assert np.allclose(point, a, atol=1e-6)
 
 
 def test_alternating_reaches_diagonal_reference():
     # diag(2,-2) projects onto the intersection at diag(1,0); the averaged
     # iteration converges there because the instance is diagonal
     a = np.diag([2.0, -2.0])
-    out = perturb_and_alternately_project(
+    point, _ = perturb_and_alternately_project(
         a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, RandomStream(6), 200)
-    assert np.linalg.norm(out.point - np.diag([1.0, 0.0])) <= 1e-3
+    assert np.linalg.norm(point - np.diag([1.0, 0.0])) <= 1e-3
     ref = dykstra_reference(a, (PsdCone(), EntryClip(1.0)))
     assert np.allclose(ref, np.diag([1.0, 0.0]), atol=1e-8)
 
@@ -135,9 +135,9 @@ def test_alternating_max_residual_non_increasing():
 def test_alternating_deterministic():
     a = np.diag([1.0, 0.3, -0.5])
     sets = (PsdCone(), EntryClip(1.0))
-    o1 = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
-    o2 = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
-    assert np.array_equal(o1.point, o2.point)
+    p1, _ = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
+    p2, _ = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
+    assert np.array_equal(p1, p2)
 
 
 def test_dykstra_member_is_fixed():

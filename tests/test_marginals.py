@@ -237,6 +237,21 @@ def test_even_k_flattening_is_exactly_symmetric_psd_with_trace_at_most_one(monke
     assert np.trace(mat) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_release_even_k_runs_one_eigh(monkeypatch, k):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    data = _random_data(np.random.default_rng(2), 4, 12)
+    release_even_k(data, k, NORMAL, RandomStream(3))
+    assert calls == [(4 ** (k // 2),) * 2]
+
+
 def test_release_even_k_feasible_pre_rescale():
     rng = np.random.default_rng(6)
     data = _random_data(rng, 6, 30)
@@ -270,15 +285,17 @@ def test_threshold_baseline():
     for i in range(20):
         rows[i, rng.integers(0, 8)] = 1.0
     data = BinaryDataset(rows, sparsity=1)
-    rel = release_threshold_baseline(data, 2, 1, NORMAL, RandomStream(11))
+    rel = release_threshold_baseline(data, 2, NORMAL, RandomStream(11))
     assert np.count_nonzero(rel.tensor.values) <= data.size * 1
     assert rel.sigma == pytest.approx(
         2.0 * calibrate_sigma(PrivacyParams(1.0, 1e-6, 1.0)), rel=1e-12)
     # zero noise keeps exactly the true nonzeros
-    exact = release_threshold_baseline(data, 2, 1, HUGE_EPS, RandomStream(12))
+    exact = release_threshold_baseline(data, 2, HUGE_EPS, RandomStream(12))
     assert np.allclose(exact.tensor.values, parity_tensor(data, 2).values, atol=1e-6)
-    with pytest.raises(ValueError, match="not 1-sparse"):
-        release_threshold_baseline(BinaryDataset(np.ones((2, 3))), 2, 1, NORMAL, RandomStream(0))
+    with pytest.raises(ValueError, match="needs a dataset with a declared sparsity"):
+        release_threshold_baseline(BinaryDataset(np.ones((2, 3))), 2, NORMAL, RandomStream(0))
+    with pytest.raises(ValueError, match="record 1 has 3 ones, more than the declared sparsity 1"):
+        BinaryDataset(np.ones((2, 3)), sparsity=1)
 
 
 def test_baselines_equal_parity_plus_noise_byte_for_byte():
@@ -289,11 +306,13 @@ def test_baselines_equal_parity_plus_noise_byte_for_byte():
     rng = np.random.default_rng(15)
     n, t = 10, 3
     records = np.argsort(rng.random((40, n)), axis=1) < rng.integers(0, t + 1, size=40)[:, None]
-    data = BinaryDataset(records, counts=rng.integers(1, 5, size=40))
+    counts = rng.integers(1, 5, size=40)
+    data = BinaryDataset(records, counts=counts)
+    sparse = BinaryDataset(records, counts=counts, sparsity=t)
     for k in (1, 2, 3):
         stream = RandomStream(16, k)
         parity = parity_tensor(data, k).values
-        rel = release_threshold_baseline(data, k, t, NORMAL, stream)
+        rel = release_threshold_baseline(sparse, k, NORMAL, stream)
         noise = sample_gaussian(n**k, NoiseSpec(rel.sigma), stream)
         old = _threshold_keep(parity.ravel() + noise, data.size * t**k)
         assert rel.tensor.flat.tobytes() == old.tobytes()
@@ -343,6 +362,20 @@ def test_gaussian_only_sensitivity():
     sparse = BinaryDataset(rows, sparsity=2)
     rel2 = release_gaussian_only(sparse, 2, NORMAL, RandomStream(15))
     assert rel2.params.sensitivity == pytest.approx(2.0 * 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_baselines_cap_declared_sparsity_at_n(release):
+    # no record over n features has more than n ones, so a declared t above
+    # n must give the sigma (and the bytes) of t = n
+    n = 8
+    rows = np.eye(n)[:5]
+    for k in (1, 2, 3):
+        at_n = release(BinaryDataset(rows, sparsity=n), k, NORMAL, RandomStream(k))
+        over = release(BinaryDataset(rows, sparsity=n + 5), k, NORMAL, RandomStream(k))
+        assert over.sigma == at_n.sigma
+        assert over.params == at_n.params
+        assert over.tensor.values.tobytes() == at_n.tensor.values.tobytes()
 
 
 def test_oracle_matrix_cases():
