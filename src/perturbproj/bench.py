@@ -342,8 +342,9 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
         raise ValueError(f"m must be >= 1, got {m!r}")
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials!r}")
-    if sparsity is not None and not (1 <= sparsity):
-        raise ValueError(f"sparsity must be >= 1, got {sparsity!r}")
+    if sparsity is not None and not (1 <= sparsity <= sizes[0]):
+        raise ValueError(f"sparsity must lie in [1, {sizes[0]}], the smallest size, "
+                         f"got {sparsity!r}")
     methods = [("even-flatten", ""), ("gaussian-only", "gaussian_")]
     if sparsity is not None:
         methods.append(("threshold", "threshold_"))

@@ -23,6 +23,7 @@ import csv
 import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -54,9 +55,26 @@ SCAN_COST = 0.7
 # Peak of the even-k release through the CLI in float64 n^k arrays: ru_maxrss
 # less the RSS after a 4-feature warm-up release (about 8 MiB of BLAS/LAPACK
 # buffers and code, not growing with n^k) and the records. Measured (2-vCPU
-# x86-64, OpenBLAS 0.3.31): at most 7.49 at n=40, k=4, m=2000 and 8.99 at
-# n=400, k=2, m=2000.
+# x86-64, OpenBLAS 0.3.31): 7.50 at n=40, k=4, m=2000; 7.34 and 7.60 at
+# n=1500 and 2100, k=2; 8.96-9.06 at n=400, k=2, m=2000, where the matrix is
+# 1.2 MiB and the 0.06 over 9 is 75 KiB of allocator state. The peak is in
+# the projection, around eigh.
 EVEN_K_COPIES = 9
+
+# Peaks of the parity build and of the Gaussian baseline in float64 n^k
+# arrays: ru_maxrss less the RSS after a 4-feature warm-up release and the
+# dataset, in fresh processes (2-vCPU x86-64, OpenBLAS 0.3.31). The build
+# peaks in the scatter once a second full block arrives, with the running sum,
+# that block's index, its weights and its bincount alive: 4.82 at n=200, k=3
+# on 260 000 4-sparse records (3.62 for the GEMM's T, slab and product on 400
+# records with 40% ones). The baseline draws its noise while T builds, so the
+# draw is alive too: 5.94 and 4.62 on the same inputs. The threshold keep
+# (T, its magnitudes, masks and tie index) stays below 3.5, so the threshold
+# baseline peaks where the Gaussian one does. At n=160 (T of 31 MiB, under
+# glibc's largest mmap threshold) freed blocks stay resident and the same
+# inputs read up to 7.04; near the 2 GiB guard every T is mmapped.
+PARITY_COPIES = 5
+GAUSSIAN_COPIES = 6
 
 # Per-start iteration cap and step tolerance of the sparse-norm power iteration.
 POWER_MAX_ITER = 500
@@ -295,8 +313,7 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     total at most 2^53), so T is bit-identical however the records split.
     """
     n = data.n_features
-    # T, then the GEMM's slab and product or the scatter's index, weights and bincount
-    _guard_size(n, k, len(data.records), copies=4)
+    _guard_size(n, k, len(data.records), copies=PARITY_COPIES)
     x = data.records
     counts = data.counts.astype(float)
     # records with at most `light` ones are light; -1 when none is
@@ -367,18 +384,24 @@ def _threshold_keep(flat: np.ndarray, keep: int) -> np.ndarray:
     A partition finds the cut, the keep-th largest magnitude. Every entry
     above it is kept, and the remaining places go to the entries at the cut
     in ascending flat index, so ties keep the lexicographically smaller index.
+    One magnitude buffer serves the partition, the comparisons and the output,
+    which is the bits of flat AND-ed with a 0 / -1 mask: a dropped entry is
+    +0.0 and a kept one keeps its exact bits, -0.0 included, without a masked
+    select.
     """
     if keep >= flat.size:
         return flat.copy()
     if keep <= 0:
         return np.zeros_like(flat)
     mag = np.abs(flat)
-    cut = np.partition(mag, flat.size - keep)[flat.size - keep]
-    above = mag > cut
-    out = np.where(above, flat, 0.0)
-    ties = np.flatnonzero(mag == cut)[:keep - np.count_nonzero(above)]
-    out[ties] = flat[ties]
-    return out
+    mag.partition(flat.size - keep)
+    cut = mag[flat.size - keep]
+    np.abs(flat, out=mag)  # the partition reordered it
+    kept = mag > cut
+    ties = np.flatnonzero(mag == cut)[:keep - np.count_nonzero(kept)]
+    kept[ties] = True
+    np.bitwise_and(flat.view(np.int64), np.negative(kept.view(np.int8)), out=mag.view(np.int64))
+    return mag
 
 
 def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
@@ -387,19 +410,40 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
 
     Sensitivity uses t = data.max_ones (the declared sparsity capped at n,
     else n), since ||e^{(x)k}||_2 = ||e||_2^k <= t^{k/2} and a swap doubles it.
+    The noise depends only on (shape, sigma, stream), so it is drawn on one
+    helper thread while this one builds T (numpy fills the draw without
+    holding the GIL). The helper is joined before the function returns or raises, and an error
+    of the draw is raised here; T += noise is the same sum in the same order,
+    so the bytes do not depend on scheduling.
     """
     n = data.n_features
-    _guard_size(n, k, len(data.records), copies=4)  # parity build, then T + noise
+    _guard_size(n, k, len(data.records), copies=GAUSSIAN_COPIES)
     release_params = PrivacyParams(params.epsilon, params.delta,
                                    2.0 * data.max_ones ** (k / 2.0))
-    sigma = calibrate_sigma(release_params)
-    noisy = parity_tensor(data, k).values
-    noisy += sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
+    spec = NoiseSpec(calibrate_sigma(release_params))
+    drawn = []
+
+    def draw() -> None:
+        try:
+            drawn.append(sample_gaussian((n,) * k, spec, stream))
+        except BaseException as exc:  # re-raised on the calling thread
+            drawn.append(exc)
+
+    worker = threading.Thread(target=draw, name="perturbproj-noise")
+    worker.start()
+    try:
+        noisy = parity_tensor(data, k).values
+    finally:
+        worker.join()
+    noise, = drawn
+    if isinstance(noise, BaseException):
+        raise noise
+    noisy += noise
     return MarginalRelease(
         tensor=MarginalTensor(order=k, side=n, values=noisy),
         params=release_params,
         method=METHOD_GAUSSIAN,
-        sigma=sigma,
+        sigma=spec.sigma,
         stream=stream,
     )
 
@@ -409,11 +453,11 @@ def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParam
     """The Gaussian baseline, then only its m*t^k largest entries kept.
 
     t is data.max_ones, and a dataset must declare it: a t-sparse dataset has
-    at most m*t^k true nonzeros, so the keep removes pure-noise entries.
+    at most m*t^k true nonzeros, so the keep removes pure-noise entries. The
+    keep peaks below the Gaussian release, whose size guard covers both.
     """
     if data.sparsity is None:
         raise ValueError("the threshold baseline needs a dataset with a declared sparsity")
-    _guard_size(data.n_features, k, len(data.records), copies=6)  # T + noise, keep buffers
     release = release_gaussian_only(data, k, params, stream)
     kept = _threshold_keep(release.tensor.flat, data.size * data.max_ones**k)
     return replace(release, method=METHOD_THRESHOLD,

@@ -382,3 +382,15 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, vectors_csv, dataset_csv, c
     assert seen["fresh"][0] == [0, 0, 0, 2, 0]
     assert len(seen["fresh"][1]) == 5 and "--count-column" in seen["fresh"][2]
     assert seen["reused"] == seen["fresh"]
+
+
+def test_bench_marginal_scaling_refuses_sparsity_above_the_smallest_size(tmp_path, capsys):
+    # each record draws `sparsity` distinct features, so no size may be smaller
+    out, per = tmp_path / "ms.json", tmp_path / "per.csv"
+    argv = ["bench", "marginal-scaling", "--sizes", "4,8", "--order", "2", "--m", "20",
+            "--trials", "2", "--out", str(out), "--per-trial-csv", str(per)]
+    assert cli.main([*argv, "--sparsity", "6"]) == 2
+    assert "sparsity must lie in [1, 4], the smallest size, got 6" in capsys.readouterr().err
+    assert not out.exists() and not per.exists()
+    assert cli.main([*argv, "--sparsity", "4"]) == 0
+    assert json.loads(out.read_text())["config"]["sparsity"] == 4

@@ -196,3 +196,38 @@ def test_alternating_error_to_reference_shrinks():
         slope = np.polyfit(ts, logs, 1)[0]
         slopes.append(slope)
     assert all(s < 0 for s in slopes)
+
+
+def test_perturb_symmetric_accepts_and_returns_what_the_tolerance_test_did():
+    # exact symmetry is tested first and the tolerance test only when it
+    # fails; the accepted inputs, NaN and inf included, and the returned
+    # bytes must be those of the tolerance test followed by (a + a^T) / 2
+    base = _sym(np.random.default_rng(12), 4)
+
+    def with_entries(*entries):
+        a = base.copy()
+        for (i, j), value in entries:
+            a[i, j] = value
+        return a
+
+    cases = {
+        "exact": (base, True),
+        "within-tolerance": (with_entries(((0, 1), base[0, 1] + 5e-9)), True),
+        "beyond-tolerance": (with_entries(((0, 1), base[0, 1] + 1e-6)), False),
+        "signed-zeros": (with_entries(((0, 1), -0.0), ((1, 0), 0.0)), True),
+        "nan-diagonal": (with_entries(((2, 2), np.nan)), False),
+        "nan-pair": (with_entries(((0, 1), np.nan), ((1, 0), np.nan)), False),
+        "inf-pair": (with_entries(((0, 1), np.inf), ((1, 0), np.inf)), True),
+        "inf-diagonal": (with_entries(((3, 3), -np.inf)), True),
+        "inf-against-minus-inf": (with_entries(((0, 1), np.inf), ((1, 0), -np.inf)), False),
+        "inf-against-finite": (with_entries(((0, 1), np.inf)), False),
+    }
+    for name, (a, accepted) in cases.items():
+        assert np.allclose(a, a.T, atol=1e-8, rtol=0.0) == accepted, name
+        if not accepted:
+            with pytest.raises(ValueError, match="symmetric"):
+                perturb_symmetric(a, NORMAL, RandomStream(3))
+            continue
+        noisy, sigma = perturb_symmetric(a, NORMAL, RandomStream(3))
+        w = sample_symmetric_gaussian(4, NoiseSpec(sigma), RandomStream(3))
+        assert noisy.tobytes() == ((a + a.T) / 2.0 + w).tobytes(), name

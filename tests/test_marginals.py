@@ -2,6 +2,8 @@ import csv
 import itertools
 import json
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -347,9 +349,79 @@ def test_threshold_keep_matches_stable_argsort_rule():
             flat = rng.standard_normal(size)
         else:  # few distinct magnitudes of both signs: many ties
             flat = rng.integers(-3, 4, size) * 0.5
-        for keep in (1, size - 1, size, size + 3, int(rng.integers(1, size + 1))):
-            got = _threshold_keep(flat, keep)
-            assert got.tobytes() == stable_argsort_keep(flat, keep).tobytes(), (flat, keep)
+        # the same entries with every other zero negative: a kept -0.0 keeps
+        # its sign bit, a dropped one becomes +0.0
+        signed = flat.copy()
+        signed[(flat == 0) & (np.arange(size) % 2 == 0)] = -0.0
+        # one place more than the nonzeros puts the cut at exactly 0 when there are zeros
+        zero_cut = np.count_nonzero(flat) + 1
+        for keep in (1, size - 1, size, size + 3, int(rng.integers(1, size + 1)), 0, zero_cut):
+            for values in (flat, signed):
+                got = _threshold_keep(values, keep)
+                want = stable_argsort_keep(values, keep)
+                assert got.tobytes() == want.tobytes(), (values, keep)
+
+
+def _slow_draw(monkeypatch):
+    """Make the helper thread's draw outlast the parity build."""
+    draw = marginals.sample_gaussian
+
+    def slow(*args):
+        time.sleep(0.2)
+        return draw(*args)
+
+    monkeypatch.setattr(marginals, "sample_gaussian", slow)
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_baselines_join_their_noise_thread(release, monkeypatch):
+    _slow_draw(monkeypatch)
+    before = threading.active_count()
+    release(BinaryDataset(np.eye(5), sparsity=1), 2, NORMAL, RandomStream(3))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_failed_parity_build_propagates_and_joins_the_noise_thread(release, monkeypatch):
+    class ParityFailure(RuntimeError):
+        pass
+
+    def broken(data, k):
+        raise ParityFailure("parity build failed")
+
+    _slow_draw(monkeypatch)
+    monkeypatch.setattr(marginals, "parity_tensor", broken)
+    before = threading.active_count()
+    with pytest.raises(ParityFailure, match="parity build failed"):
+        release(BinaryDataset(np.eye(5), sparsity=1), 2, NORMAL, RandomStream(3))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_overflowing_draw_raises_on_the_calling_thread(release):
+    # a finite sigma of 1.5e308: most of the 100 scaled draws overflow float64,
+    # which the helper thread's draw refuses; the caller must see that error
+    n, k, delta = 10, 2, 1e-6
+    epsilon = 2.0 * n ** (k / 2) * math.sqrt(2.0 * math.log(2.0 / delta)) / 1.5e308
+    params = PrivacyParams(epsilon, delta, 1.0)
+    data = BinaryDataset(np.eye(n), sparsity=n)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="overflows"):
+        release(data, k, params, RandomStream(4))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_baseline_size_guard_counts_the_draw_alive_during_the_build(release):
+    # 380^3 float64 entries: six of them, the draw alive while T builds, pass 2 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="size guard"):
+            release(BinaryDataset(np.zeros((1, 380)), sparsity=1), 3, NORMAL, RandomStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gaussian_only_sensitivity():
