@@ -29,22 +29,17 @@ class DykstraConvergenceWarning(RuntimeWarning):
 def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream) -> tuple:
     """The one noise draw of a matrix release: returns (sym(a) + W, sigma).
 
-    Checks that a is square and symmetric to within 1e-8 per entry,
-    calibrates sigma from params, and adds a symmetric Gaussian matrix W drawn
-    once from stream. Only a matrix that is not exactly symmetric is
-    symmetrized first, so one that is (as every release builds it) costs no
-    tolerance test and no copies.
+    Checks that a is square and symmetric, calibrates sigma from params, and
+    adds a symmetric Gaussian matrix W drawn once from stream.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        if not np.allclose(a, a.T, atol=1e-8, rtol=0.0):
-            raise ValueError("input matrix must be symmetric")
-        a = (a + a.T) / 2.0
+    if not np.allclose(a, a.T, atol=1e-8, rtol=0.0):
+        raise ValueError("input matrix must be symmetric")
     sigma = calibrate_sigma(params)
     w = sample_symmetric_gaussian(a.shape[0], NoiseSpec(sigma), stream)
-    return a + w, sigma
+    return (a + a.T) / 2.0 + w, sigma
 
 
 def _member_sets(sets) -> tuple:

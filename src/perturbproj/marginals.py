@@ -23,7 +23,6 @@ import csv
 import itertools
 import json
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -55,26 +54,20 @@ SCAN_COST = 0.7
 # Peak of the even-k release through the CLI in float64 n^k arrays: ru_maxrss
 # less the RSS after a 4-feature warm-up release (about 8 MiB of BLAS/LAPACK
 # buffers and code, not growing with n^k) and the records. Measured (2-vCPU
-# x86-64, OpenBLAS 0.3.31): 7.50 at n=40, k=4, m=2000; 7.34 and 7.60 at
-# n=1500 and 2100, k=2; 8.96-9.06 at n=400, k=2, m=2000, where the matrix is
-# 1.2 MiB and the 0.06 over 9 is 75 KiB of allocator state. The peak is in
-# the projection, around eigh.
+# x86-64, OpenBLAS 0.3.31): at most 7.49 at n=40, k=4, m=2000 and 8.99 at
+# n=400, k=2, m=2000.
 EVEN_K_COPIES = 9
 
-# Peaks of the parity build and of the Gaussian baseline in float64 n^k
-# arrays: ru_maxrss less the RSS after a 4-feature warm-up release and the
-# dataset, in fresh processes (2-vCPU x86-64, OpenBLAS 0.3.31). The build
-# peaks in the scatter once a second full block arrives, with the running sum,
-# that block's index, its weights and its bincount alive: 4.82 at n=200, k=3
-# on 260 000 4-sparse records (3.62 for the GEMM's T, slab and product on 400
-# records with 40% ones). The baseline draws its noise while T builds, so the
-# draw is alive too: 5.94 and 4.62 on the same inputs. The threshold keep
-# (T, its magnitudes, masks and tie index) stays below 3.5, so the threshold
-# baseline peaks where the Gaussian one does. At n=160 (T of 31 MiB, under
-# glibc's largest mmap threshold) freed blocks stay resident and the same
-# inputs read up to 7.04; near the 2 GiB guard every T is mmapped.
+# Peak of the parity build in float64 n^k arrays: ru_maxrss less the RSS after
+# a 4-feature warm-up release and the dataset, in fresh processes (2-vCPU
+# x86-64, OpenBLAS 0.3.31). It is in the scatter once a second full block
+# arrives, with the running sum, that block's index, its weights and its
+# bincount alive: 4.82 at n=200, k=3 on 260 000 4-sparse records (3.62 for the
+# GEMM's T, slab and product on 400 records with 40% ones). The baselines draw
+# their noise after the build, and T with the noise, or T with the threshold
+# keep's magnitudes, masks and tie index, is less: both baselines peak at the
+# build, 4.82 and 3.62 on the same inputs.
 PARITY_COPIES = 5
-GAUSSIAN_COPIES = 6
 
 # Per-start iteration cap and step tolerance of the sparse-norm power iteration.
 POWER_MAX_ITER = 500
@@ -410,40 +403,20 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
 
     Sensitivity uses t = data.max_ones (the declared sparsity capped at n,
     else n), since ||e^{(x)k}||_2 = ||e||_2^k <= t^{k/2} and a swap doubles it.
-    The noise depends only on (shape, sigma, stream), so it is drawn on one
-    helper thread while this one builds T (numpy fills the draw without
-    holding the GIL). The helper is joined before the function returns or raises, and an error
-    of the draw is raised here; T += noise is the same sum in the same order,
-    so the bytes do not depend on scheduling.
+    The noise is drawn after T is built, so the release peaks in the build
+    and parity_tensor's size guard covers it.
     """
     n = data.n_features
-    _guard_size(n, k, len(data.records), copies=GAUSSIAN_COPIES)
     release_params = PrivacyParams(params.epsilon, params.delta,
                                    2.0 * data.max_ones ** (k / 2.0))
-    spec = NoiseSpec(calibrate_sigma(release_params))
-    drawn = []
-
-    def draw() -> None:
-        try:
-            drawn.append(sample_gaussian((n,) * k, spec, stream))
-        except BaseException as exc:  # re-raised on the calling thread
-            drawn.append(exc)
-
-    worker = threading.Thread(target=draw, name="perturbproj-noise")
-    worker.start()
-    try:
-        noisy = parity_tensor(data, k).values
-    finally:
-        worker.join()
-    noise, = drawn
-    if isinstance(noise, BaseException):
-        raise noise
-    noisy += noise
+    sigma = calibrate_sigma(release_params)
+    noisy = parity_tensor(data, k).values
+    noisy += sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
     return MarginalRelease(
         tensor=MarginalTensor(order=k, side=n, values=noisy),
         params=release_params,
         method=METHOD_GAUSSIAN,
-        sigma=spec.sigma,
+        sigma=sigma,
         stream=stream,
     )
 
@@ -454,7 +427,7 @@ def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParam
 
     t is data.max_ones, and a dataset must declare it: a t-sparse dataset has
     at most m*t^k true nonzeros, so the keep removes pure-noise entries. The
-    keep peaks below the Gaussian release, whose size guard covers both.
+    keep peaks below the parity build, whose size guard covers both.
     """
     if data.sparsity is None:
         raise ValueError("the threshold baseline needs a dataset with a declared sparsity")

@@ -198,10 +198,9 @@ def test_alternating_error_to_reference_shrinks():
     assert all(s < 0 for s in slopes)
 
 
-def test_perturb_symmetric_accepts_and_returns_what_the_tolerance_test_did():
-    # exact symmetry is tested first and the tolerance test only when it
-    # fails; the accepted inputs, NaN and inf included, and the returned
-    # bytes must be those of the tolerance test followed by (a + a^T) / 2
+def test_perturb_symmetric_accepts_within_tolerance_and_symmetrizes():
+    # the accepted inputs, NaN and inf included, are those of the 1e-8
+    # tolerance test, and the returned bytes are (a + a^T) / 2 + W
     base = _sym(np.random.default_rng(12), 4)
 
     def with_entries(*entries):

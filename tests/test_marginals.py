@@ -2,8 +2,6 @@ import csv
 import itertools
 import json
 import math
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -362,58 +360,10 @@ def test_threshold_keep_matches_stable_argsort_rule():
                 assert got.tobytes() == want.tobytes(), (values, keep)
 
 
-def _slow_draw(monkeypatch):
-    """Make the helper thread's draw outlast the parity build."""
-    draw = marginals.sample_gaussian
-
-    def slow(*args):
-        time.sleep(0.2)
-        return draw(*args)
-
-    monkeypatch.setattr(marginals, "sample_gaussian", slow)
-
-
 @pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
-def test_baselines_join_their_noise_thread(release, monkeypatch):
-    _slow_draw(monkeypatch)
-    before = threading.active_count()
-    release(BinaryDataset(np.eye(5), sparsity=1), 2, NORMAL, RandomStream(3))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
-def test_failed_parity_build_propagates_and_joins_the_noise_thread(release, monkeypatch):
-    class ParityFailure(RuntimeError):
-        pass
-
-    def broken(data, k):
-        raise ParityFailure("parity build failed")
-
-    _slow_draw(monkeypatch)
-    monkeypatch.setattr(marginals, "parity_tensor", broken)
-    before = threading.active_count()
-    with pytest.raises(ParityFailure, match="parity build failed"):
-        release(BinaryDataset(np.eye(5), sparsity=1), 2, NORMAL, RandomStream(3))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
-def test_overflowing_draw_raises_on_the_calling_thread(release):
-    # a finite sigma of 1.5e308: most of the 100 scaled draws overflow float64,
-    # which the helper thread's draw refuses; the caller must see that error
-    n, k, delta = 10, 2, 1e-6
-    epsilon = 2.0 * n ** (k / 2) * math.sqrt(2.0 * math.log(2.0 / delta)) / 1.5e308
-    params = PrivacyParams(epsilon, delta, 1.0)
-    data = BinaryDataset(np.eye(n), sparsity=n)
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="overflows"):
-        release(data, k, params, RandomStream(4))
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
-def test_baseline_size_guard_counts_the_draw_alive_during_the_build(release):
-    # 380^3 float64 entries: six of them, the draw alive while T builds, pass 2 GiB
+def test_baseline_size_guard_counts_the_parity_build_peak(release):
+    # 380^3 float64 entries: five of them, the parity build's peak, pass 2 GiB
+    # and four would not
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="size guard"):
