@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -61,7 +62,29 @@ def _write_json(payload: dict, out) -> None:
         Path(out).write_text(text)
 
 
+def _refuse_shared_files(*named) -> None:
+    """Raise when two of the (name, path) pairs name one file; None paths are skipped.
+
+    Runs before any input is read, so a refused run reads and writes nothing.
+    """
+    seen = {}
+    for name, path in named:
+        if path is None:
+            continue
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {name} name the same file {path}")
+        seen[key] = name
+
+
+def _refuse_shared_release_files(args) -> None:
+    """The input, the release (--out) and its .json sidecar must be three files."""
+    _refuse_shared_files(("--input", args.input), ("--out", args.out),
+                         ("the .json sidecar of --out", Path(args.out).with_suffix(".json")))
+
+
 def run_similarity(args) -> int:
+    _refuse_shared_release_files(args)
     params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
     vectors = read_vectors_csv(args.input, header=args.header)
     release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
@@ -86,6 +109,7 @@ def run_similarity(args) -> int:
 
 
 def run_marginals(args) -> int:
+    _refuse_shared_release_files(args)
     params = PrivacyParams(args.epsilon, args.delta, 1.0)
     k = args.order
     if k < 1:
@@ -132,6 +156,7 @@ def _write_per_trial(rows, path) -> None:
 
 
 def run_bench(args) -> int:
+    _refuse_shared_files(("--out", args.out), ("--per-trial-csv", args.per_trial_csv))
     params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
     if args.trials < 2:
         raise ValueError(f"--trials must be >= 2, got {args.trials}")

@@ -60,14 +60,16 @@ EVEN_K_COPIES = 9
 
 # Peak of the parity build in float64 n^k arrays: ru_maxrss less the RSS after
 # a 4-feature warm-up release and the dataset, in fresh processes (2-vCPU
-# x86-64, OpenBLAS 0.3.31). It is in the scatter once a second full block
-# arrives, with the running sum, that block's index, its weights and its
-# bincount alive: 4.82 at n=200, k=3 on 260 000 4-sparse records (3.62 for the
-# GEMM's T, slab and product on 400 records with 40% ones). The baselines draw
-# their noise after the build, and T with the noise, or T with the threshold
-# keep's magnitudes, masks and tie index, is less: both baselines peak at the
-# build, 4.82 and 3.62 on the same inputs.
-PARITY_COPIES = 5
+# x86-64, OpenBLAS 0.3.31). The GEMM's T, slab and product peak at 3.86 on 400
+# records with 40% ones at n=160, k=3 (4.01 at n=120, 3.62 at n=200, 3.47 at
+# n=240: about 30 MiB of BLAS buffers is the part above three, a share that
+# shrinks as T grows; at the 2 GiB guard T is 512 MiB).
+# The scatter's running sum, half-T index and weights and one bincount peak at
+# 3.13 at n=200, k=3 on 260 000 4-sparse records, also when a seventh of them
+# have 3 ones. The baselines draw their noise after the build, and T with the
+# noise, or T with the threshold keep's magnitudes, masks and tie index, is
+# less: both baselines peak at the build, on the same inputs.
+PARITY_COPIES = 4
 
 # Per-start iteration cap and step tolerance of the sparse-norm power iteration.
 POWER_MAX_ITER = 500
@@ -242,8 +244,9 @@ def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, ligh
     For a block of records with w ones, np.nonzero gives the (records, w)
     support matrix, the k-fold index product of each row gives its w^k flat
     indices, and one count-weighted bincount adds them all. A block holds at
-    most n^k // w^k records, so its index array is never larger than T. The
-    first block's bincount becomes the sum; zeros when no record is light.
+    most n^k // (2 w^k) records, so its index array and its weights are each
+    at most half of T. The first block's bincount becomes the sum; zeros when
+    no record is light.
     """
     n = x.shape[1]
     size = n**k
@@ -251,7 +254,7 @@ def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, ligh
     present = np.bincount(weights, minlength=light + 1)[:light + 1]
     for w in np.flatnonzero(present[1:]) + 1:
         members = np.flatnonzero(weights == w)
-        step = max(size // w**k, 1)
+        step = max(size // (2 * w**k), 1)
         for lo in range(0, len(members), step):
             block = members[lo:lo + step]
             support = np.nonzero(x[block])[1].reshape(len(block), w)
@@ -264,6 +267,7 @@ def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, ligh
                 flat = part
             else:
                 flat += part
+            del part  # else it stays alive beside the next block's index, weights and bincount
     return np.zeros(size) if flat is None else flat
 
 
@@ -439,10 +443,17 @@ def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParam
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the sparse-norm search."""
+    """Limits for the sparse-norm search: supports searched at most, and starts
+    per support (the uniform one and restarts - 1 Gaussian ones)."""
 
     max_supports: int = 10**4
     restarts: int = 5
+
+    def __post_init__(self):
+        for name in ("max_supports", "restarts"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -469,40 +480,12 @@ def _symmetrize_tensor(a: np.ndarray) -> np.ndarray:
 
 
 def _tensor_apply(a: np.ndarray, x: np.ndarray, times: int) -> np.ndarray:
+    """Contract the last axis of a (supports, 1 or starts, t, ..., t) with each
+    (support, start) row of x (supports, starts, t), `times` times."""
     out = a
     for _ in range(times):
-        out = np.tensordot(out, x, axes=([out.ndim - 1], [0]))
+        out = np.einsum("sr...i,sri->sr...", out, x)
     return out
-
-
-def _support_max(sub: np.ndarray, k: int, budget: SearchBudget, rng) -> float:
-    """max <sub, x^{(x)k}> over unit x, by shifted power iteration with restarts."""
-    dim = sub.shape[0]
-    if dim == 1:
-        v = float(sub.reshape(-1)[0])
-        return max(v, v * (-1.0) ** k)
-    # shift large enough to make the iteration monotone ascent
-    alpha = 1.0 + (k - 1) * dim ** (k / 2.0) * float(np.max(np.abs(sub)))
-    starts = [np.ones(dim) / math.sqrt(dim)]
-    for _ in range(max(0, budget.restarts - 1)):
-        g = rng.standard_normal(dim)
-        starts.append(g / np.linalg.norm(g))
-    best = -np.inf
-    for x in starts:
-        for _ in range(POWER_MAX_ITER):
-            y = _tensor_apply(sub, x, k - 1) + alpha * x
-            nrm = float(np.linalg.norm(y))
-            if nrm == 0.0:
-                break
-            x_new = y / nrm
-            if float(np.linalg.norm(x_new - x)) < POWER_TOL:
-                x = x_new
-                break
-            x = x_new
-        val = float(_tensor_apply(sub, x, k))
-        val = max(val, val * (-1.0) ** k)  # odd k: flipping x flips the sign
-        best = max(best, val)
-    return best
 
 
 def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(),
@@ -511,9 +494,13 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
 
     Exhausts all size-t supports when C(n, t) fits the budget, otherwise
     samples supports from the stream and flags the result non-exhaustive.
-    Per-support values come from shifted power iteration with restarts, so the
-    result is a lower bound on the true maximum (tight up to iteration
-    tolerance on exhaustive runs).
+    Each support runs a shifted power iteration from the uniform unit vector
+    and restarts - 1 Gaussian starts (none at t = 1), every (support, start)
+    row of a block of n^k // t^k supports at once; a row stops once its step
+    is below POWER_TOL or its norm is 0. The value is a lower bound on the true
+    maximum (tight up to that tolerance on exhaustive runs). The stream is read
+    in a per-support loop's order: all starts as one (supports, restarts - 1,
+    t) draw when exhaustive, else each sampled support's features, then its starts.
     """
     values = a.values if isinstance(a, MarginalTensor) else np.asarray(a, dtype=float)
     k = values.ndim
@@ -526,18 +513,40 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     rng = stream.generator()
     total = math.comb(n, t)
     exhaustive = total <= budget.max_supports
+    searched = total if exhaustive else budget.max_supports
+    draws = (searched, budget.restarts - 1 if t > 1 else 0, t)
     if exhaustive:
-        supports = itertools.combinations(range(n), t)
-        searched = total
+        supports = np.array(list(itertools.combinations(range(n), t)))
+        gauss = rng.standard_normal(draws)
     else:
-        supports = (tuple(np.sort(rng.choice(n, size=t, replace=False)))
-                    for _ in range(budget.max_supports))
-        searched = budget.max_supports
+        supports, gauss = np.empty((searched, t), dtype=np.intp), np.empty(draws)
+        for s in range(searched):
+            supports[s] = np.sort(rng.choice(n, size=t, replace=False))
+            gauss[s] = rng.standard_normal(draws[1:])
+    starts = np.concatenate([np.full((searched, 1, t), 1.0 / math.sqrt(t)),
+                             gauss / np.linalg.norm(gauss, axis=2, keepdims=True)], axis=1)
     best = -np.inf
-    for sup in supports:
-        idx = np.array(sup)
-        sub = sym[np.ix_(*([idx] * k))]
-        best = max(best, _support_max(sub, k, budget, rng))
+    step = n**k // t**k
+    for lo in range(0, searched, step):
+        idx = supports[lo:lo + step]
+        # (block, 1, t, ..., t): every support's sub-tensor, shared by its starts
+        sub = sym[tuple(idx.reshape((len(idx), 1) + (1,) * j + (t,) + (1,) * (k - 1 - j))
+                        for j in range(k))]
+        # shift large enough to make the iteration monotone ascent
+        alpha = 1.0 + (k - 1) * t ** (k / 2.0) * np.abs(sub).reshape(len(idx), -1).max(axis=1)
+        x = starts[lo:lo + step]
+        moving = np.ones(x.shape[:2], dtype=bool)
+        for _ in range(POWER_MAX_ITER):
+            y = _tensor_apply(sub, x, k - 1) + alpha[:, None, None] * x
+            nrm = np.linalg.norm(y, axis=2, keepdims=True)
+            moving &= nrm[..., 0] != 0.0
+            x_new = np.divide(y, nrm, out=x.copy(), where=moving[..., None])
+            moving &= np.linalg.norm(x_new - x, axis=2) >= POWER_TOL
+            x = x_new
+            if not moving.any():
+                break
+        val = _tensor_apply(sub, x, k)
+        best = max(best, float(np.maximum(val, val * (-1.0) ** k).max()))  # odd k: flip x
     return OracleResult(value=best, exhaustive=exhaustive, supports_searched=searched)
 
 
@@ -667,13 +676,16 @@ def read_dataset_csv(path, header: bool = False, count_column: bool = False,
 def save_release(release: MarginalRelease, path) -> Path:
     """Write the flat little-endian float64 tensor plus its JSON sidecar.
 
-    Returns the sidecar path. Sidecar keys cover the wire metadata (order,
-    side, scale, which is always 1, method) and the audit record (epsilon,
-    delta, sensitivity, sigma, seed, stream_index).
+    Returns the sidecar path, path with its suffix replaced by .json, so a
+    path that already ends in .json is refused. Sidecar keys cover the wire
+    metadata (order, side, scale, which is always 1, method) and the audit
+    record (epsilon, delta, sensitivity, sigma, seed, stream_index).
     """
     path = Path(path)
-    path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
     sidecar = path.with_suffix(".json")
+    if sidecar == path:
+        raise ValueError(f"release path {path} would be overwritten by its .json sidecar")
+    path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
     meta = {
         "order": release.tensor.order,
         "side": release.tensor.side,

@@ -77,6 +77,34 @@ def test_similarity_exact_rejects_iters(tmp_path, vectors_csv, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,source,message", [
+    (["similarity", "--out", "{tmp}/sim.json"], "in.csv",
+     "--out and the .json sidecar of --out name the same file"),
+    (["similarity", "--out", "{tmp}/in.csv"], "in.csv", "--input and --out name the same file"),
+    (["marginals", "--out", "{tmp}/marg.json"], "in.csv",
+     "--out and the .json sidecar of --out name the same file"),
+    (["marginals", "--out", "{tmp}/./in.csv"], "in.csv", "--input and --out name the same file"),
+    (["marginals", "--out", "{tmp}/in.bin"], "in.json",
+     "--input and the .json sidecar of --out name the same file"),
+    (["bench", "cosine-scaling", "--sizes", "4,8", "--trials", "3", "--out", "{tmp}/rep.json",
+      "--per-trial-csv", "{tmp}/./rep.json"], None,
+     "--out and --per-trial-csv name the same file"),
+], ids=["similarity-sidecar", "similarity-input", "marginals-sidecar", "marginals-input",
+        "marginals-input-is-sidecar", "bench-per-trial-csv"])
+def test_files_that_would_overwrite_each_other_are_refused(tmp_path, capsys, argv, source,
+                                                            message):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if source is not None:
+        # a valid input of either kind: unit rows of 0/1
+        (tmp_path / source).write_text("1,0\n0,1\n")
+        argv += ["--input", str(tmp_path / source), "--epsilon", "1", "--delta", "1e-6"]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if source is None else [source])
+    if source is not None:
+        assert (tmp_path / source).read_text() == "1,0\n0,1\n"
+
+
 def test_similarity_bad_row_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1,0\n0.5,0\n")

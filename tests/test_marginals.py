@@ -123,7 +123,7 @@ def test_parity_tensor_builders_match_brute_force(monkeypatch, light_cost):
     # GEMM; 4 splits records of different weights between the two. Weights run
     # from 0 to n, so rows with no ones are in every case, and 3n + 2 records
     # leave a partial last block on both sides (scatter blocks hold
-    # n^k // w^k records, GEMM blocks n at k >= 3).
+    # n^k // (2 w^k) records, GEMM blocks n at k >= 3).
     monkeypatch.setattr(marginals, "LIGHT_COST", light_cost)
     rng = np.random.default_rng(11)
     for k in (1, 2, 3, 4):
@@ -362,12 +362,12 @@ def test_threshold_keep_matches_stable_argsort_rule():
 
 @pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
 def test_baseline_size_guard_counts_the_parity_build_peak(release):
-    # 380^3 float64 entries: five of them, the parity build's peak, pass 2 GiB
-    # and four would not
+    # 420^3 float64 entries: four of them, the parity build's peak, pass 2 GiB
+    # and three would not
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="size guard"):
-            release(BinaryDataset(np.zeros((1, 380)), sparsity=1), 3, NORMAL, RandomStream(0))
+            release(BinaryDataset(np.zeros((1, 420)), sparsity=1), 3, NORMAL, RandomStream(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,6 +457,104 @@ def test_oracle_non_exhaustive_budget():
     assert res.value <= float(np.linalg.eigvalsh(a)[-1]) + 1e-8
 
 
+def _contract(sub, x, times):
+    for _ in range(times):
+        sub = np.tensordot(sub, x, axes=([sub.ndim - 1], [0]))
+    return sub
+
+
+def _loop_oracle(a, t, budget, stream):
+    """The oracle as one power iteration per support and per start: the reference."""
+    k, n = a.ndim, a.shape[0]
+    sym = marginals._symmetrize_tensor(a)
+    rng = stream.generator()
+    exhaustive = math.comb(n, t) <= budget.max_supports
+    if exhaustive:
+        supports = [np.array(sup) for sup in itertools.combinations(range(n), t)]
+    else:  # drawn lazily, so each support's starts follow its choice in the stream
+        supports = (np.sort(rng.choice(n, size=t, replace=False))
+                    for _ in range(budget.max_supports))
+    best = -np.inf
+    for sup in supports:
+        sub = sym[np.ix_(*[sup] * k)]
+        alpha = 1.0 + (k - 1) * t ** (k / 2.0) * float(np.max(np.abs(sub)))
+        starts = [np.ones(t) / math.sqrt(t)]
+        for _ in range(budget.restarts - 1 if t > 1 else 0):
+            g = rng.standard_normal(t)
+            starts.append(g / np.linalg.norm(g))
+        for x in starts:
+            for _ in range(marginals.POWER_MAX_ITER):
+                y = _contract(sub, x, k - 1) + alpha * x
+                x, last = y / np.linalg.norm(y), x
+                if np.linalg.norm(x - last) < marginals.POWER_TOL:
+                    break
+            val = float(_contract(sub, x, k))
+            best = max(best, val, val * (-1.0) ** k)
+    return best, exhaustive, math.comb(n, t) if exhaustive else budget.max_supports
+
+
+@pytest.mark.parametrize("shape,t,budget", [
+    ((7, 7), 3, SearchBudget()),
+    ((6, 6, 6), 2, SearchBudget(restarts=3)),
+    ((9, 9, 9), 3, SearchBudget(max_supports=12)),
+    ((10, 10), 1, SearchBudget(max_supports=6)),
+    ((5,) * 4, 3, SearchBudget(max_supports=7, restarts=2)),
+    ((4, 4), 2, SearchBudget(max_supports=1, restarts=1)),
+])
+def test_oracle_matches_the_per_support_loop(shape, t, budget):
+    # same starts from the same stream, so the values agree to rounding
+    a = np.random.default_rng(len(shape) * 10 + t).standard_normal(shape)
+    res = sparse_injective_norm_oracle(a, t, budget, RandomStream(t))
+    value, exhaustive, searched = _loop_oracle(a, t, budget, RandomStream(t))
+    assert (res.exhaustive, res.supports_searched) == (exhaustive, searched)
+    assert res.value == pytest.approx(value, abs=1e-12)
+
+
+def test_oracle_first_order_is_the_norm_of_the_t_largest_entries():
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal(7)
+    top = np.sort(a * a)[::-1]
+    for t in range(1, 8):
+        res = sparse_injective_norm_oracle(a, t, stream=RandomStream(t))
+        assert res.exhaustive
+        assert res.value == pytest.approx(math.sqrt(top[:t].sum()), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 6, 9])
+def test_oracle_second_order_is_the_best_support_eigenvalue(n):
+    rng = np.random.default_rng(23 + n)
+    a = rng.standard_normal((n, n))
+    sym = (a + a.T) / 2
+    for t in range(1, n + 1):
+        best = max(float(np.linalg.eigvalsh(sym[np.ix_(sup, sup)])[-1])
+                   for sup in itertools.combinations(range(n), t))
+        res = sparse_injective_norm_oracle(a, t, stream=RandomStream(t))
+        assert res.exhaustive and res.supports_searched == math.comb(n, t)
+        assert res.value == pytest.approx(best, abs=1e-9)
+
+
+def test_oracle_fourth_order_brute_force():
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((4, 4, 4, 4))
+    res = sparse_injective_norm_oracle(a, 2, SearchBudget(restarts=8), RandomStream(5))
+    best = -np.inf
+    for sup in itertools.combinations(range(4), 2):
+        sub = a[np.ix_(*[np.array(sup)] * 4)]
+        for theta in np.linspace(0.0, math.pi, 4001):
+            x = np.array([math.cos(theta), math.sin(theta)])
+            best = max(best, float(np.einsum("abcd,a,b,c,d->", sub, x, x, x, x)))
+    assert res.value == pytest.approx(best, abs=1e-4)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_supports", 0), ("max_supports", -3), ("max_supports", 2.5),
+    ("restarts", 0), ("restarts", -4), ("restarts", 1.0),
+])
+def test_search_budget_refuses_anything_but_positive_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+        SearchBudget(**{field: value})
+
+
 def test_oracle_input_validation():
     with pytest.raises(ValueError):
         sparse_injective_norm_oracle(np.zeros((2, 3)), 1)
@@ -490,6 +588,14 @@ def test_save_and_load_release(tmp_path):
     # wire format: little-endian float64, lexicographic entry order
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
     assert np.array_equal(raw, rel.tensor.values.ravel(order="C"))
+
+
+def test_save_release_refuses_a_path_its_sidecar_would_overwrite(tmp_path):
+    data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    release = release_gaussian_only(data, 2, NORMAL, RandomStream(3))
+    with pytest.raises(ValueError, match="overwritten by its .json sidecar"):
+        save_release(release, tmp_path / "release.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_tensor_rejects_a_scale_other_than_1(tmp_path):
