@@ -240,8 +240,8 @@ def _check_sizes(sizes: Sequence[int]) -> list:
         raise ValueError("need at least one size")
     if any(s < 1 for s in sizes):
         raise ValueError(f"sizes must be >= 1, got {sizes}")
-    if sizes != sorted(sizes):
-        raise ValueError(f"sizes must be ascending, got {sizes}")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be strictly ascending, got {sizes}")
     return sizes
 
 

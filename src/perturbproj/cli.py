@@ -54,8 +54,13 @@ def _parse_sizes(text: str) -> list:
     return sizes
 
 
+def _json_text(payload: dict) -> str:
+    """Strict JSON (RFC 8259): a non-finite value raises ValueError."""
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def _write_json(payload: dict, out) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -90,7 +95,6 @@ def run_similarity(args) -> int:
     release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
     release = release_cosine(vectors, params, RandomStream(args.seed))
     out = Path(args.out)
-    write_release_csv(release, out)
     meta = {
         "epsilon": params.epsilon,
         "delta": params.delta,
@@ -104,7 +108,9 @@ def run_similarity(args) -> int:
     if release.kkt_residual is not None:  # the exact mode's dual Newton solver ran
         meta["iterations"] = release.iterations
         meta["kkt_residual"] = release.kkt_residual
-    _write_json(meta, out.with_suffix(".json"))
+    sidecar = _json_text(meta)  # raises on a non-finite value before anything is written
+    write_release_csv(release, out)
+    out.with_suffix(".json").write_text(sidecar)
     return 0
 
 
@@ -139,11 +145,10 @@ def run_marginals(args) -> int:
     return 0
 
 
-def _bench_set(args):
-    name = args.set
-    if name == "box":
+def _complexity_set(args):
+    if args.set == "box":
         return EntryClip(args.bound)
-    if name == "frobenius":
+    if args.set == "frobenius":
         return FrobeniusBall(args.radius)
     return PsdTrace(args.trace)
 
@@ -156,16 +161,18 @@ def _write_per_trial(rows, path) -> None:
 
 
 def run_bench(args) -> int:
-    _refuse_shared_files(("--out", args.out), ("--per-trial-csv", args.per_trial_csv))
-    params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
+    scaling = args.experiment in ("cosine-scaling", "marginal-scaling")
+    if scaling:
+        _refuse_shared_files(("--out", args.out), ("--per-trial-csv", args.per_trial_csv))
+        # the marginal releases derive their own sensitivity, as in run_marginals
+        sensitivity = args.sensitivity if args.experiment == "cosine-scaling" else 1.0
+        params = PrivacyParams(args.epsilon, args.delta, sensitivity)
     if args.trials < 2:
         raise ValueError(f"--trials must be >= 2, got {args.trials}")
     stream = RandomStream(args.seed)
     started = time.perf_counter()
 
-    if args.experiment in ("cosine-scaling", "marginal-scaling"):
-        if args.sizes is None:
-            raise ValueError(f"{args.experiment} needs --sizes")
+    if scaling:
         sizes = _parse_sizes(args.sizes)
         if args.experiment == "cosine-scaling":
             report = scaling_experiment_cosine(sizes, params, args.trials, stream)
@@ -174,49 +181,29 @@ def run_bench(args) -> int:
                                                   args.trials, stream,
                                                   sparsity=args.sparsity)
         payload = report.to_dict()
-        if args.per_trial_csv:
-            _write_per_trial(report.per_trial, args.per_trial_csv)
     elif args.experiment == "stability":
-        set_ = _bench_set(args)
-        if args.set != "box":
-            raise ValueError("stability compares against the box closed form; use --set box")
+        set_ = EntryClip(args.bound)
         shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
         result = stability_experiment(set_, np.zeros(shape), args.trials, stream)
         bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(args.n, args.ambient)
-        payload = {
-            "experiment": "stability",
-            "set_kind": set_.kind,
-            "ambient": args.ambient,
-            "n": args.n,
-            "trials": args.trials,
-            "estimate": result.estimate,
-            "std_error": result.std_error,
-            "stability_bound": bound,
-            "within_bound": bool(result.estimate <= bound + 3 * result.std_error),
-            "seed": args.seed,
-            "wall_time_s": None,
-        }
+        payload = {"estimate": result.estimate, "stability_bound": bound,
+                   "within_bound": bool(result.estimate <= bound + 3 * result.std_error)}
     else:
-        set_ = _bench_set(args)
-        estimate = complexity_monte_carlo(set_, args.n, args.trials, stream,
-                                          ambient=args.ambient)
+        set_ = _complexity_set(args)
+        result = complexity_monte_carlo(set_, args.n, args.trials, stream,
+                                        ambient=args.ambient)
         closed = None
         if args.set == "box":
             closed = args.bound * complexity_box_closed_form(args.n, args.ambient)
-        payload = {
-            "experiment": "complexity",
-            "set_kind": estimate.set_kind,
-            "ambient": estimate.ambient,
-            "n": estimate.n,
-            "trials": estimate.trials,
-            "value": estimate.value,
-            "std_error": estimate.std_error,
-            "closed_form": closed,
-            "seed": args.seed,
-            "wall_time_s": None,
-        }
+        payload = {"value": result.value, "closed_form": closed}
+    if not scaling:
+        payload.update(experiment=args.experiment, set_kind=set_.kind, ambient=args.ambient,
+                       n=args.n, trials=args.trials, std_error=result.std_error,
+                       seed=args.seed, wall_time_s=None)
 
     _write_json(payload, args.out)
+    if scaling and args.per_trial_csv:
+        _write_per_trial(report.per_trial, args.per_trial_csv)
     print(f"{args.experiment} completed in {time.perf_counter() - started:.3f}s",
           file=sys.stderr)
     return 0
@@ -233,13 +220,14 @@ def _add_privacy_flags(p, required: bool) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The whole parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
-        prog="perturbproj",
+        prog="perturbproj", allow_abbrev=False,
         description="Differentially private matrix and marginal releases by "
                     "calibrated noise plus convex projection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("similarity", help="release private pairwise cosine similarities")
+    sim = sub.add_parser("similarity", help="release private pairwise cosine similarities",
+                         allow_abbrev=False)
     sim.add_argument("--input", required=True, help="CSV of unit-norm row vectors")
     _add_privacy_flags(sim, required=True)
     sim.add_argument("--sensitivity", type=float, default=1.0)
@@ -248,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="released matrix CSV path")
     sim.add_argument("--header", action="store_true", help="skip the first input line")
 
-    mar = sub.add_parser("marginals", help="release private k-way marginal tensors")
+    mar = sub.add_parser("marginals", help="release private k-way marginal tensors",
+                         allow_abbrev=False)
     mar.add_argument("--input", required=True, help="CSV of 0/1 records")
     _add_privacy_flags(mar, required=True)
     mar.add_argument("--order", type=int, default=2, help="tensor order k")
@@ -264,26 +253,34 @@ def _build_parser() -> argparse.ArgumentParser:
     mar.add_argument("--report-error", action="store_true",
                      help="print average query-wise squared error vs the clean tensor")
 
-    ben = sub.add_parser("bench", help="run a benchmark experiment")
-    ben.add_argument("experiment",
-                     choices=["cosine-scaling", "marginal-scaling", "stability", "complexity"])
-    ben.add_argument("--sizes", help="comma-separated problem sizes, ascending")
-    ben.add_argument("--trials", type=int, default=30)
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--out", default=None, help="report JSON path (default: stdout)")
-    ben.add_argument("--n", type=int, default=4, help="side length for stability/complexity")
-    ben.add_argument("--set", choices=["box", "frobenius", "psd-trace"], default="box")
-    ben.add_argument("--ambient", choices=["vector", "matrix"], default="matrix")
-    ben.add_argument("--bound", type=float, default=1.0, help="entry bound for --set box")
-    ben.add_argument("--radius", type=float, default=1.0, help="radius for --set frobenius")
-    ben.add_argument("--trace", type=float, default=1.0, help="trace cap for --set psd-trace")
-    ben.add_argument("--order", type=int, default=2, help="marginal order k")
-    ben.add_argument("--m", type=int, default=100, help="record count for marginal scaling")
-    ben.add_argument("--sparsity", type=int, default=None)
-    ben.add_argument("--sensitivity", type=float, default=1.0)
-    ben.add_argument("--per-trial-csv", default=None,
-                     help="also write raw per-trial errors as CSV")
-    _add_privacy_flags(ben, required=False)
+    ben = sub.add_parser("bench", help="run a benchmark experiment", allow_abbrev=False)
+    experiments = ben.add_subparsers(dest="experiment", required=True)
+    cosine, marginal, stability, complexity = (
+        experiments.add_parser(name, allow_abbrev=False)
+        for name in ("cosine-scaling", "marginal-scaling", "stability", "complexity"))
+    for p in (cosine, marginal, stability, complexity):
+        p.add_argument("--trials", type=int, default=30)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
+    for p in (cosine, marginal):
+        p.add_argument("--sizes", required=True, help="comma-separated problem sizes, ascending")
+        p.add_argument("--per-trial-csv", default=None,
+                       help="also write raw per-trial errors as CSV")
+        _add_privacy_flags(p, required=False)
+    cosine.add_argument("--sensitivity", type=float, default=1.0)
+    marginal.add_argument("--order", type=int, default=2, help="marginal order k")
+    marginal.add_argument("--m", type=int, default=100, help="record count for marginal scaling")
+    marginal.add_argument("--sparsity", type=int, default=None)
+    for p in (stability, complexity):
+        p.add_argument("--n", type=int, default=4, help="side length for stability/complexity")
+        p.add_argument("--ambient", choices=["vector", "matrix"], default="matrix")
+    stability.add_argument("--bound", type=float, default=1.0, help="entry bound of the box")
+    complexity.add_argument("--bound", type=float, default=1.0, help="entry bound for --set box")
+    complexity.add_argument("--set", choices=["box", "frobenius", "psd-trace"], default="box")
+    complexity.add_argument("--radius", type=float, default=1.0,
+                            help="radius for --set frobenius")
+    complexity.add_argument("--trace", type=float, default=1.0,
+                            help="trace cap for --set psd-trace")
 
     return parser
 

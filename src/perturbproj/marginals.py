@@ -496,11 +496,14 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     samples supports from the stream and flags the result non-exhaustive.
     Each support runs a shifted power iteration from the uniform unit vector
     and restarts - 1 Gaussian starts (none at t = 1), every (support, start)
-    row of a block of n^k // t^k supports at once; a row stops once its step
-    is below POWER_TOL or its norm is 0. The value is a lower bound on the true
-    maximum (tight up to that tolerance on exhaustive runs). The stream is read
-    in a per-support loop's order: all starts as one (supports, restarts - 1,
-    t) draw when exhaustive, else each sampled support's features, then its starts.
+    row of a block of max(n^k // (t^{k-1} max(t, starts)), 1) supports at
+    once, so neither a block's sub-tensors (t^k entries each) nor its first
+    contraction (t^{k-1} per start) holds more than the input's n^k entries
+    unless one support's already do; a row stops once its step is below
+    POWER_TOL or its norm is 0. The value is a lower bound on the true maximum
+    (tight up to that tolerance on exhaustive runs). The stream is read in a
+    per-support loop's order: all starts as one (supports, restarts - 1, t)
+    draw when exhaustive, else each sampled support's features, then its starts.
     """
     values = a.values if isinstance(a, MarginalTensor) else np.asarray(a, dtype=float)
     k = values.ndim
@@ -526,7 +529,7 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     starts = np.concatenate([np.full((searched, 1, t), 1.0 / math.sqrt(t)),
                              gauss / np.linalg.norm(gauss, axis=2, keepdims=True)], axis=1)
     best = -np.inf
-    step = n**k // t**k
+    step = max(n**k // (t ** (k - 1) * max(t, starts.shape[1])), 1)
     for lo in range(0, searched, step):
         idx = supports[lo:lo + step]
         # (block, 1, t, ..., t): every support's sub-tensor, shared by its starts
@@ -685,7 +688,6 @@ def save_release(release: MarginalRelease, path) -> Path:
     sidecar = path.with_suffix(".json")
     if sidecar == path:
         raise ValueError(f"release path {path} would be overwritten by its .json sidecar")
-    path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
     meta = {
         "order": release.tensor.order,
         "side": release.tensor.side,
@@ -698,7 +700,10 @@ def save_release(release: MarginalRelease, path) -> Path:
         "seed": release.stream.seed,
         "stream_index": release.stream.stream_index,
     }
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    # strict JSON: a non-finite value raises here, before anything is written
+    text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
+    sidecar.write_text(text)
     return sidecar
 
 

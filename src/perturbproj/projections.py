@@ -286,8 +286,8 @@ class EntryClip(ConvexSet):
     kind: str = field(default="entry-clip", init=False)
 
     def __post_init__(self):
-        if not self.bound > 0:
-            raise ValueError(f"bound must be positive, got {self.bound!r}")
+        if not 0 < self.bound < math.inf:
+            raise ValueError(f"bound must be finite and positive, got {self.bound!r}")
 
     def project(self, m):
         return np.clip(np.asarray(m, dtype=float), -self.bound, self.bound)
@@ -301,8 +301,8 @@ class FrobeniusBall(ConvexSet):
     kind: str = field(default="frobenius-ball", init=False)
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
 
     def project(self, m):
         """Scale radially onto the ball when outside, else copy through.
@@ -330,8 +330,8 @@ class PsdTrace(ConvexSet):
     kind: str = field(default="psd-trace", init=False)
 
     def __post_init__(self):
-        if not self.trace_bound > 0:
-            raise ValueError(f"trace_bound must be positive, got {self.trace_bound!r}")
+        if not 0 < self.trace_bound < math.inf:
+            raise ValueError(f"trace_bound must be finite and positive, got {self.trace_bound!r}")
 
     def project(self, m):
         """Project the eigenvalues of sym(m) onto the trace-budget simplex."""

@@ -139,6 +139,8 @@ def test_cosine_scaling_deterministic_across_threads():
 def test_cosine_scaling_validation():
     with pytest.raises(ValueError):
         scaling_experiment_cosine([8, 4], NORMAL, 3, RandomStream(0))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        scaling_experiment_cosine([4, 4], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):
         scaling_experiment_cosine([8192], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):

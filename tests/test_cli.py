@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_similarity_bad_row_names_line(tmp_path, capsys):
     ["similarity", "--mode", "practical", "--input", "{v}", "--out", "{d}/x.csv"],
     ["similarity", "--mode", "exact", "--input", "{v}", "--out", "{d}/x.csv"],
     ["marginals", "--input", "{m}", "--out", "{d}/x.bin"],
-    ["bench", "stability", "--n", "3", "--trials", "20", "--out", "{d}/x.json"],
+    ["bench", "cosine-scaling", "--sizes", "4,8", "--trials", "3", "--out", "{d}/x.json"],
 ], ids=["practical", "exact", "marginals", "bench"])
 def test_infinite_epsilon_exits_2_before_writing(tmp_path, vectors_csv, dataset_csv, argv):
     outdir = tmp_path / "out"
@@ -187,6 +188,22 @@ def test_numerical_failure_exits_3(tmp_path, vectors_csv, monkeypatch):
     code = cli.main(["similarity", "--input", str(vectors_csv), "--epsilon", "1",
                      "--delta", "1e-6", "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_similarity_non_finite_sidecar_value_exits_2_before_writing(tmp_path, vectors_csv,
+                                                                     monkeypatch):
+    real = cli.release_cosine_exact
+
+    def non_finite_sigma(*args, **kwargs):
+        release = real(*args, **kwargs)
+        release.sigma = float("inf")
+        return release
+
+    monkeypatch.setattr(cli, "release_cosine_exact", non_finite_sigma)
+    out = tmp_path / "x.csv"
+    assert cli.main(["similarity", "--input", str(vectors_csv), "--epsilon", "1",
+                     "--delta", "1e-6", "--out", str(out)]) == 2
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 def test_marginals_zero_noise_two_record_example(tmp_path, capsys):
@@ -366,11 +383,78 @@ def test_complexity_is_only_a_bench_experiment(tmp_path, capsys):
     ["stability"],
     ["complexity"],
 ], ids=lambda argv: argv[0])
-def test_bench_refuses_nonpositive_sensitivity(tmp_path, experiment):
+def test_bench_refuses_nonpositive_sensitivity(tmp_path, capsys, experiment):
     out = tmp_path / "b.json"
     assert cli.main(["bench", *experiment, "--trials", "3", "--sensitivity", "0",
                      "--out", str(out)]) == 2
     assert not out.exists()
+    if experiment[0] != "cosine-scaling":  # the only experiment that reads it
+        assert "unrecognized arguments: --sensitivity" in capsys.readouterr().err
+
+
+# a valid value for each flag that some bench experiment reads
+BENCH_FLAGS = {
+    "--trials": "3", "--seed": "1", "--out": "o.json", "--sizes": "4,8",
+    "--per-trial-csv": "p.csv", "--epsilon": "1", "--delta": "1e-6", "--sensitivity": "1",
+    "--order": "2", "--m": "10", "--sparsity": "1", "--n": "3", "--ambient": "vector",
+    "--bound": "1", "--set": "box", "--radius": "1", "--trace": "1",
+}
+BENCH_COMMON = ["--trials", "--seed", "--out"]
+BENCH_ROWS = {
+    "cosine-scaling": BENCH_COMMON + ["--sizes", "--per-trial-csv", "--epsilon", "--delta",
+                                      "--sensitivity"],
+    "marginal-scaling": BENCH_COMMON + ["--sizes", "--per-trial-csv", "--epsilon", "--delta",
+                                        "--order", "--m", "--sparsity"],
+    "stability": BENCH_COMMON + ["--n", "--ambient", "--bound"],
+    "complexity": BENCH_COMMON + ["--n", "--ambient", "--set", "--bound", "--radius", "--trace"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BENCH_ROWS))
+def test_bench_experiment_accepts_only_its_own_flags(tmp_path, capsys, experiment):
+    row = BENCH_ROWS[experiment]
+    assert cli.main(["bench", experiment, "--help"]) == 0
+    listed = set(re.findall(r"^\s+(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+    assert listed == set(row)  # argparse's own "-h, --help" line starts with -h
+    required = ["--sizes", "4,8"] if "--sizes" in row else []
+    out = tmp_path / "b.json"
+    for flag in sorted(set(BENCH_FLAGS) - set(row)):
+        argv = ["bench", experiment, *required, "--trials", "3", flag, BENCH_FLAGS[flag],
+                "--out", str(out)]
+        assert cli.main(argv) == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_abbreviated_flags_are_refused(tmp_path, vectors_csv, capsys):
+    out = tmp_path / "o.csv"
+    full = ["similarity", "--input", str(vectors_csv), "--epsilon", "1", "--delta", "1e-6",
+            "--out", str(out)]
+    for i, flag in [(1, "--inp"), (3, "--eps"), (5, "--del"), (7, "--ou")]:
+        argv = full[:i] + [flag] + full[i + 1:]
+        assert cli.main(argv) == 2, flag
+        assert not out.exists() and not out.with_suffix(".json").exists()
+    assert cli.main(["bench", "stability", "--tri", "3", "--out", str(tmp_path / "b.json")]) == 2
+    assert "--tri" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.csv"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["stability", "--bound", "inf"], "bound must be finite and positive, got inf"),
+    (["complexity", "--bound", "inf"], "bound must be finite and positive, got inf"),
+    (["complexity", "--set", "frobenius", "--radius", "inf"],
+     "radius must be finite and positive, got inf"),
+    (["complexity", "--set", "psd-trace", "--trace", "nan"],
+     "trace_bound must be finite and positive, got nan"),
+    # a finite bound whose closed-form stability bound overflows to inf
+    (["stability", "--bound", "1e308"], "Out of range float values are not JSON compliant"),
+], ids=["stability-inf", "complexity-box-inf", "complexity-frobenius-inf",
+        "complexity-psd-trace-nan", "stability-bound-overflows"])
+def test_bench_non_finite_values_exit_2_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "b.json"
+    assert cli.main(["bench", *argv, "--n", "3", "--trials", "3", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_deterministic_across_thread_env(tmp_path):

@@ -598,6 +598,15 @@ def test_save_release_refuses_a_path_its_sidecar_would_overwrite(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_release_refuses_a_non_finite_sidecar_value_before_writing(tmp_path):
+    data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    release = release_gaussian_only(data, 2, NORMAL, RandomStream(3))
+    release.sigma = math.inf
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_release(release, tmp_path / "release.bin")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_tensor_rejects_a_scale_other_than_1(tmp_path):
     data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
     path = tmp_path / "release.bin"

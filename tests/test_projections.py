@@ -192,6 +192,9 @@ def test_set_parameter_validation():
             bad(0.0)
         with pytest.raises(ValueError):
             bad(-1.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="must be finite and positive"):
+                bad(value)
     with pytest.raises(ValueError):
         DiagClip(1.0, 0.0)
 
