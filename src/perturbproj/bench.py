@@ -170,6 +170,9 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
         )
 
     sups = np.array([one(j) for j in range(trials)])
+    if not np.isfinite(sups).all():
+        raise ValueError(f"a trial's supremum overflows float64: the {set_.kind} set's "
+                         "scale is too large")
     mean, se = _mean_se(sups)
     return ComplexityEstimate(set_kind=set_.kind, value=mean, std_error=se,
                               trials=trials, n=n, ambient=ambient)

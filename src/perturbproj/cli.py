@@ -183,9 +183,11 @@ def run_bench(args) -> int:
         payload = report.to_dict()
     elif args.experiment == "stability":
         set_ = EntryClip(args.bound)
+        bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(args.n, args.ambient)
+        if not np.isfinite(bound):
+            raise ValueError(f"--bound {args.bound:g} makes the stability bound overflow float64")
         shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
         result = stability_experiment(set_, np.zeros(shape), args.trials, stream)
-        bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(args.n, args.ambient)
         payload = {"estimate": result.estimate, "stability_bound": bound,
                    "within_bound": bool(result.estimate <= bound + 3 * result.std_error)}
     else:

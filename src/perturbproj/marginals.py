@@ -96,6 +96,16 @@ def _first_total_over(counts: np.ndarray) -> int:
     return min(single, _first(total > MAX_COUNT_TOTAL))
 
 
+class SparsityError(ValueError):
+    """Record `record` (0-based) of a BinaryDataset has `ones` ones, more than
+    its declared sparsity; read_dataset_csv turns it into a file line."""
+
+    def __init__(self, record: int, ones: int, sparsity: int):
+        super().__init__(f"record {record + 1} has {ones} ones, "
+                         f"more than the declared sparsity {sparsity}")
+        self.record, self.ones = record, ones
+
+
 @dataclass(frozen=True)
 class BinaryDataset:
     """Binary records with multiplicities; adjacency means one record swapped.
@@ -138,10 +148,7 @@ class BinaryDataset:
                 raise ValueError(f"sparsity must be a positive integer, got {self.sparsity!r}")
             bad = np.nonzero(weights > self.sparsity)[0]
             if bad.size:
-                raise ValueError(
-                    f"record {int(bad[0]) + 1} has {int(weights[bad[0]])} ones, "
-                    f"more than the declared sparsity {self.sparsity}"
-                )
+                raise SparsityError(int(bad[0]), int(weights[bad[0]]), self.sparsity)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "weights", weights)
@@ -500,8 +507,8 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     once, so neither a block's sub-tensors (t^k entries each) nor its first
     contraction (t^{k-1} per start) holds more than the input's n^k entries
     unless one support's already do; a row stops once its step is below
-    POWER_TOL or its norm is 0. The value is a lower bound on the true maximum
-    (tight up to that tolerance on exhaustive runs). The stream is read in a
+    POWER_TOL or its norm is 0, or else at the cap of POWER_MAX_ITER steps.
+    The value is a lower bound on the true maximum. The stream is read in a
     per-support loop's order: all starts as one (supports, restarts - 1, t)
     draw when exhaustive, else each sampled support's features, then its starts.
     """
@@ -648,32 +655,38 @@ def read_dataset_csv(path, header: bool = False, count_column: bool = False,
     multiplicities may add up to at most 2^53 (MAX_COUNT_TOTAL). A file that
     is a grid of single 0/1 cells is decoded from its bytes (_read_grid);
     every other file, and every file with a count column, is parsed by
-    _read_numeric_csv.
+    _read_numeric_csv. A record over the declared sparsity is named by its line.
     """
     grid = None if count_column else _read_grid(path, header)
     if grid is not None:
-        return BinaryDataset(records=grid, sparsity=sparsity)
-    values, linenos = _read_numeric_csv(path, header)
-    if not len(values):
-        raise ValueError("no records found in input")
-    if count_column and values.shape[1] < 2:
-        raise ValueError(f"line {linenos[0]}: need at least one feature besides the count")
-    records, counts = (values[:, :-1], values[:, -1]) if count_column else (values, None)
-    # (first bad row, its message); on a tie the check listed first wins, as
-    # a row's count was checked before its features when rows were read one by one
-    checks = []
-    if count_column:
-        bad = _first(~(np.isfinite(counts) & (counts == np.floor(counts)) & (counts >= 1)))
-        checks.append((bad, lambda i: f"count must be a positive integer, got {counts[i]:g}"))
-        checks.append((_first_total_over(counts[:bad]),
-                       lambda i: "counts add up to more than 2^53, past which float64 "
-                                 "counts are not exact"))
-    checks.append((_first(~np.isin(records, (0.0, 1.0)).all(axis=1)),
-                   lambda i: "features must be 0 or 1"))
-    row, message = min(checks, key=lambda check: check[0])
-    if row < len(values):
-        raise ValueError(f"line {linenos[row]}: {message(row)}")
-    return BinaryDataset(records=records, counts=counts, sparsity=sparsity)
+        records, counts = grid, None
+    else:
+        values, linenos = _read_numeric_csv(path, header)
+        if not len(values):
+            raise ValueError("no records found in input")
+        if count_column and values.shape[1] < 2:
+            raise ValueError(f"line {linenos[0]}: need at least one feature besides the count")
+        records, counts = (values[:, :-1], values[:, -1]) if count_column else (values, None)
+        # (first bad row, its message); on a tie the check listed first wins, as
+        # a row's count was checked before its features when rows were read one by one
+        checks = []
+        if count_column:
+            bad = _first(~(np.isfinite(counts) & (counts == np.floor(counts)) & (counts >= 1)))
+            checks.append((bad, lambda i: f"count must be a positive integer, got {counts[i]:g}"))
+            checks.append((_first_total_over(counts[:bad]),
+                           lambda i: "counts add up to more than 2^53, past which float64 "
+                                     "counts are not exact"))
+        checks.append((_first(~np.isin(records, (0.0, 1.0)).all(axis=1)),
+                       lambda i: "features must be 0 or 1"))
+        row, message = min(checks, key=lambda check: check[0])
+        if row < len(values):
+            raise ValueError(f"line {linenos[row]}: {message(row)}")
+    try:
+        return BinaryDataset(records=records, counts=counts, sparsity=sparsity)
+    except SparsityError as err:
+        line = err.record + 1 + header if grid is not None else linenos[err.record]
+        raise ValueError(f"line {line}: {err.ones} ones, "
+                         f"more than the declared sparsity {sparsity}") from None
 
 
 def save_release(release: MarginalRelease, path) -> Path:

@@ -33,11 +33,11 @@ MODE_PRACTICAL = "PRACTICAL"
 SOLVER_EXACT = "dual-newton"
 SOLVER_PRACTICAL = "shrink-then-clip"
 
-# Peak of a release and its CSV write in float64 n x n matrices, from ru_maxrss
-# over the RSS with the vectors read at n = 1000-3000: exact 11-13.6 (eigh's
-# workspace included), practical 9.5-10.9 (mostly write_release_csv's strings).
+# Peak through the CLI in float64 n x n matrices (ru_maxrss over the RSS with
+# 16-d vectors read) at n = 1000/2000/3000: exact 12.9/12.3/11.0 (eigh's
+# workspace), practical 8.1/8.1/5.6 (mostly the row writer's upper-triangle strings).
 EXACT_COPIES = 14
-PRACTICAL_COPIES = 11
+PRACTICAL_COPIES = 9
 
 
 @dataclass(frozen=True)
@@ -188,19 +188,19 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
 def write_release_csv(release: SimilarityRelease, path) -> None:
     """Write the matrix as CSV, the same bytes as np.savetxt(fmt="%.17g").
 
-    Both releases are exactly symmetric, so only the upper triangle is
-    formatted and its strings are mirrored below the diagonal. Symmetry is
-    tested bit for bit (-0.0 and 0.0 print differently); any other matrix
-    has every cell formatted.
+    One row at a time. Both releases are exactly symmetric, so row i formats
+    only its entries from column i on and takes the ones before from the rows
+    above. Symmetry is tested bit for bit (-0.0 and 0.0 print differently);
+    any other matrix has every cell formatted.
     """
     m = np.asarray(release.matrix, dtype=float)
     bits = m.view(np.int64)
-    own = np.ones(m.shape, dtype=bool)  # the entries whose string is formatted
-    if np.array_equal(bits, bits.T):
-        own = np.triu(own)
-    index = np.zeros(m.shape, dtype=np.intp)
-    index[own] = np.arange(np.count_nonzero(own))
-    cells = np.array(["%.17g" % v for v in m[own].tolist()], dtype=object)
-    rows = cells[np.where(own, index, index.T)].tolist()
+    symmetric = np.array_equal(bits, bits.T)
+    upper = []  # when symmetric, upper[j] holds row j's strings from column j on
     with open(path, "w") as fh:
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for i, row in enumerate(m):
+            first = i if symmetric else 0
+            own = ["%.17g" % v for v in row[first:].tolist()]
+            if symmetric:
+                upper.append(own)
+            fh.write(",".join([upper[j][i - j] for j in range(first)] + own) + "\n")

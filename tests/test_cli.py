@@ -446,10 +446,15 @@ def test_abbreviated_flags_are_refused(tmp_path, vectors_csv, capsys):
      "radius must be finite and positive, got inf"),
     (["complexity", "--set", "psd-trace", "--trace", "nan"],
      "trace_bound must be finite and positive, got nan"),
-    # a finite bound whose closed-form stability bound overflows to inf
-    (["stability", "--bound", "1e308"], "Out of range float values are not JSON compliant"),
+    # finite scales whose closed-form bound or sampled suprema overflow to inf
+    (["stability", "--bound", "1e308"],
+     "--bound 1e+308 makes the stability bound overflow float64"),
+    (["complexity", "--bound", "1e308"], "a trial's supremum overflows float64"),
+    (["complexity", "--set", "frobenius", "--radius", "1e308"],
+     "a trial's supremum overflows float64"),
 ], ids=["stability-inf", "complexity-box-inf", "complexity-frobenius-inf",
-        "complexity-psd-trace-nan", "stability-bound-overflows"])
+        "complexity-psd-trace-nan", "stability-bound-overflows", "complexity-box-overflows",
+        "complexity-frobenius-overflows"])
 def test_bench_non_finite_values_exit_2_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "b.json"
     assert cli.main(["bench", *argv, "--n", "3", "--trials", "3", "--out", str(out)]) == 2

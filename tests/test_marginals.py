@@ -742,6 +742,18 @@ def test_clean_grid_is_decoded_without_loadtxt(tmp_path, monkeypatch):
         read_dataset_csv(path)
 
 
+def test_read_dataset_csv_names_the_line_over_the_declared_sparsity(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,c,d\n1,0,0,0\n1,1,1,0\n0,1,1,0\n")
+    with monkeypatch.context() as m:  # a grid, decoded from its bytes
+        m.setattr(marginals, "_parse_numeric_lines", None)
+        with pytest.raises(ValueError, match="^line 3: 3 ones, more than the declared sparsity 2$"):
+            read_dataset_csv(path, header=True, sparsity=2)
+    path.write_text("a,b,c,d\n1,0,0,0\n\n1,1,1,0\n")  # a blank line: parsed
+    with pytest.raises(ValueError, match="^line 4: 3 ones, more than the declared sparsity 2$"):
+        read_dataset_csv(path, header=True, sparsity=2)
+
+
 def test_read_dataset_csv_names_first_bad_row_across_checks(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,0,1\n0,1,0\n1,2,1\n0,1,x\n")

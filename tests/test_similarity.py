@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,9 @@ from perturbproj.projections import DiagClip, EntryClip, FrobeniusBall, PsdCone,
 from perturbproj.similarity import (
     MODE_EXACT,
     MODE_PRACTICAL,
+    PRACTICAL_COPIES,
     UnitVectorSet,
+    _guard_release,
     gram,
     gram_sensitivity,
     read_vectors_csv,
@@ -306,3 +309,25 @@ def test_write_release_csv_bytes_equal_savetxt(tmp_path):
         write_release_csv(SimpleNamespace(matrix=m), got)
         np.savetxt(want, m, delimiter=",", fmt="%.17g")
         assert got.read_bytes() == want.read_bytes(), i
+
+
+def test_write_release_csv_peaks_below_six_matrices(tmp_path):
+    # a symmetric matrix keeps only its upper triangle's strings alive at once
+    n = 300
+    g = np.random.default_rng(15).standard_normal((n, n))
+    m = (g + g.T) / 2.0
+    tracemalloc.start()
+    try:
+        write_release_csv(SimpleNamespace(matrix=m), tmp_path / "x.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * n * n
+
+
+def test_practical_size_guard_admits_up_to_5461_vectors():
+    # 8 * (9 n^2 + 2 n) bytes fit in MAX_RELEASE_BYTES = 2^31 up to n = 5461
+    _guard_release(5000, 2, PRACTICAL_COPIES)
+    _guard_release(5461, 2, PRACTICAL_COPIES)
+    with pytest.raises(ValueError, match="size guard"):
+        _guard_release(5462, 2, PRACTICAL_COPIES)
