@@ -26,8 +26,6 @@ from .bench import (
     stability_experiment,
 )
 from .marginals import (
-    avg_query_sq_error,
-    parity_tensor,
     read_dataset_csv,
     release_even_k,
     release_gaussian_only,
@@ -139,9 +137,6 @@ def run_marginals(args) -> int:
     else:
         release = release_gaussian_only(data, k, params, stream)
     save_release(release, args.out)
-    if args.report_error:
-        err = avg_query_sq_error(release, parity_tensor(data, k))
-        print(f"average query-wise squared error: {err:.17g}")
     return 0
 
 
@@ -252,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mar.add_argument("--header", action="store_true", help="skip the first input line")
     mar.add_argument("--count-column", action="store_true",
                      help="treat the last column as a record multiplicity")
-    mar.add_argument("--report-error", action="store_true",
-                     help="print average query-wise squared error vs the clean tensor")
 
     ben = sub.add_parser("bench", help="run a benchmark experiment", allow_abbrev=False)
     experiments = ben.add_subparsers(dest="experiment", required=True)

@@ -21,7 +21,7 @@ import numpy as np
 # dykstra_reference and perturb_and_alternately_project are unused here;
 # perfbench/tracing.py rebinds both by these names.
 from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
-from .marginals import _first, _guard_bytes, _read_numeric_csv
+from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream
 from .projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, solve_psd_diag_box
 
@@ -35,18 +35,18 @@ SOLVER_PRACTICAL = "shrink-then-clip"
 
 # Peak through the CLI in float64 n x n matrices (ru_maxrss over the RSS with
 # 16-d vectors read) at n = 1000/2000/3000: exact 12.9/12.3/11.0 (eigh's
-# workspace), practical 8.1/8.1/5.6 (mostly the row writer's upper-triangle strings).
+# workspace), practical 6.1/6.0/4.1 (the row writer holds about n^2/4 strings at most).
 EXACT_COPIES = 14
-PRACTICAL_COPIES = 9
+PRACTICAL_COPIES = 7
 
 
 @dataclass(frozen=True)
 class UnitVectorSet:
     """n vectors of dimension m, one per row, each with unit l2 norm.
 
-    Rows whose norm is off by more than 1e-6 are rejected outright; silently
-    normalizing would change the statistic the caller's privacy analysis was
-    done for.
+    The first row that is not finite, or whose norm is off by more than
+    ROW_NORM_TOL, is refused with a RecordError; silently normalizing would
+    change the statistic the caller's privacy analysis was done for.
     """
 
     rows: np.ndarray
@@ -55,15 +55,11 @@ class UnitVectorSet:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValueError(f"rows must be a nonempty 2-d array, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("rows must be finite")
         norms = np.linalg.norm(rows, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > ROW_NORM_TOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"row {i + 1} has norm {norms[i]:.6g}, not within {ROW_NORM_TOL:g} of 1"
-            )
+        _raise_first([(_first(~np.isfinite(rows).all(axis=1)), lambda i: "non-finite value"),
+                      (_first(np.abs(norms - 1.0) > ROW_NORM_TOL),
+                       lambda i: f"row norm {norms[i]:.6g} not within {ROW_NORM_TOL:g} of 1")],
+                     len(rows))
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -95,20 +91,14 @@ class SimilarityRelease:
 
 
 def read_vectors_csv(path, header: bool = False) -> UnitVectorSet:
-    """Parse one vector per CSV row; errors carry 1-based file line numbers."""
+    """Parse one vector per CSV row; errors, UnitVectorSet's too, carry 1-based file lines."""
     values, linenos = _read_numeric_csv(path, header)
     if not len(values):
         raise ValueError("no vector rows found in input")
-    finite = np.isfinite(values).all(axis=1)
-    norms = np.linalg.norm(values, axis=1)
-    bad = _first(~finite | (np.abs(norms - 1.0) > ROW_NORM_TOL))
-    if bad < len(values):
-        if not finite[bad]:
-            raise ValueError(f"line {linenos[bad]}: non-finite value")
-        raise ValueError(
-            f"line {linenos[bad]}: row norm {norms[bad]:.6g} not within {ROW_NORM_TOL:g} of 1"
-        )
-    return UnitVectorSet(values)
+    try:
+        return UnitVectorSet(values)
+    except RecordError as err:
+        raise ValueError(f"line {linenos[err.record]}: {err.reason}") from None
 
 
 def _guard_release(n: int, dim: int, copies: int) -> None:
@@ -190,17 +180,17 @@ def write_release_csv(release: SimilarityRelease, path) -> None:
 
     One row at a time. Both releases are exactly symmetric, so row i formats
     only its entries from column i on and takes the ones before from the rows
-    above. Symmetry is tested bit for bit (-0.0 and 0.0 print differently);
-    any other matrix has every cell formatted.
+    above, each string dropped once written a second time: at most about n^2/4
+    are held at once. Symmetry is tested bit for bit (-0.0 and 0.0 print
+    differently); any other matrix has every cell formatted.
     """
     m = np.asarray(release.matrix, dtype=float)
     bits = m.view(np.int64)
     symmetric = np.array_equal(bits, bits.T)
-    upper = []  # when symmetric, upper[j] holds row j's strings from column j on
+    pending = []  # when symmetric, pending[j] holds row j's unwritten strings, the next one last
     with open(path, "w") as fh:
         for i, row in enumerate(m):
-            first = i if symmetric else 0
-            own = ["%.17g" % v for v in row[first:].tolist()]
+            own = ["%.17g" % v for v in row[i if symmetric else 0:].tolist()]
+            fh.write(",".join([strings.pop() for strings in pending] + own) + "\n")
             if symmetric:
-                upper.append(own)
-            fh.write(",".join([upper[j][i - j] for j in range(first)] + own) + "\n")
+                pending.append(own[:0:-1])

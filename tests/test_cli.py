@@ -212,12 +212,10 @@ def test_marginals_zero_noise_two_record_example(tmp_path, capsys):
     out = tmp_path / "t.bin"
     code = cli.main(["marginals", "--input", str(path), "--epsilon", "1e12",
                      "--delta", "1e-6", "--order", "2", "--mode", "even-flatten",
-                     "--out", str(out), "--report-error"])
+                     "--out", str(out)])
     assert code == 0
     tensor = np.frombuffer(out.read_bytes(), dtype="<f8").reshape(2, 2)
     assert np.allclose(tensor, np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-5)
-    captured = capsys.readouterr().out
-    assert "average query-wise squared error" in captured
     meta = json.loads(out.with_suffix(".json").read_text())
     for key in ("order", "side", "scale", "method", "epsilon", "delta", "seed"):
         assert key in meta

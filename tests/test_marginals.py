@@ -14,6 +14,7 @@ from perturbproj.marginals import (
     BinaryDataset,
     MarginalTensor,
     ParityQuery,
+    RecordError,
     SearchBudget,
     answer_parity_query,
     avg_query_sq_error,
@@ -53,7 +54,7 @@ def _brute_count(data, idx):
 def test_binary_dataset_validation():
     # 0.5, 2 and NaN are refused before the records are cast to uint8
     for bad in (0.5, 2.0, np.nan):
-        with pytest.raises(ValueError, match="0/1"):
+        with pytest.raises(RecordError, match="^record 1: features must be 0 or 1$"):
             BinaryDataset(np.array([[0.0, bad]]))
     assert BinaryDataset(np.array([[0.0, 1.0]])).records.dtype == np.uint8
     with pytest.raises(ValueError):
@@ -62,12 +63,24 @@ def test_binary_dataset_validation():
         BinaryDataset(np.eye(2), counts=np.array([1]))
     with pytest.raises(ValueError):
         BinaryDataset(np.eye(2), counts=np.array([1, 0]))
-    with pytest.raises(ValueError, match="record 1 has 2 ones"):
+    with pytest.raises(RecordError, match="^record 1: count must be a positive integer, got inf$"):
+        BinaryDataset(np.eye(2), counts=np.array([np.inf, 1.0]))
+    with pytest.raises(RecordError, match="^record 1: 2 ones, more than the declared sparsity 1$"):
         BinaryDataset(np.array([[1.0, 1.0]]), sparsity=1)
     d = BinaryDataset(np.eye(3), counts=np.array([2, 1, 4]))
     assert d.size == 7 and d.n_features == 3
     empty = BinaryDataset(np.empty((0, 4)))
     assert empty.size == 0
+
+
+def test_binary_dataset_sparsity_accepts_integral_types_but_not_bool():
+    data = BinaryDataset(np.eye(3), sparsity=np.int64(2))
+    assert data.sparsity == 2 and type(data.sparsity) is int and data.max_ones == 2
+    with pytest.raises(RecordError, match="^record 1: 3 ones, more than the declared sparsity 2$"):
+        BinaryDataset(np.ones((1, 3)), sparsity=np.int64(2))
+    for bad in (True, False, np.True_, 2.0, "2", 0, -1):
+        with pytest.raises(ValueError, match="^sparsity must be a positive integer, got "):
+            BinaryDataset(np.eye(3), sparsity=bad)
 
 
 def test_binary_dataset_counts_ones_per_record():
@@ -294,7 +307,7 @@ def test_threshold_baseline():
     assert np.allclose(exact.tensor.values, parity_tensor(data, 2).values, atol=1e-6)
     with pytest.raises(ValueError, match="needs a dataset with a declared sparsity"):
         release_threshold_baseline(BinaryDataset(np.ones((2, 3))), 2, NORMAL, RandomStream(0))
-    with pytest.raises(ValueError, match="record 1 has 3 ones, more than the declared sparsity 1"):
+    with pytest.raises(ValueError, match="^record 1: 3 ones, more than the declared sparsity 1$"):
         BinaryDataset(np.ones((2, 3)), sparsity=1)
 
 
@@ -768,6 +781,35 @@ def test_read_dataset_csv_names_first_bad_row_across_checks(tmp_path):
     path.write_text("1\n")
     with pytest.raises(ValueError, match="line 1: need at least one feature"):
         read_dataset_csv(path, count_column=True)
+    path.write_text("1,0,0,1\n1,1,0,1\n1,2,0,1\n")  # over the sparsity on line 2, not 0/1 on 3
+    with pytest.raises(ValueError, match="^line 2: 2 ones, more than the declared sparsity 1$"):
+        read_dataset_csv(path, count_column=True, sparsity=1)
+
+
+TOTAL = "counts add up to more than 2^53, past which float64 counts are not exact"
+
+
+@pytest.mark.parametrize("text,count_column,sparsity,want", [
+    ("1,0,inf\n0,1,1\n", True, None, "line 1: count must be a positive integer, got inf"),
+    ("1,0,2\n0,1,1e19\n", True, None, f"line 2: {TOTAL}"),
+    ("2,1,0\n", True, None, "line 1: count must be a positive integer, got 0"),
+    ("2,0,1e19\n", True, None, f"line 1: {TOTAL}"),
+    ("1,1,2,1\n", True, 1, "line 1: features must be 0 or 1"),
+    ("1,0\n1,1\n", False, 1, "line 2: 2 ones, more than the declared sparsity 1"),
+], ids=["inf-count", "total", "count-before-feature", "total-before-feature",
+        "feature-before-sparsity", "grid-sparsity"])
+def test_read_dataset_csv_names_the_line_of_the_record_the_type_refuses(
+        tmp_path, text, count_column, sparsity, want):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as read:
+        read_dataset_csv(path, count_column=count_column, sparsity=sparsity)
+    assert str(read.value) == want
+    values = np.array([[float(c) for c in line.split(",")] for line in text.splitlines()])
+    records, counts = (values[:, :-1], values[:, -1]) if count_column else (values, None)
+    with pytest.raises(RecordError) as typed:
+        BinaryDataset(records, counts, sparsity)
+    assert str(typed.value) == want.replace("line", "record", 1)
 
 
 def test_counts_may_total_at_most_2_pow_53(tmp_path):
@@ -780,7 +822,7 @@ def test_counts_may_total_at_most_2_pow_53(tmp_path):
     path.write_text("1,0,2\n0,1,1e19\n")
     with pytest.raises(ValueError, match="line 2: counts add up to more than 2\\^53"):
         read_dataset_csv(path, count_column=True)
-    with pytest.raises(ValueError, match="record 2"):
+    with pytest.raises(ValueError, match="^record 2: counts add up to more than 2\\^53"):
         BinaryDataset(np.eye(2), counts=np.array([2**52 + 1, 2**52 + 1]))
-    with pytest.raises(ValueError, match="record 1"):
+    with pytest.raises(ValueError, match="^record 1: counts add up to more than 2\\^53"):
         BinaryDataset(np.eye(2), counts=np.array([1e19, 1.0]))

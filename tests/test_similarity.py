@@ -10,6 +10,7 @@ from perturbproj.engine import (
     perturb_and_alternately_project,
     perturb_and_project,
 )
+from perturbproj.marginals import RecordError
 from perturbproj.mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_symmetric_gaussian
 from perturbproj.projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, PsdTrace
 from perturbproj.similarity import (
@@ -37,14 +38,17 @@ def _unit_rows(rng, n, m=None):
 
 def test_unit_vector_set_validation():
     UnitVectorSet(np.eye(3))
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(RecordError, match="^record 2: row norm 0.5 not within 1e-06 of 1$"):
         UnitVectorSet(np.array([[1.0, 0.0], [0.5, 0.0]]))
     with pytest.raises(ValueError):
         UnitVectorSet(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         UnitVectorSet(np.empty((0, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(RecordError, match="^record 1: non-finite value$"):
         UnitVectorSet(np.array([[np.inf, 0.0]]))
+    # the first refused row is named, whichever rule refuses it
+    with pytest.raises(RecordError, match="^record 1: row norm 2 not within 1e-06 of 1$"):
+        UnitVectorSet(np.array([[2.0, 0.0], [1.0, 0.0], [np.nan, 0.0]]))
     vs = UnitVectorSet(np.eye(2, 5))
     assert vs.count == 2 and vs.dim == 5
 
@@ -100,6 +104,23 @@ def test_read_vectors_csv(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError, match="no vector rows"):
         read_vectors_csv(path)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("2,0\n1,0\nnan,0\n", "line 1: row norm 2 not within 1e-06 of 1"),
+    ("1,0\nnan,2\n0.5,0\n", "line 2: non-finite value"),
+    ("1,0\n0,1\n0.6,0.8\n0,1.5\n", "line 4: row norm 1.5 not within 1e-06 of 1"),
+], ids=["norm-before-nan", "nan-and-norm-in-one-row", "last-row"])
+def test_read_vectors_csv_names_the_line_of_the_row_the_type_refuses(tmp_path, text, want):
+    path = tmp_path / "v.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as read:
+        read_vectors_csv(path)
+    assert str(read.value) == want
+    rows = np.array([[float(c) for c in line.split(",")] for line in text.splitlines()])
+    with pytest.raises(RecordError) as typed:
+        UnitVectorSet(rows)
+    assert str(typed.value) == want.replace("line", "record", 1)
 
 
 def test_read_vectors_csv_parses_like_float_and_names_lines(tmp_path):
@@ -311,8 +332,8 @@ def test_write_release_csv_bytes_equal_savetxt(tmp_path):
         assert got.read_bytes() == want.read_bytes(), i
 
 
-def test_write_release_csv_peaks_below_six_matrices(tmp_path):
-    # a symmetric matrix keeps only its upper triangle's strings alive at once
+def test_write_release_csv_peaks_below_three_matrices(tmp_path):
+    # a symmetric matrix keeps a string only until its second write: about n^2/4 at once
     n = 300
     g = np.random.default_rng(15).standard_normal((n, n))
     m = (g + g.T) / 2.0
@@ -322,12 +343,12 @@ def test_write_release_csv_peaks_below_six_matrices(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 8 * n * n
+    assert peak < 3 * 8 * n * n
 
 
-def test_practical_size_guard_admits_up_to_5461_vectors():
-    # 8 * (9 n^2 + 2 n) bytes fit in MAX_RELEASE_BYTES = 2^31 up to n = 5461
+def test_practical_size_guard_admits_up_to_6192_vectors():
+    # 8 * (7 n^2 + 2 n) bytes fit in MAX_RELEASE_BYTES = 2^31 up to n = 6192
     _guard_release(5000, 2, PRACTICAL_COPIES)
-    _guard_release(5461, 2, PRACTICAL_COPIES)
+    _guard_release(6192, 2, PRACTICAL_COPIES)
     with pytest.raises(ValueError, match="size guard"):
-        _guard_release(5462, 2, PRACTICAL_COPIES)
+        _guard_release(6193, 2, PRACTICAL_COPIES)
