@@ -41,6 +41,9 @@ from .similarity import (
     write_release_csv,
 )
 
+# the sets `bench complexity --set` can name, each built from its one size --bound
+_BENCH_SETS = {"box": EntryClip, "frobenius": FrobeniusBall, "psd-trace": PsdTrace}
+
 
 def _parse_sizes(text: str) -> list:
     try:
@@ -140,14 +143,6 @@ def run_marginals(args) -> int:
     return 0
 
 
-def _complexity_set(args):
-    if args.set == "box":
-        return EntryClip(args.bound)
-    if args.set == "frobenius":
-        return FrobeniusBall(args.radius)
-    return PsdTrace(args.trace)
-
-
 def _write_per_trial(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write("n,trial,method,error\n")
@@ -186,7 +181,7 @@ def run_bench(args) -> int:
         payload = {"estimate": result.estimate, "stability_bound": bound,
                    "within_bound": bool(result.estimate <= bound + 3 * result.std_error)}
     else:
-        set_ = _complexity_set(args)
+        set_ = _BENCH_SETS[args.set](args.bound)
         result = complexity_monte_carlo(set_, args.n, args.trials, stream,
                                         ambient=args.ambient)
         closed = None
@@ -270,12 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=4, help="side length for stability/complexity")
         p.add_argument("--ambient", choices=["vector", "matrix"], default="matrix")
     stability.add_argument("--bound", type=float, default=1.0, help="entry bound of the box")
-    complexity.add_argument("--bound", type=float, default=1.0, help="entry bound for --set box")
-    complexity.add_argument("--set", choices=["box", "frobenius", "psd-trace"], default="box")
-    complexity.add_argument("--radius", type=float, default=1.0,
-                            help="radius for --set frobenius")
-    complexity.add_argument("--trace", type=float, default=1.0,
-                            help="trace cap for --set psd-trace")
+    complexity.add_argument("--bound", type=float, default=1.0,
+                            help="size of --set: the box's entry bound, the ball's radius "
+                                 "or the psd set's trace cap")
+    complexity.add_argument("--set", choices=_BENCH_SETS, default="box")
 
     return parser
 

@@ -55,7 +55,8 @@ class UnitVectorSet:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
             raise ValueError(f"rows must be a nonempty 2-d array, got shape {rows.shape}")
-        norms = np.linalg.norm(rows, axis=1)
+        with np.errstate(over="ignore"):  # a norm past float64 is inf, refused below
+            norms = np.linalg.norm(rows, axis=1)
         _raise_first([(_first(~np.isfinite(rows).all(axis=1)), lambda i: "non-finite value"),
                       (_first(np.abs(norms - 1.0) > ROW_NORM_TOL),
                        lambda i: f"row norm {norms[i]:.6g} not within {ROW_NORM_TOL:g} of 1")],

@@ -108,11 +108,15 @@ def test_files_that_would_overwrite_each_other_are_refused(tmp_path, capsys, arg
 
 def test_similarity_bad_row_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
-    path.write_text("1,0\n0.5,0\n")
-    code = cli.main(["similarity", "--input", str(path), "--epsilon", "1",
-                     "--delta", "1e-6", "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "line 2" in capsys.readouterr().err
+    # a finite row whose norm overflows float64 is refused as any other, without a warning
+    for text, message in [("1,0\n0.5,0\n", "error: line 2: row norm 0.5 not within 1e-06 of 1"),
+                          ("1e200,0\n0,1\n", "error: line 1: row norm inf not within 1e-06 of 1")]:
+        path.write_text(text)
+        code = cli.main(["similarity", "--input", str(path), "--epsilon", "1",
+                         "--delta", "1e-6", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,6 +352,27 @@ def test_bench_cosine_scaling(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 3
 
 
+@pytest.mark.parametrize("set_,bound,old_flag", [
+    ("box", "2", None), ("frobenius", "50", "--radius"), ("psd-trace", "3", "--trace"),
+], ids=["box", "frobenius", "psd-trace"])
+def test_bench_complexity_scales_with_bound_alone(tmp_path, capsys, set_, bound, old_flag):
+    argv = ["bench", "complexity", "--set", set_, "--n", "4", "--trials", "20", "--seed", "3"]
+    reports = []
+    for value in ("1", bound):
+        out = tmp_path / f"c{value}.json"
+        assert cli.main([*argv, "--bound", value, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    unit, scaled = reports
+    assert scaled["value"] == pytest.approx(float(bound) * unit["value"], rel=1e-12)
+    if set_ == "box":
+        assert scaled["closed_form"] == pytest.approx(float(bound) * unit["closed_form"],
+                                                      rel=1e-12)
+    else:  # --bound is the only size flag; a per-set one is refused before anything is written
+        assert cli.main([*argv, old_flag, bound, "--out", str(tmp_path / "old.json")]) == 2
+        assert f"unrecognized arguments: {old_flag}" in capsys.readouterr().err
+        assert not (tmp_path / "old.json").exists()
+
+
 def test_bench_unknown_experiment_exits_2(capsys):
     assert cli.main(["bench", "nonsense"]) == 2
     capsys.readouterr()
@@ -395,7 +420,7 @@ BENCH_FLAGS = {
     "--trials": "3", "--seed": "1", "--out": "o.json", "--sizes": "4,8",
     "--per-trial-csv": "p.csv", "--epsilon": "1", "--delta": "1e-6", "--sensitivity": "1",
     "--order": "2", "--m": "10", "--sparsity": "1", "--n": "3", "--ambient": "vector",
-    "--bound": "1", "--set": "box", "--radius": "1", "--trace": "1",
+    "--bound": "1", "--set": "box",
 }
 BENCH_COMMON = ["--trials", "--seed", "--out"]
 BENCH_ROWS = {
@@ -404,7 +429,7 @@ BENCH_ROWS = {
     "marginal-scaling": BENCH_COMMON + ["--sizes", "--per-trial-csv", "--epsilon", "--delta",
                                         "--order", "--m", "--sparsity"],
     "stability": BENCH_COMMON + ["--n", "--ambient", "--bound"],
-    "complexity": BENCH_COMMON + ["--n", "--ambient", "--set", "--bound", "--radius", "--trace"],
+    "complexity": BENCH_COMMON + ["--n", "--ambient", "--set", "--bound"],
 }
 
 
@@ -440,15 +465,15 @@ def test_abbreviated_flags_are_refused(tmp_path, vectors_csv, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["stability", "--bound", "inf"], "bound must be finite and positive, got inf"),
     (["complexity", "--bound", "inf"], "bound must be finite and positive, got inf"),
-    (["complexity", "--set", "frobenius", "--radius", "inf"],
+    (["complexity", "--set", "frobenius", "--bound", "inf"],
      "radius must be finite and positive, got inf"),
-    (["complexity", "--set", "psd-trace", "--trace", "nan"],
+    (["complexity", "--set", "psd-trace", "--bound", "nan"],
      "trace_bound must be finite and positive, got nan"),
     # finite scales whose closed-form bound or sampled suprema overflow to inf
     (["stability", "--bound", "1e308"],
      "--bound 1e+308 makes the stability bound overflow float64"),
     (["complexity", "--bound", "1e308"], "a trial's supremum overflows float64"),
-    (["complexity", "--set", "frobenius", "--radius", "1e308"],
+    (["complexity", "--set", "frobenius", "--bound", "1e308"],
      "a trial's supremum overflows float64"),
 ], ids=["stability-inf", "complexity-box-inf", "complexity-frobenius-inf",
         "complexity-psd-trace-nan", "stability-bound-overflows", "complexity-box-overflows",

@@ -51,6 +51,12 @@ def test_random_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_random_stream_draws_from_philox():
+    # a release publishes long runs of raw generator output (every zero-count
+    # entry is sigma*z); Philox, unlike PCG64 or SFC64, resists recovering its state
+    assert isinstance(RandomStream(5).generator().bit_generator, np.random.Philox)
+
+
 def test_random_stream_shifted():
     s = RandomStream(11, 2)
     assert s.shifted(3) == RandomStream(11, 5)

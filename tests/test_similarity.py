@@ -49,6 +49,10 @@ def test_unit_vector_set_validation():
     # the first refused row is named, whichever rule refuses it
     with pytest.raises(RecordError, match="^record 1: row norm 2 not within 1e-06 of 1$"):
         UnitVectorSet(np.array([[2.0, 0.0], [1.0, 0.0], [np.nan, 0.0]]))
+    # a finite row whose norm overflows float64 is refused, not warned about
+    with pytest.raises(RecordError, match="^record 1: row norm inf not within 1e-06 of 1$") as big:
+        UnitVectorSet(np.array([[1e200, 0.0], [1.0, 0.0]]))
+    assert big.value.record == 0
     vs = UnitVectorSet(np.eye(2, 5))
     assert vs.count == 2 and vs.dim == 5
 
