@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 2 parse or validation failure, 3 numerical failure.
 All randomness flows from --seed, artifacts are byte-identical across reruns
-(wall-clock time goes to stderr, never into files), and every sidecar records
-epsilon, delta, sensitivity, sigma, seed, and method.
+(wall-clock time goes to stderr, never into files), and every sidecar starts
+from the release's mechanism.audit_record.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from .marginals import (
     release_threshold_baseline,
     save_release,
 )
-from .mechanism import PrivacyParams, RandomStream
+from .mechanism import PrivacyParams, RandomStream, audit_record, json_text
 from .projections import EigenFailure, EntryClip, FrobeniusBall, PsdTrace
 from .similarity import (
     read_vectors_csv,
@@ -55,13 +54,8 @@ def _parse_sizes(text: str) -> list:
     return sizes
 
 
-def _json_text(payload: dict) -> str:
-    """Strict JSON (RFC 8259): a non-finite value raises ValueError."""
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _write_json(payload: dict, out) -> None:
-    text = _json_text(payload)
+    text = json_text(payload)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -92,24 +86,16 @@ def _refuse_shared_release_files(args) -> None:
 def run_similarity(args) -> int:
     _refuse_shared_release_files(args)
     params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
+    stream = RandomStream(args.seed)
     vectors = read_vectors_csv(args.input, header=args.header)
     release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
-    release = release_cosine(vectors, params, RandomStream(args.seed))
+    release = release_cosine(vectors, params, stream)
     out = Path(args.out)
-    meta = {
-        "epsilon": params.epsilon,
-        "delta": params.delta,
-        "sensitivity": params.sensitivity,
-        "sigma": release.sigma,
-        "seed": args.seed,
-        "method": release.mode,
-        "solver": release.solver,
-        "residuals": list(release.residuals),
-    }
+    meta = audit_record(params, release.sigma, stream, release.mode)
+    meta.update(solver=release.solver, residuals=list(release.residuals))
     if release.kkt_residual is not None:  # the exact mode's dual Newton solver ran
-        meta["iterations"] = release.iterations
-        meta["kkt_residual"] = release.kkt_residual
-    sidecar = _json_text(meta)  # raises on a non-finite value before anything is written
+        meta.update(iterations=release.iterations, kkt_residual=release.kkt_residual)
+    sidecar = json_text(meta)  # raises on a non-finite value before anything is written
     write_release_csv(release, out)
     out.with_suffix(".json").write_text(sidecar)
     return 0
@@ -118,6 +104,7 @@ def run_similarity(args) -> int:
 def run_marginals(args) -> int:
     _refuse_shared_release_files(args)
     params = PrivacyParams(args.epsilon, args.delta, 1.0)
+    stream = RandomStream(args.seed)
     k = args.order
     if k < 1:
         raise ValueError(f"--order must be >= 1, got {k}")
@@ -132,7 +119,6 @@ def run_marginals(args) -> int:
         raise ValueError(f"--sparsity must be >= 1, got {args.sparsity}")
     data = read_dataset_csv(args.input, header=args.header,
                             count_column=args.count_column, sparsity=args.sparsity)
-    stream = RandomStream(args.seed)
     if args.mode == "even-flatten":
         release = release_even_k(data, k, params, stream)
     elif args.mode == "threshold":

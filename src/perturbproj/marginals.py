@@ -31,7 +31,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .engine import perturb_and_project
-from .mechanism import NoiseSpec, PrivacyParams, RandomStream, calibrate_sigma, sample_gaussian
+from .mechanism import (NoiseSpec, PrivacyParams, RandomStream, audit_record, calibrate_sigma,
+                        json_text, sample_gaussian)
 from .projections import PsdTrace
 
 MAX_RELEASE_BYTES = 2**31
@@ -698,28 +699,18 @@ def save_release(release: MarginalRelease, path) -> Path:
     """Write the flat little-endian float64 tensor plus its JSON sidecar.
 
     Returns the sidecar path, path with its suffix replaced by .json, so a
-    path that already ends in .json is refused. Sidecar keys cover the wire
-    metadata (order, side, scale, which is always 1, method) and the audit
-    record (epsilon, delta, sensitivity, sigma, seed, stream_index).
+    path that already ends in .json is refused. The sidecar is the release's
+    audit_record plus the wire format (order, side, scale, which is always 1)
+    and the stream_index of its noise.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")
     if sidecar == path:
         raise ValueError(f"release path {path} would be overwritten by its .json sidecar")
-    meta = {
-        "order": release.tensor.order,
-        "side": release.tensor.side,
-        "scale": 1.0,
-        "method": release.method,
-        "epsilon": release.params.epsilon,
-        "delta": release.params.delta,
-        "sensitivity": release.params.sensitivity,
-        "sigma": release.sigma,
-        "seed": release.stream.seed,
-        "stream_index": release.stream.stream_index,
-    }
-    # strict JSON: a non-finite value raises here, before anything is written
-    text = json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    meta = audit_record(release.params, release.sigma, release.stream, release.method)
+    meta.update(order=release.tensor.order, side=release.tensor.side, scale=1.0,
+                stream_index=release.stream.stream_index)
+    text = json_text(meta)  # raises on a non-finite value before anything is written
     path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
     sidecar.write_text(text)
     return sidecar

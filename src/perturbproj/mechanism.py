@@ -1,13 +1,16 @@
-"""Gaussian noise calibration and reproducible sampling.
+"""Gaussian noise calibration, reproducible sampling and the privacy record.
 
 Sampling is a pure function of its arguments: the same (seed, stream_index)
 always reproduces the same draw, bit for bit, on every platform and thread
 count. Anything that needs two independent draws must use two streams.
+Every release's sidecar starts from audit_record and is written by json_text.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,8 @@ class PrivacyParams:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
-        if not self.sensitivity > 0:
-            raise ValueError(f"sensitivity must be positive, got {self.sensitivity!r}")
+        if not 0 < self.sensitivity < math.inf:
+            raise ValueError(f"sensitivity must be finite and positive, got {self.sensitivity!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,15 @@ class RandomStream:
     stream_index: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream_index < 0:
-            raise ValueError("seed and stream_index must be nonnegative integers")
+        for name in ("seed", "stream_index"):
+            value = getattr(self, name)
+            try:  # any integral type but bool, stored as int; -1 marks a refused one
+                index = -1 if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                index = -1
+            if index < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, index)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,))
@@ -64,6 +74,17 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+
+
+def audit_record(params: PrivacyParams, sigma: float, stream: RandomStream, method: str) -> dict:
+    """The privacy record of one release: its budget, sensitivity, noise scale, seed and method."""
+    return {"epsilon": params.epsilon, "delta": params.delta, "sensitivity": params.sensitivity,
+            "sigma": sigma, "seed": stream.seed, "method": method}
+
+
+def json_text(record: dict) -> str:
+    """Strict JSON (RFC 8259), keys sorted, ending in a newline; a non-finite value raises."""
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def calibrate_sigma(params: PrivacyParams) -> float:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import perturbproj.cli as cli
-from perturbproj.mechanism import PrivacyParams, RandomStream
+from perturbproj.marginals import read_dataset_csv, release_gaussian_only
+from perturbproj.mechanism import PrivacyParams, RandomStream, audit_record, calibrate_sigma
 from perturbproj.projections import EigenFailure
 
 
@@ -168,6 +169,43 @@ def test_privacy_flags_rejected_before_reading_input(tmp_path, flags):
     code = cli.main(["similarity", "--input", str(tmp_path / "missing.csv"),
                      *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("similarity", ["--sensitivity", "inf"], "sensitivity must be finite and positive, got inf"),
+    ("similarity", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+    ("marginals", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+], ids=["similarity-infinite-sensitivity", "similarity-negative-seed", "marginals-negative-seed"])
+def test_privacy_record_flags_refused_before_reading_input(tmp_path, capsys, command, flags,
+                                                           message):
+    code = cli.main([command, "--input", str(tmp_path / "missing.csv"), "--epsilon", "1",
+                     "--delta", "1e-6", *flags, "--out", str(tmp_path / "x.out")])
+    assert code == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_both_release_families_publish_the_same_audit_record(tmp_path, vectors_csv,
+                                                             dataset_csv):
+    flags = ["--epsilon", "2", "--delta", "1e-5", "--seed", "7"]
+    sim_out, mar_out = tmp_path / "sim.csv", tmp_path / "mar.bin"
+    assert cli.main(["similarity", "--input", str(vectors_csv), "--sensitivity", "3",
+                     *flags, "--out", str(sim_out)]) == 0
+    assert cli.main(["marginals", "--input", str(dataset_csv), "--mode", "gaussian",
+                     *flags, "--out", str(mar_out)]) == 0
+    sim_params = PrivacyParams(2.0, 1e-5, 3.0)
+    marginal = release_gaussian_only(read_dataset_csv(dataset_csv), 2,
+                                     PrivacyParams(2.0, 1e-5, 1.0), RandomStream(7))
+    expected = [
+        (sim_out, audit_record(sim_params, calibrate_sigma(sim_params), RandomStream(7),
+                               "EXACT_SET")),
+        (mar_out, audit_record(marginal.params, marginal.sigma, RandomStream(7),
+                               marginal.method)),
+    ]
+    for out, record in expected:
+        meta = json.loads(out.with_suffix(".json").read_text())
+        assert {key: meta[key] for key in record} == record
+    assert expected[0][1]["sigma"] != expected[1][1]["sigma"]
 
 
 def test_similarity_missing_input_is_validation_error(tmp_path):

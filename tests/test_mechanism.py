@@ -36,11 +36,26 @@ def test_calibrate_sigma_monotonicity():
 @pytest.mark.parametrize("eps,delta,sens", [
     (0.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (1.0, 0.0, 1.0),
     (1.0, 1.0, 1.0), (1.0, 1.5, 1.0), (1.0, 0.5, 0.0), (1.0, 0.5, -2.0),
-    (math.inf, 0.5, 1.0), (math.nan, 0.5, 1.0),
+    (math.inf, 0.5, 1.0), (math.nan, 0.5, 1.0), (1.0, 0.5, math.inf), (1.0, 0.5, math.nan),
 ])
 def test_privacy_params_rejects_bad_values(eps, delta, sens):
     with pytest.raises(ValueError):
         PrivacyParams(eps, delta, sens)
+
+
+@pytest.mark.parametrize("bad", [0.5, math.nan, True, -1], ids=["half", "nan", "bool", "negative"])
+def test_random_stream_refuses_what_is_not_a_nonnegative_integer(bad):
+    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {bad!r}$"):
+        RandomStream(bad)
+    with pytest.raises(ValueError,
+                       match=f"^stream_index must be a nonnegative integer, got {bad!r}$"):
+        RandomStream(0, bad)
+
+
+def test_random_stream_stores_numpy_integers_as_int():
+    stream = RandomStream(np.int64(7), np.uint8(2))
+    assert stream == RandomStream(7, 2)
+    assert type(stream.seed) is int and type(stream.stream_index) is int
 
 
 def test_random_stream_reproducible():
