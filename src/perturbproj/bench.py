@@ -40,6 +40,14 @@ from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, relea
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+# Peak of one stability or complexity trial through the CLI in float64 arrays of
+# n (vector) or n^2 (matrix) entries: ru_maxrss less the RSS after an n=4 run
+# (2-vCPU x86-64, OpenBLAS 0.3.31). Stability holds the projected anchor, the
+# projected noisy point, their difference and its square: 3.13-3.88 at
+# n=1500-3500 (its zero anchor is never written); psd-trace 2.14-2.89, box and
+# Frobenius 1-2.
+TRIAL_COPIES = 4
+
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
@@ -111,10 +119,10 @@ def _mean_se(values: np.ndarray) -> tuple:
 
 def _box_coords(n: int, ambient: str) -> int:
     """Independent coordinates of the box: n for "vector", n(n+1)/2 for
-    "matrix" or "sym-matrix" (a symmetric matrix's upper triangle)."""
+    "matrix" (a symmetric matrix's upper triangle)."""
     if ambient == "vector":
         return n
-    if ambient in ("matrix", "sym-matrix"):
+    if ambient == "matrix":
         return n * (n + 1) // 2
     raise ValueError(f"ambient must be 'vector' or 'matrix', got {ambient!r}")
 
@@ -134,16 +142,16 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
     Supported: entry-clip boxes (sup = bound * sum |w| over independent
     coordinates), Frobenius balls (radius * ||W||_F over all n^2 entries), and
     psd trace balls (trace_bound * max(lambda_max, 0) of mirrored symmetric
-    noise). Anything else raises UnsupportedSetError.
+    noise). Anything else raises UnsupportedSetError, and an ambient other
+    than "vector" or "matrix" raises ValueError for every set.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials!r}")
+    d = _box_coords(n, ambient)  # refuses an unknown ambient
 
     if isinstance(set_, EntryClip):
-        d = _box_coords(n, ambient)
-
         def one(j: int) -> float:
             w = sample_gaussian(d, NoiseSpec(1.0), stream.shifted(j))
             return set_.bound * float(np.abs(w).sum())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    TRIAL_COPIES,
     complexity_box_closed_form,
     complexity_monte_carlo,
     scaling_experiment_cosine,
@@ -25,6 +27,7 @@ from .bench import (
     stability_experiment,
 )
 from .marginals import (
+    _guard_bytes,
     read_dataset_csv,
     release_even_k,
     release_gaussian_only,
@@ -143,6 +146,10 @@ def run_bench(args) -> int:
         # the marginal releases derive their own sensitivity, as in run_marginals
         sensitivity = args.sensitivity if args.experiment == "cosine-scaling" else 1.0
         params = PrivacyParams(args.epsilon, args.delta, sensitivity)
+    else:
+        shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
+        _guard_bytes(8 * TRIAL_COPIES * math.prod(shape),
+                     f"a {args.experiment} trial at --n {args.n}")
     if args.trials < 2:
         raise ValueError(f"--trials must be >= 2, got {args.trials}")
     stream = RandomStream(args.seed)
@@ -162,7 +169,6 @@ def run_bench(args) -> int:
         bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(args.n, args.ambient)
         if not np.isfinite(bound):
             raise ValueError(f"--bound {args.bound:g} makes the stability bound overflow float64")
-        shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
         result = stability_experiment(set_, np.zeros(shape), args.trials, stream)
         payload = {"estimate": result.estimate, "stability_bound": bound,
                    "within_bound": bool(result.estimate <= bound + 3 * result.std_error)}

@@ -6,8 +6,10 @@ set. Every release draws noise once and takes at most one step after it.
 Even k reshapes T / (m * n^{k/2}) into its n^{k/2} x n^{k/2} matrix, perturbs
 it once, and projects onto the psd trace ball (one eigendecomposition). The
 Gaussian baseline adds entrywise noise to T; the threshold baseline keeps its
-m*t^k largest entries, t being the declared sparsity capped at n. Feature
-indices in queries are 1-based.
+m*t^k largest entries, t being the declared sparsity capped at n. T and
+every release are plain float64 arrays of shape (n,)*k, whose flat C order is
+the wire format (save_release, load_tensor). Feature indices in queries are
+1-based.
 
 Both statistic layers cost what the data costs. A CSV input that is a grid of
 single 0/1 cells is decoded from its bytes; any other input is parsed by one
@@ -207,42 +209,23 @@ class ParityQuery:
         object.__setattr__(self, "alpha", tuple(sorted(alpha)))
 
 
-@dataclass(frozen=True)
-class MarginalTensor:
-    """Order-k tensor over n features, in raw-count units.
-
-    values is the dense (n,)*k array; flat lexicographic (C) order is the wire
-    format.
-    """
-
-    order: int
-    side: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        expected = (self.side,) * self.order
-        if values.shape != expected:
-            if values.size == self.side**self.order and values.ndim == 1:
-                values = values.reshape(expected)
-            else:
-                raise ValueError(f"values shape {values.shape} does not match {expected}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.ravel(order="C")
-
-
 @dataclass
 class MarginalRelease:
-    """Released tensor in raw-count units plus the audit record."""
+    """Released tensor, a float64 (n,)*k array in raw-count units, plus the audit record."""
 
-    tensor: MarginalTensor
+    tensor: np.ndarray
     params: PrivacyParams
     method: str
     sigma: float
     stream: RandomStream
+
+
+def _cube(values: np.ndarray) -> tuple:
+    """(k, n) of an order-k tensor over n features; any shape but (n,)*k, k >= 1, is refused."""
+    shape = np.shape(values)
+    if not shape or shape != (shape[0],) * len(shape):
+        raise ValueError(f"tensor must be cubical, got shape {shape}")
+    return len(shape), shape[0]
 
 
 def _guard_bytes(need: int, what: str) -> None:
@@ -325,8 +308,8 @@ def _gemm_parity(x: np.ndarray, counts: np.ndarray, rows: Optional[np.ndarray], 
         t += slab.T @ (counts[pick, None] * block)
 
 
-def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
-    """T = sum over records of multiplicity * e^{(x)k}, in raw counts.
+def parity_tensor(data: BinaryDataset, k: int) -> np.ndarray:
+    """T = sum over records of multiplicity * e^{(x)k}, in raw counts, shape (n,)*k.
 
     Entry at multi-index alpha is the number of records whose features at all
     positions of alpha equal 1 (repeats in alpha collapse since e_i^2 = e_i).
@@ -346,25 +329,26 @@ def parity_tensor(data: BinaryDataset, k: int) -> MarginalTensor:
     t = _scatter_parity(x, counts, data.weights, light, k).reshape(n ** (k - 1), n)
     heavy = data.weights > light
     _gemm_parity(x, counts, None if heavy.all() else np.flatnonzero(heavy), k, t)
-    return MarginalTensor(order=k, side=n, values=t.reshape((n,) * k))
+    return t.reshape((n,) * k)
 
 
-def answer_parity_query(tensor: MarginalTensor, query: Union[ParityQuery, tuple]) -> float:
-    """Tensor entry at the query's indices, padded to order k.
+def answer_parity_query(tensor: np.ndarray, query: Union[ParityQuery, tuple]) -> float:
+    """Entry of the (n,)*k tensor at the query's indices, padded to order k.
 
     A shorter query is answered by repeating its last index up to order k,
     valid on parity tensors of binary data because e_i^2 = e_i.
     """
+    k, n = _cube(tensor)
     if not isinstance(query, ParityQuery):
         query = ParityQuery(tuple(query))
     alpha = query.alpha
-    if len(alpha) > tensor.order:
-        raise ValueError(f"query has {len(alpha)} indices, tensor order is {tensor.order}")
-    if max(alpha) > tensor.side:
-        raise ValueError(f"feature index {max(alpha)} out of range [1, {tensor.side}]")
+    if len(alpha) > k:
+        raise ValueError(f"query has {len(alpha)} indices, tensor order is {k}")
+    if max(alpha) > n:
+        raise ValueError(f"feature index {max(alpha)} out of range [1, {n}]")
     idx = tuple(i - 1 for i in alpha)
-    idx = idx + (idx[-1],) * (tensor.order - len(idx))
-    return float(tensor.values[idx])
+    idx = idx + (idx[-1],) * (k - len(idx))
+    return float(tensor[idx])
 
 
 def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
@@ -391,10 +375,10 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
     side = n ** (k // 2)
     back = float(m) * float(side)
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 / m)
-    point, sigma = perturb_and_project(parity_tensor(data, k).values.reshape(side, side) / back,
+    point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side) / back,
                                        PsdTrace(1.0), release_params, stream)
     return MarginalRelease(
-        tensor=MarginalTensor(order=k, side=n, values=(point * back).reshape((n,) * k)),
+        tensor=(point * back).reshape((n,) * k),
         params=release_params,
         method=METHOD_EVEN,
         sigma=sigma,
@@ -441,10 +425,10 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     release_params = PrivacyParams(params.epsilon, params.delta,
                                    2.0 * data.max_ones ** (k / 2.0))
     sigma = calibrate_sigma(release_params)
-    noisy = parity_tensor(data, k).values
+    noisy = parity_tensor(data, k)
     noisy += sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
     return MarginalRelease(
-        tensor=MarginalTensor(order=k, side=n, values=noisy),
+        tensor=noisy,
         params=release_params,
         method=METHOD_GAUSSIAN,
         sigma=sigma,
@@ -463,9 +447,8 @@ def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParam
     if data.sparsity is None:
         raise ValueError("the threshold baseline needs a dataset with a declared sparsity")
     release = release_gaussian_only(data, k, params, stream)
-    kept = _threshold_keep(release.tensor.flat, data.size * data.max_ones**k)
-    return replace(release, method=METHOD_THRESHOLD,
-                   tensor=replace(release.tensor, values=kept))
+    kept = _threshold_keep(release.tensor.ravel(), data.size * data.max_ones**k)
+    return replace(release, method=METHOD_THRESHOLD, tensor=kept.reshape(release.tensor.shape))
 
 
 @dataclass(frozen=True)
@@ -532,11 +515,8 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     per-support loop's order: all starts as one (supports, restarts - 1, t)
     draw when exhaustive, else each sampled support's features, then its starts.
     """
-    values = a.values if isinstance(a, MarginalTensor) else np.asarray(a, dtype=float)
-    k = values.ndim
-    n = values.shape[0]
-    if values.shape != (n,) * k:
-        raise ValueError(f"tensor must be cubical, got shape {values.shape}")
+    values = np.asarray(a, dtype=float)
+    k, n = _cube(values)
     if not (1 <= t <= n):
         raise ValueError(f"sparsity t must be in [1, {n}], got {t!r}")
     sym = _symmetrize_tensor(values)
@@ -580,15 +560,12 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     return OracleResult(value=best, exhaustive=exhaustive, supports_searched=searched)
 
 
-def avg_query_sq_error(released: Union[MarginalRelease, MarginalTensor],
-                       truth: MarginalTensor) -> float:
+def avg_query_sq_error(released: Union[MarginalRelease, np.ndarray], truth: np.ndarray) -> float:
     """Mean squared entry difference over all n^k multi-indices, raw units."""
     rel = released.tensor if isinstance(released, MarginalRelease) else released
-    if (rel.order, rel.side) != (truth.order, truth.side):
-        raise ValueError(
-            f"shape mismatch: ({rel.order}, {rel.side}) vs ({truth.order}, {truth.side})"
-        )
-    diff = rel.values - truth.values
+    if rel.shape != truth.shape:
+        raise ValueError(f"shape mismatch: {rel.shape} vs {truth.shape}")
+    diff = rel - truth
     return float(np.mean(diff * diff))
 
 
@@ -696,36 +673,39 @@ def read_dataset_csv(path, header: bool = False, count_column: bool = False,
 
 
 def save_release(release: MarginalRelease, path) -> Path:
-    """Write the flat little-endian float64 tensor plus its JSON sidecar.
+    """Write the (n,)*k tensor as flat C-order little-endian float64, plus its JSON sidecar.
 
     Returns the sidecar path, path with its suffix replaced by .json, so a
-    path that already ends in .json is refused. The sidecar is the release's
-    audit_record plus the wire format (order, side, scale, which is always 1)
-    and the stream_index of its noise.
+    path that already ends in .json is refused, as is a tensor that is not
+    cubical. The sidecar is the release's audit_record plus the wire format
+    (order k and side n, read from the tensor's shape, and scale, which is
+    always 1) and the stream_index of its noise.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")
     if sidecar == path:
         raise ValueError(f"release path {path} would be overwritten by its .json sidecar")
+    order, side = _cube(release.tensor)
     meta = audit_record(release.params, release.sigma, release.stream, release.method)
-    meta.update(order=release.tensor.order, side=release.tensor.side, scale=1.0,
-                stream_index=release.stream.stream_index)
+    meta.update(order=order, side=side, scale=1.0, stream_index=release.stream.stream_index)
     text = json_text(meta)  # raises on a non-finite value before anything is written
-    path.write_bytes(np.ascontiguousarray(release.tensor.flat, dtype="<f8"))
+    path.write_bytes(np.ascontiguousarray(release.tensor.ravel(), dtype="<f8"))
     sidecar.write_text(text)
     return sidecar
 
 
 def load_tensor(path) -> tuple:
-    """Read a released tensor back; returns (MarginalTensor, sidecar dict).
+    """Read a released tensor back; returns (the (side,)*order array, sidecar dict).
 
     Every release is written in raw-count units, so a sidecar whose "scale"
-    is not 1 is refused.
+    is not 1 is refused, as is a file that does not hold side^order entries.
     """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     if meta["scale"] != 1:
         raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
+    order, side = int(meta["order"]), int(meta["side"])
     flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    tensor = MarginalTensor(order=int(meta["order"]), side=int(meta["side"]), values=flat.copy())
-    return tensor, meta
+    if flat.size != side**order:
+        raise ValueError(f"{path} holds {flat.size} entries, not side^order = {side}^{order}")
+    return flat.reshape((side,) * order).astype(float), meta

@@ -77,7 +77,9 @@ def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
         return clipped
     u = np.sort(v)[::-1]
     cssv = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > (cssv - budget))[0][-1]
+    # >=, not >: past u_1 ~ 2^53 * budget, u_1 - budget rounds to u_1 and a strict
+    # test fails even at j = 1; equality (u_j = theta) gives the same theta.
+    rho = np.nonzero(u * np.arange(1, v.size + 1) >= (cssv - budget))[0][-1]
     theta = (cssv[rho] - budget) / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 

@@ -125,7 +125,7 @@ def test_projected_noise_spread_stays_under_width_statistic():
     rows = []
     all_ok = True
     for n in (4, 8):
-        for ambient, kind in (("vector", "vector"), ("matrix", "sym-matrix")):
+        for ambient in ("vector", "matrix"):
             anchors = {
                 "zero": np.zeros(n) if ambient == "vector" else np.zeros((n, n)),
                 "random": (rng.standard_normal(n) if ambient == "vector"
@@ -134,7 +134,7 @@ def test_projected_noise_spread_stays_under_width_statistic():
             for name, anchor in anchors.items():
                 res = stability_experiment(box, anchor, trials,
                                            RandomStream(300 + 10 * n))
-                bound = (4.0 / 3.0) * complexity_box_closed_form(n, kind)
+                bound = (4.0 / 3.0) * complexity_box_closed_form(n, ambient)
                 slack = bound + 3.0 * res.std_error
                 all_ok = all_ok and res.estimate <= slack
                 rows.append((n, ambient, name, res.estimate, slack))
@@ -233,7 +233,7 @@ def test_even_order_release_beats_plain_gaussian_on_paired_runs():
             plain = release_gaussian_only(data, 2, params, noise)
             if avg_query_sq_error(even, truth) <= avg_query_sq_error(plain, truth):
                 wins += 1
-            pre = even.tensor.values / (float(m) * float(n))
+            pre = even.tensor / (float(m) * float(n))
             eigs = np.linalg.eigvalsh((pre + pre.T) / 2.0)
             worst_eig = min(worst_eig, float(eigs[0]))
             worst_trace = max(worst_trace, float(np.trace(pre)))
@@ -302,7 +302,7 @@ def test_parity_counts_match_direct_record_counting():
                 if all(records[r, j] == 1.0 for j in idx):
                     total += int(data.counts[r])
             brute[idx] = float(total)
-        assert np.array_equal(tensor.values, brute), (n, m, k)
+        assert np.array_equal(tensor, brute), (n, m, k)
         checked += 1
     elapsed = time.perf_counter() - started
     ok = checked == 100 and elapsed < 60.0

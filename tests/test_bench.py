@@ -24,8 +24,7 @@ def test_closed_form_values():
     root = math.sqrt(2.0 / math.pi)
     assert complexity_box_closed_form(1) == pytest.approx(root, rel=1e-15)
     assert complexity_box_closed_form(4) == pytest.approx(4 * root, rel=1e-15)
-    assert complexity_box_closed_form(4, "sym-matrix") == pytest.approx(10 * root, rel=1e-15)
-    assert complexity_box_closed_form(4, "matrix") == complexity_box_closed_form(4, "sym-matrix")
+    assert complexity_box_closed_form(4, "matrix") == pytest.approx(10 * root, rel=1e-15)
     with pytest.raises(ValueError):
         complexity_box_closed_form(0)
     with pytest.raises(ValueError):
@@ -37,7 +36,7 @@ def test_box_monte_carlo_matches_closed_form():
     target = complexity_box_closed_form(4)
     assert abs(est.value - target) <= 3 * est.std_error
     est_m = complexity_monte_carlo(EntryClip(1.0), 4, 20_000, RandomStream(1), "matrix")
-    target_m = complexity_box_closed_form(4, "sym-matrix")
+    target_m = complexity_box_closed_form(4, "matrix")
     assert abs(est_m.value - target_m) <= 3 * est_m.std_error
 
 
@@ -58,6 +57,14 @@ def test_complexity_unsupported_set():
         complexity_monte_carlo(PsdCone(), 4, 10, RandomStream(0), "matrix")
     with pytest.raises(UnsupportedSetError):
         complexity_monte_carlo(PsdTrace(1.0), 4, 10, RandomStream(0), "vector")
+
+
+@pytest.mark.parametrize("set_", [EntryClip(1.0), FrobeniusBall(1.0), PsdTrace(1.0)],
+                         ids=["box", "frobenius", "psd-trace"])
+@pytest.mark.parametrize("ambient", ["tensor", "sym-matrix"])
+def test_complexity_refuses_an_unknown_ambient_for_every_set(set_, ambient):
+    with pytest.raises(ValueError, match="ambient must be 'vector' or 'matrix'"):
+        complexity_monte_carlo(set_, 4, 10, RandomStream(0), ambient)
 
 
 def test_complexity_estimate_validation():
@@ -87,8 +94,7 @@ def test_stability_bound_on_boxes():
             anchors = [np.zeros(shape), rng.standard_normal(shape)]
             if ambient == "matrix":
                 anchors[1] = (anchors[1] + anchors[1].T) / 2
-            bound = (4.0 / 3.0) * complexity_box_closed_form(
-                n, "vector" if ambient == "vector" else "sym-matrix")
+            bound = (4.0 / 3.0) * complexity_box_closed_form(n, ambient)
             for j, anchor in enumerate(anchors):
                 res = stability_experiment(EntryClip(1.0), anchor, 2_000,
                                            RandomStream(60 + n + j))

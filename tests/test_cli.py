@@ -263,6 +263,18 @@ def test_marginals_zero_noise_two_record_example(tmp_path, capsys):
         assert key in meta
 
 
+def test_marginals_even_flatten_at_an_epsilon_of_1e_minus_17_exits_0(tmp_path):
+    # sigma is near 1e17 here, so the psd trace projection's simplex step sees
+    # eigenvalues past 2^53 times its budget
+    path = tmp_path / "coins.csv"
+    rows = np.random.default_rng(3).random((300, 10)) < 0.5
+    np.savetxt(path, rows.astype(int), delimiter=",", fmt="%d")
+    out = tmp_path / "t.bin"
+    assert cli.main(["marginals", "--input", str(path), "--epsilon", "1e-17", "--delta", "1e-6",
+                     "--order", "2", "--mode", "even-flatten", "--out", str(out)]) == 0
+    assert out.stat().st_size == 8 * 10**2
+
+
 def test_marginals_odd_order_even_flatten_exits_2(dataset_csv, tmp_path, capsys):
     code = cli.main(["marginals", "--input", str(dataset_csv), "--epsilon", "1",
                      "--delta", "1e-6", "--order", "3", "--mode", "even-flatten",
@@ -520,6 +532,25 @@ def test_bench_non_finite_values_exit_2_before_writing(tmp_path, capsys, argv, m
     out = tmp_path / "b.json"
     assert cli.main(["bench", *argv, "--n", "3", "--trials", "3", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--ambient", "matrix"],
+    ["complexity", "--set", "box"],
+    ["complexity", "--set", "frobenius"],
+    ["complexity", "--set", "psd-trace"],
+], ids=["stability", "complexity-box", "complexity-frobenius", "complexity-psd-trace"])
+def test_bench_size_guard_exits_2_before_any_trial_array(tmp_path, capsys, monkeypatch, argv):
+    # 10^5 x 10^5 float64 is 74.5 GiB: the experiments must never be reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the trial ran past the size guard")
+
+    monkeypatch.setattr(cli, "stability_experiment", unreachable)
+    monkeypatch.setattr(cli, "complexity_monte_carlo", unreachable)
+    out = tmp_path / "b.json"
+    assert cli.main(["bench", *argv, "--n", "100000", "--trials", "2", "--out", str(out)]) == 2
+    assert "size guard" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,7 +12,6 @@ import perturbproj.marginals as marginals
 from perturbproj.engine import perturb_and_project
 from perturbproj.marginals import (
     BinaryDataset,
-    MarginalTensor,
     ParityQuery,
     RecordError,
     SearchBudget,
@@ -119,7 +118,7 @@ def test_parity_tensor_matches_brute_force():
         data = BinaryDataset(records, counts=rng.integers(1, 10, size=m))
         tensor = parity_tensor(data, k)
         for idx in itertools.product(range(n), repeat=k):
-            assert tensor.values[idx] == _brute_count(data, idx)
+            assert tensor[idx] == _brute_count(data, idx)
 
 
 def _brute_tensor(data, k):
@@ -145,7 +144,7 @@ def test_parity_tensor_builders_match_brute_force(monkeypatch, light_cost):
         weights = np.resize(np.arange(n + 1), m)
         records = (np.argsort(rng.random((m, n)), axis=1) < weights[:, None]).astype(float)
         data = BinaryDataset(records, counts=rng.integers(1, 10, size=m))
-        assert np.array_equal(parity_tensor(data, k).values, _brute_tensor(data, k))
+        assert np.array_equal(parity_tensor(data, k), _brute_tensor(data, k))
 
 
 def test_parity_tensor_is_bit_identical_under_any_split(monkeypatch):
@@ -159,7 +158,7 @@ def test_parity_tensor_is_bit_identical_under_any_split(monkeypatch):
             built = {}
             for light_cost in (0.0, marginals.LIGHT_COST, math.inf):
                 monkeypatch.setattr(marginals, "LIGHT_COST", light_cost)
-                built[light_cost] = parity_tensor(data, k).values
+                built[light_cost] = parity_tensor(data, k)
             first, *rest = built.values()
             assert all(np.array_equal(first, other) for other in rest)
 
@@ -167,7 +166,7 @@ def test_parity_tensor_is_bit_identical_under_any_split(monkeypatch):
 def test_parity_tensor_permutation_symmetry():
     rng = np.random.default_rng(1)
     data = _random_data(rng, 5, 12)
-    t = parity_tensor(data, 3).values
+    t = parity_tensor(data, 3)
     for perm in itertools.permutations(range(3)):
         assert np.array_equal(t, t.transpose(perm))
 
@@ -199,6 +198,11 @@ def test_answer_parity_query():
         answer_parity_query(t, (3,))
     with pytest.raises(ValueError):
         answer_parity_query(t, (1, 2, 2))
+    plain = np.array([[2.0, 1.0], [1.0, 1.0]])
+    assert answer_parity_query(plain, (1,)) == 2.0 and answer_parity_query(plain, (1, 2)) == 1.0
+    for shape in ((2, 3), (2, 2, 3), ()):
+        with pytest.raises(ValueError, match="cubical"):
+            answer_parity_query(np.zeros(shape), (1,))
 
 
 def test_swap_sensitivity_bounds():
@@ -211,12 +215,12 @@ def test_swap_sensitivity_bounds():
         rec_a = np.vstack([base.records, e[None, :]])
         rec_b = np.vstack([base.records, e_new[None, :]])
         da, db = BinaryDataset(rec_a), BinaryDataset(rec_b)
-        raw_gap = np.linalg.norm(parity_tensor(da, k).values - parity_tensor(db, k).values)
+        raw_gap = np.linalg.norm(parity_tensor(da, k) - parity_tensor(db, k))
         assert raw_gap <= 2.0 * n ** (k / 2.0) + 1e-9
         rel_a = release_even_k(da, k, HUGE_EPS, RandomStream(0))
         rel_b = release_even_k(db, k, HUGE_EPS, RandomStream(0))
         m = da.size
-        norm_gap = np.linalg.norm(rel_a.tensor.values - rel_b.tensor.values) / (m * n)
+        norm_gap = np.linalg.norm(rel_a.tensor - rel_b.tensor) / (m * n)
         assert norm_gap <= 2.0 / m + 1e-6
 
 
@@ -225,9 +229,9 @@ def test_release_even_k_zero_noise_exact():
     data = _random_data(rng, 5, 15)
     truth = parity_tensor(data, 2)
     rel = release_even_k(data, 2, HUGE_EPS, RandomStream(4))
-    assert np.allclose(rel.tensor.values, truth.values, atol=1e-6)
+    assert np.allclose(rel.tensor, truth, atol=1e-6)
     rel4 = release_even_k(data, 4, HUGE_EPS, RandomStream(5))
-    assert np.allclose(rel4.tensor.values, parity_tensor(data, 4).values, atol=1e-5)
+    assert np.allclose(rel4.tensor, parity_tensor(data, 4), atol=1e-5)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -270,7 +274,7 @@ def test_release_even_k_feasible_pre_rescale():
     data = _random_data(rng, 6, 30)
     rel = release_even_k(data, 2, NORMAL, RandomStream(7))
     m, n = data.size, data.n_features
-    flattened = rel.tensor.values / (m * n)
+    flattened = rel.tensor / (m * n)
     eigs = np.linalg.eigvalsh((flattened + flattened.T) / 2)
     assert eigs.min() >= -1e-8
     assert eigs.sum() <= 1.0 + 1e-8
@@ -289,7 +293,7 @@ def test_release_even_k_deterministic():
     data = _random_data(rng, 4, 10)
     a = release_even_k(data, 2, NORMAL, RandomStream(9))
     b = release_even_k(data, 2, NORMAL, RandomStream(9))
-    assert np.array_equal(a.tensor.values, b.tensor.values)
+    assert np.array_equal(a.tensor, b.tensor)
 
 
 def test_threshold_baseline():
@@ -299,12 +303,12 @@ def test_threshold_baseline():
         rows[i, rng.integers(0, 8)] = 1.0
     data = BinaryDataset(rows, sparsity=1)
     rel = release_threshold_baseline(data, 2, NORMAL, RandomStream(11))
-    assert np.count_nonzero(rel.tensor.values) <= data.size * 1
+    assert np.count_nonzero(rel.tensor) <= data.size * 1
     assert rel.sigma == pytest.approx(
         2.0 * calibrate_sigma(PrivacyParams(1.0, 1e-6, 1.0)), rel=1e-12)
     # zero noise keeps exactly the true nonzeros
     exact = release_threshold_baseline(data, 2, HUGE_EPS, RandomStream(12))
-    assert np.allclose(exact.tensor.values, parity_tensor(data, 2).values, atol=1e-6)
+    assert np.allclose(exact.tensor, parity_tensor(data, 2), atol=1e-6)
     with pytest.raises(ValueError, match="needs a dataset with a declared sparsity"):
         release_threshold_baseline(BinaryDataset(np.ones((2, 3))), 2, NORMAL, RandomStream(0))
     with pytest.raises(ValueError, match="^record 1: 3 ones, more than the declared sparsity 1$"):
@@ -324,14 +328,14 @@ def test_baselines_equal_parity_plus_noise_byte_for_byte():
     sparse = BinaryDataset(records, counts=counts, sparsity=t)
     for k in (1, 2, 3):
         stream = RandomStream(16, k)
-        parity = parity_tensor(data, k).values
+        parity = parity_tensor(data, k)
         rel = release_threshold_baseline(sparse, k, NORMAL, stream)
         noise = sample_gaussian(n**k, NoiseSpec(rel.sigma), stream)
         old = _threshold_keep(parity.ravel() + noise, data.size * t**k)
-        assert rel.tensor.flat.tobytes() == old.tobytes()
+        assert rel.tensor.tobytes() == old.tobytes()
         rel = release_gaussian_only(data, k, NORMAL, stream)
         old = parity + sample_gaussian((n,) * k, NoiseSpec(rel.sigma), stream)
-        assert rel.tensor.values.tobytes() == old.tobytes()
+        assert rel.tensor.tobytes() == old.tobytes()
 
 
 def test_threshold_tie_break_keeps_first_flat_indices():
@@ -410,7 +414,7 @@ def test_baselines_cap_declared_sparsity_at_n(release):
         over = release(BinaryDataset(rows, sparsity=n + 5), k, NORMAL, RandomStream(k))
         assert over.sigma == at_n.sigma
         assert over.params == at_n.params
-        assert over.tensor.values.tobytes() == at_n.tensor.values.tobytes()
+        assert over.tensor.tobytes() == at_n.tensor.tobytes()
 
 
 def test_oracle_matrix_cases():
@@ -576,10 +580,10 @@ def test_oracle_input_validation():
 
 
 def test_avg_query_sq_error():
-    t1 = MarginalTensor(order=2, side=2, values=np.zeros((2, 2)))
-    t2 = MarginalTensor(order=2, side=2, values=np.full((2, 2), 2.0))
+    t1 = np.zeros((2, 2))
+    t2 = np.full((2, 2), 2.0)
     assert avg_query_sq_error(t2, t1) == pytest.approx(4.0)
-    t3 = MarginalTensor(order=2, side=3, values=np.zeros((3, 3)))
+    t3 = np.zeros((3, 3))
     with pytest.raises(ValueError):
         avg_query_sq_error(t3, t1)
 
@@ -596,11 +600,11 @@ def test_save_and_load_release(tmp_path):
     assert meta["method"] == "EVEN_FLATTEN"
     assert meta["seed"] == 22 and meta["stream_index"] == 5
     tensor, meta2 = load_tensor(path)
-    assert np.array_equal(tensor.values, rel.tensor.values)
+    assert np.array_equal(tensor, rel.tensor)
     assert meta2 == meta
     # wire format: little-endian float64, lexicographic entry order
     raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    assert np.array_equal(raw, rel.tensor.values.ravel(order="C"))
+    assert np.array_equal(raw, rel.tensor.ravel(order="C"))
 
 
 def test_save_release_refuses_a_path_its_sidecar_would_overwrite(tmp_path):
@@ -628,6 +632,15 @@ def test_load_tensor_rejects_a_scale_other_than_1(tmp_path):
     assert meta["scale"] == 1.0
     sidecar.write_text(json.dumps(dict(meta, scale=2)))
     with pytest.raises(ValueError, match="scale must be 1, got 2"):
+        load_tensor(path)
+
+
+def test_load_tensor_refuses_a_file_truncated_by_one_entry(tmp_path):
+    data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    path = tmp_path / "release.bin"
+    save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"holds 3 entries, not side\^order = 2\^2"):
         load_tensor(path)
 
 

@@ -67,6 +67,13 @@ def test_project_simplex_examples():
     assert np.allclose(project_simplex(np.array([1.0, 1.0, -1.0]), 1.0), [0.5, 0.5, 0.0])
 
 
+@pytest.mark.parametrize("v", [[1e16, 5e15, -1e16], [1e17, 3e16, 2e16], [1e16, 1e16]])
+def test_project_simplex_is_feasible_past_2_pow_53_times_the_budget(v):
+    # u_1 - budget rounds to u_1 here, which a strict threshold test never passes
+    x = project_simplex(np.array(v), 1.0)
+    assert x.shape == (len(v),) and x.min() >= 0 and x.sum() <= 1.0
+
+
 def test_project_simplex_against_grid_search():
     # brute-force the nearest point of {x >= 0, sum <= 1} on a fine 3-d grid
     rng = np.random.default_rng(1)
