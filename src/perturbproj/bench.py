@@ -34,7 +34,8 @@ from .marginals import (
     release_gaussian_only,
     release_threshold_baseline,
 )
-from .mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_gaussian, sample_symmetric_gaussian
+from .mechanism import (NoiseSpec, PrivacyParams, RandomStream, integer_at_least, sample_gaussian,
+                        sample_symmetric_gaussian)
 from .projections import ConvexSet, EntryClip, FrobeniusBall, PsdTrace, UnsupportedSetError
 from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, release_cosine_exact
 
@@ -61,8 +62,7 @@ class ComplexityEstimate:
     ambient: str
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise ValueError(f"trials must be >= 2, got {self.trials}")
+        integer_at_least("trials", self.trials, 2)
         if not self.std_error >= 0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
 
@@ -130,9 +130,7 @@ def _box_coords(n: int, ambient: str) -> int:
 def complexity_box_closed_form(n: int, ambient: str = "vector") -> float:
     """Exact E sup over the unit entry-clip box: (#coordinates) * E|g|,
     with the coordinates counted by _box_coords."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return _box_coords(n, ambient) * ROOT_2_OVER_PI
+    return _box_coords(integer_at_least("n", n, 1), ambient) * ROOT_2_OVER_PI
 
 
 def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomStream,
@@ -145,10 +143,8 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
     noise). Anything else raises UnsupportedSetError, and an ambient other
     than "vector" or "matrix" raises ValueError for every set.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials!r}")
+    n = integer_at_least("n", n, 1)
+    trials = integer_at_least("trials", trials, 2)
     d = _box_coords(n, ambient)  # refuses an unknown ambient
 
     if isinstance(set_, EntryClip):
@@ -194,8 +190,7 @@ def stability_experiment(set_: ConvexSet, anchor: np.ndarray, trials: int,
     anchors get mirrored symmetric noise and squared Frobenius distance.
     """
     anchor = np.asarray(anchor, dtype=float)
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials!r}")
+    trials = integer_at_least("trials", trials, 2)
     base = set_.project(anchor)
     if anchor.ndim == 1:
         def draw(j: int) -> np.ndarray:
@@ -246,11 +241,9 @@ def _fit_or_none(points: Sequence) -> tuple:
 
 
 def _check_sizes(sizes: Sequence[int]) -> list:
-    sizes = [int(s) for s in sizes]
+    sizes = [integer_at_least("each size", s, 1) for s in sizes]
     if not sizes:
         raise ValueError("need at least one size")
-    if any(s < 1 for s in sizes):
-        raise ValueError(f"sizes must be >= 1, got {sizes}")
     if any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must be strictly ascending, got {sizes}")
     return sizes
@@ -305,8 +298,7 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
     """
     sizes = _check_sizes(sizes)
     _guard_release(sizes[-1], sizes[-1], EXACT_COPIES)
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials!r}")
+    trials = integer_at_least("trials", trials, 2)
 
     def trial(n: int, data_rng, noise: RandomStream) -> tuple:
         g = data_rng.standard_normal((n, n))
@@ -347,13 +339,12 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
     if k < 2 or k % 2 != 0:
         raise ValueError(f"order k must be even and >= 2, got {k!r}")
     sizes = _check_sizes(sizes)
+    m = integer_at_least("m", m, 1)
     for n in sizes:
         _guard_size(n, k, m, copies=EVEN_K_COPIES)  # the even-k release, the largest path
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m!r}")
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials!r}")
-    if sparsity is not None and not (1 <= sparsity <= sizes[0]):
+    trials = integer_at_least("trials", trials, 2)
+    sparsity = None if sparsity is None else integer_at_least("sparsity", sparsity, 1)
+    if sparsity is not None and sparsity > sizes[0]:
         raise ValueError(f"sparsity must lie in [1, {sizes[0]}], the smallest size, "
                          f"got {sparsity!r}")
     methods = [("even-flatten", ""), ("gaussian-only", "gaussian_")]

@@ -34,7 +34,7 @@ from .marginals import (
     release_threshold_baseline,
     save_release,
 )
-from .mechanism import PrivacyParams, RandomStream, audit_record, json_text
+from .mechanism import PrivacyParams, RandomStream, audit_record, integer_at_least, json_text
 from .projections import EigenFailure, EntryClip, FrobeniusBall, PsdTrace
 from .similarity import (
     read_vectors_csv,
@@ -108,9 +108,7 @@ def run_marginals(args) -> int:
     _refuse_shared_release_files(args)
     params = PrivacyParams(args.epsilon, args.delta, 1.0)
     stream = RandomStream(args.seed)
-    k = args.order
-    if k < 1:
-        raise ValueError(f"--order must be >= 1, got {k}")
+    k = integer_at_least("--order", args.order, 1)
     if args.mode == "even-flatten" and k % 2 != 0:
         raise ValueError(
             f"--mode even-flatten needs an even --order, got {k}; "
@@ -118,8 +116,8 @@ def run_marginals(args) -> int:
         )
     if args.mode == "threshold" and args.sparsity is None:
         raise ValueError("--mode threshold needs --sparsity to be declared")
-    if args.sparsity is not None and args.sparsity < 1:
-        raise ValueError(f"--sparsity must be >= 1, got {args.sparsity}")
+    if args.sparsity is not None:
+        integer_at_least("--sparsity", args.sparsity, 1)
     data = read_dataset_csv(args.input, header=args.header,
                             count_column=args.count_column, sparsity=args.sparsity)
     if args.mode == "even-flatten":
@@ -150,8 +148,6 @@ def run_bench(args) -> int:
         shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
         _guard_bytes(8 * TRIAL_COPIES * math.prod(shape),
                      f"a {args.experiment} trial at --n {args.n}")
-    if args.trials < 2:
-        raise ValueError(f"--trials must be >= 2, got {args.trials}")
     stream = RandomStream(args.seed)
     started = time.perf_counter()
 

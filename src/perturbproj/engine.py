@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanism import NoiseSpec, PrivacyParams, RandomStream, calibrate_sigma
+from .mechanism import NoiseSpec, PrivacyParams, RandomStream, calibrate_sigma, integer_at_least
 from .mechanism import sample_symmetric_gaussian
 from .projections import ConvexSet
 
@@ -72,8 +72,7 @@ def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
     The iteration is deterministic given the noisy starting point, so the
     single draw at the start is the only randomness consumed.
     """
-    if not (isinstance(iterations, int) and iterations >= 1):
-        raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
+    iterations = integer_at_least("iterations", iterations, 1)
     sets = _member_sets(sets)
     x, sigma = perturb_symmetric(a, params, stream)
     for _ in range(iterations):

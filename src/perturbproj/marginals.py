@@ -25,7 +25,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -34,7 +33,7 @@ import numpy as np
 
 from .engine import perturb_and_project
 from .mechanism import (NoiseSpec, PrivacyParams, RandomStream, audit_record, calibrate_sigma,
-                        json_text, sample_gaussian)
+                        integer_at_least, json_text, sample_gaussian)
 from .projections import PsdTrace
 
 MAX_RELEASE_BYTES = 2**31
@@ -140,28 +139,26 @@ class BinaryDataset:
         records = np.asarray(self.records)
         if records.ndim != 2 or records.shape[1] < 1:
             raise ValueError(f"records must be 2-d with >= 1 feature, got shape {records.shape}")
-        counts = np.asarray(np.ones(len(records), np.int64) if self.counts is None
-                            else self.counts)
-        if counts.shape != (len(records),):
-            raise ValueError("counts must have one entry per record row")
-        sparsity = self.sparsity
-        if sparsity is not None:
-            try:  # any integral type but bool; 0 marks a refused one
-                sparsity = 0 if isinstance(sparsity, bool) else operator.index(sparsity)
-            except TypeError:
-                sparsity = 0
-            if sparsity < 1:
-                raise ValueError(f"sparsity must be a positive integer, got {self.sparsity!r}")
-        bad_count = _first(~(np.isfinite(counts) & (counts == np.floor(counts)) & (counts >= 1)))
+        checks = []
+        if self.counts is None:  # the all-ones default, which no count check can refuse
+            counts = np.ones(len(records), np.int64)
+        else:
+            counts = np.asarray(self.counts)
+            if counts.shape != (len(records),):
+                raise ValueError("counts must have one entry per record row")
+            bad_count = _first(~(np.isfinite(counts) & (counts == np.floor(counts))
+                                 & (counts >= 1)))
+            checks += [
+                (bad_count, lambda i: f"count must be a positive integer, got {counts[i]:g}"),
+                (_first_total_over(counts[:bad_count]),
+                 lambda i: "counts add up to more than 2^53, past which float64 counts are "
+                           "not exact"),
+            ]
+        sparsity = None if self.sparsity is None else integer_at_least("sparsity", self.sparsity, 1)
         binary = (records == 0) | (records == 1)
-        checks = [
-            (bad_count, lambda i: f"count must be a positive integer, got {counts[i]:g}"),
-            (_first_total_over(counts[:bad_count]),
-             lambda i: "counts add up to more than 2^53, past which float64 counts are not exact"),
-            # the row-wise all only when some cell fails: 12x the flat one on 64-feature rows
-            (len(records) if binary.all() else _first(~binary.all(axis=1)),
-             lambda i: "features must be 0 or 1"),
-        ]
+        # the row-wise all only when some cell fails: 12x the flat one on 64-feature rows
+        checks.append((len(records) if binary.all() else _first(~binary.all(axis=1)),
+                       lambda i: "features must be 0 or 1"))
         # cast only the records before the first refused one: 0.5, 2 or NaN is never truncated
         cast = np.ascontiguousarray(records[:min(c[0] for c in checks)], dtype=np.uint8)
         weights = cast.sum(axis=1, dtype=np.intp)
@@ -241,8 +238,7 @@ def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
     The peak is `copies` (measured per path) float64 n^k arrays plus the
     records, one byte per cell.
     """
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k!r}")
+    integer_at_least("order k", k, 1)
     _guard_bytes(8 * copies * n**k + rows * n, f"order {k} over {n} features")
 
 
@@ -461,9 +457,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("max_supports", "restarts"):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
 
 
 @dataclass(frozen=True)
@@ -517,7 +511,8 @@ def sparse_injective_norm_oracle(a, t: int, budget: SearchBudget = SearchBudget(
     """
     values = np.asarray(a, dtype=float)
     k, n = _cube(values)
-    if not (1 <= t <= n):
+    t = integer_at_least("sparsity t", t, 1)
+    if t > n:
         raise ValueError(f"sparsity t must be in [1, {n}], got {t!r}")
     sym = _symmetrize_tensor(values)
     rng = stream.generator()
@@ -704,7 +699,8 @@ def load_tensor(path) -> tuple:
     meta = json.loads(path.with_suffix(".json").read_text())
     if meta["scale"] != 1:
         raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
-    order, side = int(meta["order"]), int(meta["side"])
+    order = integer_at_least("order", meta["order"], 1)
+    side = integer_at_least("side", meta["side"], 1)
     flat = np.frombuffer(path.read_bytes(), dtype="<f8")
     if flat.size != side**order:
         raise ValueError(f"{path} holds {flat.size} entries, not side^order = {side}^{order}")

@@ -4,16 +4,31 @@ Sampling is a pure function of its arguments: the same (seed, stream_index)
 always reproduces the same draw, bit for bit, on every platform and thread
 count. Anything that needs two independent draws must use two streams.
 Every release's sidecar starts from audit_record and is written by json_text.
+Every integer parameter of the package is checked by integer_at_least, and
+every scale (epsilon, sensitivity, a set's bound) by finite_positive.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def integer_at_least(name: str, value, least: int) -> int:
+    """value as an int when it is a Python or numpy integer, not a bool, and >= least."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def finite_positive(name: str, value):
+    """value when it is finite and greater than 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -25,12 +40,10 @@ class PrivacyParams:
     sensitivity: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
+        finite_positive("epsilon", self.epsilon)
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
-        if not 0 < self.sensitivity < math.inf:
-            raise ValueError(f"sensitivity must be finite and positive, got {self.sensitivity!r}")
+        finite_positive("sensitivity", self.sensitivity)
 
 
 @dataclass(frozen=True)
@@ -47,14 +60,7 @@ class RandomStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_index"):
-            value = getattr(self, name)
-            try:  # any integral type but bool, stored as int; -1 marks a refused one
-                index = -1 if isinstance(value, bool) else operator.index(value)
-            except TypeError:
-                index = -1
-            if index < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-            object.__setattr__(self, name, index)
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,))
@@ -122,8 +128,7 @@ def sample_symmetric_gaussian(n: int, spec: NoiseSpec, stream: RandomStream) -> 
     coordinates of a symmetric statistic requires. The draws fill the upper
     triangle row by row.
     """
-    if n < 1:
-        raise ValueError(f"matrix side must be at least 1, got {n!r}")
+    n = integer_at_least("matrix side", n, 1)
     w = np.zeros((n, n))
     if spec.sigma == 0:
         return w

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mechanism import finite_positive
+
 TOL_PROJ = 1e-8
 
 # Dual Newton solver for PsdDiagBox: the KKT residual it must reach, relative
@@ -288,8 +290,7 @@ class EntryClip(ConvexSet):
     kind: str = field(default="entry-clip", init=False)
 
     def __post_init__(self):
-        if not 0 < self.bound < math.inf:
-            raise ValueError(f"bound must be finite and positive, got {self.bound!r}")
+        finite_positive("bound", self.bound)
 
     def project(self, m):
         return np.clip(np.asarray(m, dtype=float), -self.bound, self.bound)
@@ -303,8 +304,7 @@ class FrobeniusBall(ConvexSet):
     kind: str = field(default="frobenius-ball", init=False)
 
     def __post_init__(self):
-        if not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
+        finite_positive("radius", self.radius)
 
     def project(self, m):
         """Scale radially onto the ball when outside, else copy through.
@@ -332,8 +332,7 @@ class PsdTrace(ConvexSet):
     kind: str = field(default="psd-trace", init=False)
 
     def __post_init__(self):
-        if not 0 < self.trace_bound < math.inf:
-            raise ValueError(f"trace_bound must be finite and positive, got {self.trace_bound!r}")
+        finite_positive("trace_bound", self.trace_bound)
 
     def project(self, m):
         """Project the eigenvalues of sym(m) onto the trace-budget simplex."""

@@ -29,6 +29,8 @@ def test_closed_form_values():
         complexity_box_closed_form(0)
     with pytest.raises(ValueError):
         complexity_box_closed_form(3, "tensor")
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 2\.5$"):
+        complexity_box_closed_form(2.5, "matrix")
 
 
 def test_box_monte_carlo_matches_closed_form():
@@ -65,6 +67,15 @@ def test_complexity_unsupported_set():
 def test_complexity_refuses_an_unknown_ambient_for_every_set(set_, ambient):
     with pytest.raises(ValueError, match="ambient must be 'vector' or 'matrix'"):
         complexity_monte_carlo(set_, 4, 10, RandomStream(0), ambient)
+
+
+def test_complexity_and_stability_refuse_counts_that_are_not_integers():
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 2, got 3\.0$"):
+        complexity_monte_carlo(EntryClip(1.0), 4, 3.0, RandomStream(0))
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 4\.0$"):
+        complexity_monte_carlo(EntryClip(1.0), 4.0, 3, RandomStream(0))
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 2, got 3\.0$"):
+        stability_experiment(EntryClip(1.0), np.zeros(2), 3.0, RandomStream(0))
 
 
 def test_complexity_estimate_validation():
@@ -151,6 +162,8 @@ def test_cosine_scaling_validation():
         scaling_experiment_cosine([8192], NORMAL, 3, RandomStream(0))
     with pytest.raises(ValueError):
         scaling_experiment_cosine([4], NORMAL, 1, RandomStream(0))
+    with pytest.raises(ValueError, match=r"^each size must be an integer >= 1, got 4\.7$"):
+        scaling_experiment_cosine([4.7, 8], NORMAL, 3, RandomStream(0))
 
 
 def test_marginal_scaling_even_dominates_gaussian():

@@ -173,9 +173,13 @@ def test_privacy_flags_rejected_before_reading_input(tmp_path, flags):
 
 @pytest.mark.parametrize("command,flags,message", [
     ("similarity", ["--sensitivity", "inf"], "sensitivity must be finite and positive, got inf"),
-    ("similarity", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
-    ("marginals", ["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
-], ids=["similarity-infinite-sensitivity", "similarity-negative-seed", "marginals-negative-seed"])
+    ("similarity", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ("marginals", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ("marginals", ["--order", "0"], "--order must be an integer >= 1, got 0"),
+    ("marginals", ["--mode", "gaussian", "--sparsity", "0"],
+     "--sparsity must be an integer >= 1, got 0"),
+], ids=["similarity-infinite-sensitivity", "similarity-negative-seed", "marginals-negative-seed",
+        "marginals-order-0", "marginals-sparsity-0"])
 def test_privacy_record_flags_refused_before_reading_input(tmp_path, capsys, command, flags,
                                                            message):
     code = cli.main([command, "--input", str(tmp_path / "missing.csv"), "--epsilon", "1",

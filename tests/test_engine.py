@@ -30,7 +30,7 @@ def _sym(rng, n, scale=1.0):
 
 
 def test_iterations_validation():
-    for iterations in (0, -1, 2.0):
+    for iterations in (0, -1, 2.0, True):
         with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
             perturb_and_alternately_project(np.eye(2), (PsdCone(),), NORMAL,
                                             RandomStream(0), iterations)

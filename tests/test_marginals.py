@@ -78,7 +78,7 @@ def test_binary_dataset_sparsity_accepts_integral_types_but_not_bool():
     with pytest.raises(RecordError, match="^record 1: 3 ones, more than the declared sparsity 2$"):
         BinaryDataset(np.ones((1, 3)), sparsity=np.int64(2))
     for bad in (True, False, np.True_, 2.0, "2", 0, -1):
-        with pytest.raises(ValueError, match="^sparsity must be a positive integer, got "):
+        with pytest.raises(ValueError, match="^sparsity must be an integer >= 1, got "):
             BinaryDataset(np.eye(3), sparsity=bad)
 
 
@@ -174,6 +174,9 @@ def test_parity_tensor_permutation_symmetry():
 def test_parity_tensor_size_guard():
     with pytest.raises(ValueError, match="size guard"):
         parity_tensor(BinaryDataset(np.zeros((1, 200))), 4)
+    for k in (0, 2.0, True):
+        with pytest.raises(ValueError, match=f"^order k must be an integer >= 1, got {k!r}$"):
+            parity_tensor(BinaryDataset(np.eye(3)), k)
 
 
 def test_even_k_size_guard_counts_bytes_before_allocating():
@@ -564,12 +567,14 @@ def test_oracle_fourth_order_brute_force():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("max_supports", 0), ("max_supports", -3), ("max_supports", 2.5),
-    ("restarts", 0), ("restarts", -4), ("restarts", 1.0),
+    ("max_supports", 0), ("max_supports", -3), ("max_supports", 2.5), ("max_supports", True),
+    ("restarts", 0), ("restarts", -4), ("restarts", 1.0), ("restarts", True),
 ])
 def test_search_budget_refuses_anything_but_positive_integers(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
         SearchBudget(**{field: value})
+    budget = SearchBudget(**{field: np.int64(5)})
+    assert getattr(budget, field) == 5 and type(getattr(budget, field)) is int
 
 
 def test_oracle_input_validation():
@@ -577,6 +582,8 @@ def test_oracle_input_validation():
         sparse_injective_norm_oracle(np.zeros((2, 3)), 1)
     with pytest.raises(ValueError):
         sparse_injective_norm_oracle(np.zeros((3, 3)), 4)
+    with pytest.raises(ValueError, match=r"^sparsity t must be an integer >= 1, got 2\.0$"):
+        sparse_injective_norm_oracle(np.zeros((3, 3)), 2.0)
 
 
 def test_avg_query_sq_error():
@@ -632,6 +639,20 @@ def test_load_tensor_rejects_a_scale_other_than_1(tmp_path):
     assert meta["scale"] == 1.0
     sidecar.write_text(json.dumps(dict(meta, scale=2)))
     with pytest.raises(ValueError, match="scale must be 1, got 2"):
+        load_tensor(path)
+
+
+def test_load_tensor_refuses_an_order_or_side_that_is_not_an_integer(tmp_path):
+    data = BinaryDataset(np.eye(4))
+    path = tmp_path / "release.bin"
+    sidecar = save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
+    meta = json.loads(sidecar.read_text())
+    # int() would truncate both, and 16^1 entries match the 4x4 release's
+    sidecar.write_text(json.dumps(dict(meta, order=1.5, side=16.9)))
+    with pytest.raises(ValueError, match=r"^order must be an integer >= 1, got 1\.5$"):
+        load_tensor(path)
+    sidecar.write_text(json.dumps(dict(meta, order=1, side=16.9)))
+    with pytest.raises(ValueError, match=r"^side must be an integer >= 1, got 16\.9$"):
         load_tensor(path)
 
 

@@ -1,13 +1,18 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perturbproj
 from perturbproj.mechanism import (
     NoiseSpec,
     PrivacyParams,
     RandomStream,
     calibrate_sigma,
+    finite_positive,
+    integer_at_least,
     sample_gaussian,
     sample_symmetric_gaussian,
 )
@@ -45,11 +50,41 @@ def test_privacy_params_rejects_bad_values(eps, delta, sens):
 
 @pytest.mark.parametrize("bad", [0.5, math.nan, True, -1], ids=["half", "nan", "bool", "negative"])
 def test_random_stream_refuses_what_is_not_a_nonnegative_integer(bad):
-    with pytest.raises(ValueError, match=f"^seed must be a nonnegative integer, got {bad!r}$"):
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {bad!r}$"):
         RandomStream(bad)
-    with pytest.raises(ValueError,
-                       match=f"^stream_index must be a nonnegative integer, got {bad!r}$"):
+    with pytest.raises(ValueError, match=f"^stream_index must be an integer >= 0, got {bad!r}$"):
         RandomStream(0, bad)
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 2.0, np.float64(3.0), "3", None, 1, np.int64(0)])
+def test_integer_at_least_refuses_bools_floats_strings_and_small_values(bad):
+    message = f"^k must be an integer >= 2, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        integer_at_least("k", bad, 2)
+
+
+def test_integer_at_least_returns_python_and_numpy_integers_as_int():
+    for value in (2, 7, np.int64(7), np.uint8(7), np.int32(2)):
+        got = integer_at_least("k", value, 2)
+        assert got == value and type(got) is int
+
+
+@pytest.mark.parametrize("bad", [0, -1.5, math.inf, -math.inf, math.nan])
+def test_finite_positive_refuses_what_is_not_finite_and_positive(bad):
+    message = f"^scale must be finite and positive, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        finite_positive("scale", bad)
+    assert finite_positive("scale", 1e-300) == 1e-300 and finite_positive("scale", 3) == 3
+
+
+def test_integer_and_scale_rules_are_written_only_in_mechanism():
+    # every module checks its integers and scales through the two functions above
+    for path in sorted(Path(perturbproj.__file__).parent.glob("*.py")):
+        if path.name == "mechanism.py":
+            continue
+        text = path.read_text()
+        for rule in ("operator.index", "must be an integer", "must be finite and positive"):
+            assert rule not in text, f"{path.name} writes its own rule: {rule!r}"
 
 
 def test_random_stream_stores_numpy_integers_as_int():
