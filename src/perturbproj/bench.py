@@ -34,7 +34,7 @@ from .marginals import (
     release_gaussian_only,
     release_threshold_baseline,
 )
-from .mechanism import (NoiseSpec, PrivacyParams, RandomStream, integer_at_least, sample_gaussian,
+from .mechanism import (PrivacyParams, RandomStream, integer_at_least, sample_gaussian,
                         sample_symmetric_gaussian)
 from .projections import ConvexSet, EntryClip, FrobeniusBall, PsdTrace, UnsupportedSetError
 from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, release_cosine_exact
@@ -149,14 +149,14 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
 
     if isinstance(set_, EntryClip):
         def one(j: int) -> float:
-            w = sample_gaussian(d, NoiseSpec(1.0), stream.shifted(j))
+            w = sample_gaussian(d, 1.0, stream.shifted(j))
             return set_.bound * float(np.abs(w).sum())
 
     elif isinstance(set_, FrobeniusBall):
         shape = (n,) if ambient == "vector" else (n, n)
 
         def one(j: int) -> float:
-            w = sample_gaussian(shape, NoiseSpec(1.0), stream.shifted(j))
+            w = sample_gaussian(shape, 1.0, stream.shifted(j))
             return set_.radius * float(np.linalg.norm(w))
 
     elif isinstance(set_, PsdTrace):
@@ -164,7 +164,7 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
             raise UnsupportedSetError("psd trace ball needs a matrix ambient")
 
         def one(j: int) -> float:
-            w = sample_symmetric_gaussian(n, NoiseSpec(1.0), stream.shifted(j))
+            w = sample_symmetric_gaussian(n, 1.0, stream.shifted(j))
             top = float(np.linalg.eigvalsh(w)[-1])
             return set_.trace_bound * max(top, 0.0)
 
@@ -194,10 +194,10 @@ def stability_experiment(set_: ConvexSet, anchor: np.ndarray, trials: int,
     base = set_.project(anchor)
     if anchor.ndim == 1:
         def draw(j: int) -> np.ndarray:
-            return sample_gaussian(anchor.shape[0], NoiseSpec(1.0), stream.shifted(j))
+            return sample_gaussian(anchor.shape[0], 1.0, stream.shifted(j))
     elif anchor.ndim == 2 and anchor.shape[0] == anchor.shape[1]:
         def draw(j: int) -> np.ndarray:
-            return sample_symmetric_gaussian(anchor.shape[0], NoiseSpec(1.0), stream.shifted(j))
+            return sample_symmetric_gaussian(anchor.shape[0], 1.0, stream.shifted(j))
     else:
         raise ValueError(f"anchor must be a vector or square matrix, got shape {anchor.shape}")
 

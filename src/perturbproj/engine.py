@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mechanism import NoiseSpec, PrivacyParams, RandomStream, calibrate_sigma, integer_at_least
+from .mechanism import PrivacyParams, RandomStream, calibrate_sigma, integer_at_least
 from .mechanism import sample_symmetric_gaussian
 from .projections import ConvexSet
 
@@ -38,7 +38,7 @@ def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream
     if not np.allclose(a, a.T, atol=1e-8, rtol=0.0):
         raise ValueError("input matrix must be symmetric")
     sigma = calibrate_sigma(params)
-    w = sample_symmetric_gaussian(a.shape[0], NoiseSpec(sigma), stream)
+    w = sample_symmetric_gaussian(a.shape[0], sigma, stream)
     return (a + a.T) / 2.0 + w, sigma
 
 

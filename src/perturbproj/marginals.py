@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .engine import perturb_and_project
-from .mechanism import (NoiseSpec, PrivacyParams, RandomStream, audit_record, calibrate_sigma,
+from .mechanism import (PrivacyParams, RandomStream, audit_record, calibrate_sigma,
                         integer_at_least, json_text, sample_gaussian)
 from .projections import PsdTrace
 
@@ -146,6 +146,10 @@ class BinaryDataset:
             counts = np.asarray(self.counts)
             if counts.shape != (len(records),):
                 raise ValueError("counts must have one entry per record row")
+            if counts.dtype == object:  # Python ints past 64 bits: a finite count past 2^53,
+                # which the total rule refuses at any size, becomes 2^54, so each converts exactly
+                counts = np.array([2 * MAX_COUNT_TOTAL if MAX_COUNT_TOTAL < c < math.inf else c
+                                   for c in counts.tolist()], dtype=float)
             bad_count = _first(~(np.isfinite(counts) & (counts == np.floor(counts))
                                  & (counts >= 1)))
             checks += [
@@ -422,7 +426,7 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
                                    2.0 * data.max_ones ** (k / 2.0))
     sigma = calibrate_sigma(release_params)
     noisy = parity_tensor(data, k)
-    noisy += sample_gaussian((n,) * k, NoiseSpec(sigma), stream)
+    noisy += sample_gaussian((n,) * k, sigma, stream)
     return MarginalRelease(
         tensor=noisy,
         params=release_params,
@@ -697,6 +701,9 @@ def load_tensor(path) -> tuple:
     """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
+    for key in ("scale", "order", "side"):
+        if key not in meta:
+            raise ValueError(f"sidecar has no {key!r}")
     if meta["scale"] != 1:
         raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
     order = integer_at_least("order", meta["order"], 1)

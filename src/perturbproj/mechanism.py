@@ -5,7 +5,7 @@ always reproduces the same draw, bit for bit, on every platform and thread
 count. Anything that needs two independent draws must use two streams.
 Every release's sidecar starts from audit_record and is written by json_text.
 Every integer parameter of the package is checked by integer_at_least, and
-every scale (epsilon, sensitivity, a set's bound) by finite_positive.
+every scale (epsilon, sensitivity, sigma, a set's bound) by finite_positive.
 """
 
 from __future__ import annotations
@@ -71,17 +71,6 @@ class RandomStream:
         return RandomStream(self.seed, self.stream_index + offset)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Per-coordinate standard deviation of the noise to inject."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
-
-
 def audit_record(params: PrivacyParams, sigma: float, stream: RandomStream, method: str) -> dict:
     """The privacy record of one release: its budget, sensitivity, noise scale, seed and method."""
     return {"epsilon": params.epsilon, "delta": params.delta, "sensitivity": params.sensitivity,
@@ -103,24 +92,18 @@ def calibrate_sigma(params: PrivacyParams) -> float:
     return params.sensitivity * math.sqrt(2.0 * math.log(2.0 / params.delta)) / params.epsilon
 
 
-def _scaled_draw(shape, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
-    """sigma times iid standard normals; refuses a draw that overflowed to inf."""
+def sample_gaussian(shape, sigma: float, stream: RandomStream) -> np.ndarray:
+    """iid N(0, sigma^2) array of the given shape; refuses a draw that overflowed to inf."""
+    finite_positive("sigma", sigma)
     draw = stream.generator().standard_normal(shape)
     with np.errstate(over="ignore"):  # reported below as an error instead
-        draw *= spec.sigma
+        draw *= sigma
     if not np.all(np.isfinite(draw)):
-        raise ValueError(f"noise of scale sigma={spec.sigma:g} overflows float64")
+        raise ValueError(f"noise of scale sigma={sigma:g} overflows float64")
     return draw
 
 
-def sample_gaussian(shape, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
-    """iid N(0, sigma^2) array of the given shape; exact zeros when sigma == 0."""
-    if spec.sigma == 0:
-        return np.zeros(shape)
-    return _scaled_draw(shape, spec, stream)
-
-
-def sample_symmetric_gaussian(n: int, spec: NoiseSpec, stream: RandomStream) -> np.ndarray:
+def sample_symmetric_gaussian(n: int, sigma: float, stream: RandomStream) -> np.ndarray:
     """Symmetric n x n noise: iid N(0, sigma^2) on i <= j, mirrored below.
 
     Every independent coordinate (diagonal included) has standard deviation
@@ -129,9 +112,8 @@ def sample_symmetric_gaussian(n: int, spec: NoiseSpec, stream: RandomStream) -> 
     triangle row by row.
     """
     n = integer_at_least("matrix side", n, 1)
+    upper = sample_gaussian(n * (n + 1) // 2, sigma, stream)
     w = np.zeros((n, n))
-    if spec.sigma == 0:
-        return w
-    w[np.triu(np.ones((n, n), dtype=bool))] = _scaled_draw(n * (n + 1) // 2, spec, stream)
+    w[np.triu(np.ones((n, n), dtype=bool))] = upper
     w += np.triu(w, 1).T
     return w

@@ -135,6 +135,18 @@ def test_infinite_epsilon_exits_2_before_writing(tmp_path, vectors_csv, dataset_
 
 
 @pytest.mark.parametrize("mode", ["exact", "practical"])
+def test_sigma_that_underflows_to_0_exits_2_before_writing(tmp_path, capsys, vectors_csv, mode):
+    # sigma = 1e-300 * sqrt(2 ln(2e6)) / 1e300 is 0.0 in float64: a release with no noise
+    out = tmp_path / "x.csv"
+    code = cli.main(["similarity", "--input", str(vectors_csv), "--mode", mode,
+                     "--epsilon", "1e300", "--sensitivity", "1e-300", "--delta", "1e-6",
+                     "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "error: sigma must be finite and positive, got 0.0" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "practical"])
 def test_cosine_size_guard_exits_2_before_the_gram_matrix(tmp_path, capsys, mode):
     # 12 000 vectors: one n x n float64 matrix alone is 1.1 GB
     g = np.random.default_rng(2).standard_normal((12_000, 2))

@@ -10,7 +10,7 @@ from perturbproj.engine import (
     perturb_and_project,
     perturb_symmetric,
 )
-from perturbproj.mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_symmetric_gaussian
+from perturbproj.mechanism import PrivacyParams, RandomStream, sample_symmetric_gaussian
 from perturbproj.projections import (
     TOL_PROJ,
     DiagClip,
@@ -39,7 +39,7 @@ def test_iterations_validation():
 def test_perturb_symmetric_returns_a_plus_w():
     a = _sym(np.random.default_rng(8), 4)
     noisy, sigma = perturb_symmetric(a, NORMAL, RandomStream(8))
-    w = sample_symmetric_gaussian(4, NoiseSpec(sigma), RandomStream(8))
+    w = sample_symmetric_gaussian(4, sigma, RandomStream(8))
     assert np.array_equal(noisy, a + w)
 
 
@@ -72,9 +72,9 @@ def test_perturb_and_project_deterministic():
 def test_single_noise_draw_per_release(monkeypatch):
     calls = []
 
-    def tracked(n, spec, stream):
+    def tracked(n, sigma, stream):
         calls.append(n)
-        return sample_symmetric_gaussian(n, spec, stream)
+        return sample_symmetric_gaussian(n, sigma, stream)
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     a = np.diag([1.0, -1.0, 0.0])
@@ -228,5 +228,5 @@ def test_perturb_symmetric_accepts_within_tolerance_and_symmetrizes():
                 perturb_symmetric(a, NORMAL, RandomStream(3))
             continue
         noisy, sigma = perturb_symmetric(a, NORMAL, RandomStream(3))
-        w = sample_symmetric_gaussian(4, NoiseSpec(sigma), RandomStream(3))
+        w = sample_symmetric_gaussian(4, sigma, RandomStream(3))
         assert noisy.tobytes() == ((a + a.T) / 2.0 + w).tobytes(), name

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,6 @@ from perturbproj.marginals import (
     sparse_injective_norm_oracle,
 )
 from perturbproj.mechanism import (
-    NoiseSpec,
     PrivacyParams,
     RandomStream,
     calibrate_sigma,
@@ -333,11 +333,11 @@ def test_baselines_equal_parity_plus_noise_byte_for_byte():
         stream = RandomStream(16, k)
         parity = parity_tensor(data, k)
         rel = release_threshold_baseline(sparse, k, NORMAL, stream)
-        noise = sample_gaussian(n**k, NoiseSpec(rel.sigma), stream)
+        noise = sample_gaussian(n**k, rel.sigma, stream)
         old = _threshold_keep(parity.ravel() + noise, data.size * t**k)
         assert rel.tensor.tobytes() == old.tobytes()
         rel = release_gaussian_only(data, k, NORMAL, stream)
-        old = parity + sample_gaussian((n,) * k, NoiseSpec(rel.sigma), stream)
+        old = parity + sample_gaussian((n,) * k, rel.sigma, stream)
         assert rel.tensor.tobytes() == old.tobytes()
 
 
@@ -656,6 +656,18 @@ def test_load_tensor_refuses_an_order_or_side_that_is_not_an_integer(tmp_path):
         load_tensor(path)
 
 
+@pytest.mark.parametrize("key", ["order", "side", "scale"])
+def test_load_tensor_names_a_key_the_sidecar_lacks(tmp_path, key):
+    data = BinaryDataset(np.eye(4))
+    path = tmp_path / "release.bin"
+    sidecar = save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
+    meta = json.loads(sidecar.read_text())
+    del meta[key]
+    sidecar.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"^sidecar has no '{key}'$"):
+        load_tensor(path)
+
+
 def test_load_tensor_refuses_a_file_truncated_by_one_entry(tmp_path):
     data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
     path = tmp_path / "release.bin"
@@ -860,3 +872,13 @@ def test_counts_may_total_at_most_2_pow_53(tmp_path):
         BinaryDataset(np.eye(2), counts=np.array([2**52 + 1, 2**52 + 1]))
     with pytest.raises(ValueError, match="^record 1: counts add up to more than 2\\^53"):
         BinaryDataset(np.eye(2), counts=np.array([1e19, 1.0]))
+    stored = BinaryDataset(np.eye(2), counts=np.array([2**53 - 3, 2], dtype=np.int64)).counts
+    assert stored.dtype == np.int64 and stored.tolist() == [2**53 - 3, 2]
+
+
+@pytest.mark.parametrize("counts,record", [([2**64, 1], 1), ([1, 2**64], 2),
+                                           ([2**53 + 1, 2**64], 1)])
+def test_counts_past_64_bits_are_refused_by_the_total_rule(counts, record):
+    # numpy holds such a list as Python objects; 2^53 + 1 must not round to 2^53 on the way
+    with pytest.raises(RecordError, match=f"^record {record}: {re.escape(TOTAL)}$"):
+        BinaryDataset(np.ones((2, 3)), counts=counts)

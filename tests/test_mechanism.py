@@ -7,7 +7,6 @@ import pytest
 
 import perturbproj
 from perturbproj.mechanism import (
-    NoiseSpec,
     PrivacyParams,
     RandomStream,
     calibrate_sigma,
@@ -94,10 +93,10 @@ def test_random_stream_stores_numpy_integers_as_int():
 
 
 def test_random_stream_reproducible():
-    a = sample_gaussian(64, NoiseSpec(1.0), RandomStream(7, 3))
-    b = sample_gaussian(64, NoiseSpec(1.0), RandomStream(7, 3))
+    a = sample_gaussian(64, 1.0, RandomStream(7, 3))
+    b = sample_gaussian(64, 1.0, RandomStream(7, 3))
     assert np.array_equal(a, b)
-    c = sample_gaussian(64, NoiseSpec(1.0), RandomStream(7, 4))
+    c = sample_gaussian(64, 1.0, RandomStream(7, 4))
     assert not np.array_equal(a, c)
 
 
@@ -115,40 +114,42 @@ def test_random_stream_shifted():
         RandomStream(1, -1)
 
 
-def test_sample_gaussian_zero_sigma():
-    out = sample_gaussian(4, NoiseSpec(0.0), RandomStream(0))
-    assert np.array_equal(out, np.zeros(4))
-    with pytest.raises(ValueError):
-        NoiseSpec(-0.5)
+@pytest.mark.parametrize("sigma", [0.0, -0.5, math.inf, math.nan])
+def test_samplers_refuse_a_sigma_that_is_not_finite_and_positive(sigma):
+    # sigma = 0 would release the statistic itself, with no noise at all
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        sample_gaussian(4, sigma, RandomStream(0))
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        sample_symmetric_gaussian(2, sigma, RandomStream(0))
+
+
+def test_symmetric_gaussian_names_a_bad_side_before_a_bad_sigma():
+    with pytest.raises(ValueError, match="matrix side must be an integer >= 1"):
+        sample_symmetric_gaussian(0, 0.0, RandomStream(0))
 
 
 def test_noise_must_be_finite():
-    for sigma in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            NoiseSpec(sigma)
     # a finite sigma whose scaled draws overflow float64
     with pytest.raises(ValueError, match="overflows"):
-        sample_gaussian(100, NoiseSpec(1e308), RandomStream(0))
+        sample_gaussian(100, 1e308, RandomStream(0))
     with pytest.raises(ValueError, match="overflows"):
-        sample_symmetric_gaussian(20, NoiseSpec(1e308), RandomStream(0))
+        sample_symmetric_gaussian(20, 1e308, RandomStream(0))
 
 
 def test_sample_gaussian_moments():
-    out = sample_gaussian(10**5, NoiseSpec(2.0), RandomStream(7))
+    out = sample_gaussian(10**5, 2.0, RandomStream(7))
     assert abs(float(out.mean())) < 0.05
     assert abs(float(out.std()) - 2.0) < 0.05
 
 
 def test_sample_gaussian_shape_tuple():
-    out = sample_gaussian((3, 4, 2), NoiseSpec(1.0), RandomStream(5))
+    out = sample_gaussian((3, 4, 2), 1.0, RandomStream(5))
     assert out.shape == (3, 4, 2)
 
 
 def test_symmetric_gaussian_exact_symmetry():
-    w = sample_symmetric_gaussian(15, NoiseSpec(1.0), RandomStream(2))
+    w = sample_symmetric_gaussian(15, 1.0, RandomStream(2))
     assert np.array_equal(w, w.T)
-    z = sample_symmetric_gaussian(2, NoiseSpec(0.0), RandomStream(0))
-    assert np.array_equal(z, np.zeros((2, 2)))
 
 
 def test_symmetric_gaussian_spectral_norm_scale():
@@ -156,7 +157,7 @@ def test_symmetric_gaussian_spectral_norm_scale():
     n = 200
     norms = [
         float(np.linalg.norm(
-            sample_symmetric_gaussian(n, NoiseSpec(1.0), RandomStream(3, i)), ord=2))
+            sample_symmetric_gaussian(n, 1.0, RandomStream(3, i)), ord=2))
         for i in range(20)
     ]
     mean = float(np.mean(norms))
@@ -166,7 +167,7 @@ def test_symmetric_gaussian_spectral_norm_scale():
 
 def test_symmetric_gaussian_entry_variance():
     n = 60
-    w = sample_symmetric_gaussian(n, NoiseSpec(1.5), RandomStream(9))
+    w = sample_symmetric_gaussian(n, 1.5, RandomStream(9))
     upper = w[np.triu_indices(n)]
     assert abs(float(upper.std()) - 1.5) < 0.1
 
@@ -178,5 +179,5 @@ def test_symmetric_gaussian_matches_triu_indices_construction():
         ref = np.zeros((n, n))
         ref[rows, cols] = stream.generator().standard_normal(rows.size) * 1.7
         ref[cols, rows] = ref[rows, cols]
-        w = sample_symmetric_gaussian(n, NoiseSpec(1.7), stream)
+        w = sample_symmetric_gaussian(n, 1.7, stream)
         assert w.tobytes() == ref.tobytes()

@@ -4,7 +4,6 @@ import pytest
 from perturbproj import projections
 from perturbproj.engine import dykstra_reference
 from perturbproj.mechanism import (
-    NoiseSpec,
     PrivacyParams,
     RandomStream,
     calibrate_sigma,
@@ -211,7 +210,7 @@ def _noisy_gram(n, epsilon, seed):
     g = np.random.default_rng(seed).standard_normal((n, 3))
     v = g / np.linalg.norm(g, axis=1, keepdims=True)
     sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6, 1.0))
-    return v @ v.T + sample_symmetric_gaussian(n, NoiseSpec(sigma), RandomStream(seed + 100))
+    return v @ v.T + sample_symmetric_gaussian(n, sigma, RandomStream(seed + 100))
 
 
 # Dykstra from the noisy matrix is the reference; at n=32 and small epsilon it

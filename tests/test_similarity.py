@@ -11,7 +11,7 @@ from perturbproj.engine import (
     perturb_and_project,
 )
 from perturbproj.marginals import RecordError
-from perturbproj.mechanism import NoiseSpec, PrivacyParams, RandomStream, sample_symmetric_gaussian
+from perturbproj.mechanism import PrivacyParams, RandomStream, sample_symmetric_gaussian
 from perturbproj.projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, PsdTrace
 from perturbproj.similarity import (
     MODE_EXACT,
@@ -171,8 +171,8 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
 
     draws = []
 
-    def tracked(n, spec, stream):
-        w = sample_symmetric_gaussian(n, spec, stream)
+    def tracked(n, sigma, stream):
+        w = sample_symmetric_gaussian(n, sigma, stream)
         draws.append(w)
         return w
 
@@ -216,9 +216,9 @@ def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
 
     draws = []
 
-    def tracked(side, spec, stream):
+    def tracked(side, sigma, stream):
         draws.append(side)
-        return sample_symmetric_gaussian(side, spec, stream)
+        return sample_symmetric_gaussian(side, sigma, stream)
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     params = PrivacyParams(eps, 1e-6, 1.0)
@@ -245,9 +245,9 @@ def test_release_single_noise_draw(monkeypatch):
 
     calls = []
 
-    def tracked(n, spec, stream):
+    def tracked(n, sigma, stream):
         calls.append(n)
-        return sample_symmetric_gaussian(n, spec, stream)
+        return sample_symmetric_gaussian(n, sigma, stream)
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     rng = np.random.default_rng(8)
@@ -296,7 +296,7 @@ def test_holder_chain_sanity():
     for n in (64, 128):
         spectral, trace_sup = [], []
         for i in range(20):
-            w = sample_symmetric_gaussian(n, NoiseSpec(1.0), RandomStream(50_000 + i))
+            w = sample_symmetric_gaussian(n, 1.0, RandomStream(50_000 + i))
             eigs = np.linalg.eigvalsh(w)
             spectral.append(max(abs(eigs[0]), abs(eigs[-1])))
             trace_sup.append(n * max(eigs[-1], 0.0))
