@@ -75,9 +75,6 @@ class StabilityResult:
     std_error: float
     trials: int
 
-    def __float__(self):
-        return self.estimate
-
 
 @dataclass
 class ScalingReport:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 parse or validation failure, 3 numerical failure.
 All randomness flows from --seed, artifacts are byte-identical across reruns
-(wall-clock time goes to stderr, never into files), and every sidecar starts
-from the release's mechanism.audit_record.
+(wall-clock time goes to stderr, never into files), and every sidecar is
+the record its release carries.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .marginals import (
     release_threshold_baseline,
     save_release,
 )
-from .mechanism import PrivacyParams, RandomStream, audit_record, integer_at_least, json_text
+from .mechanism import PrivacyParams, RandomStream, integer_at_least, json_text
 from .projections import EigenFailure, EntryClip, FrobeniusBall, PsdTrace
 from .similarity import (
     read_vectors_csv,
@@ -92,15 +92,7 @@ def run_similarity(args) -> int:
     stream = RandomStream(args.seed)
     vectors = read_vectors_csv(args.input, header=args.header)
     release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
-    release = release_cosine(vectors, params, stream)
-    out = Path(args.out)
-    meta = audit_record(params, release.sigma, stream, release.mode)
-    meta.update(solver=release.solver, residuals=list(release.residuals))
-    if release.kkt_residual is not None:  # the exact mode's dual Newton solver ran
-        meta.update(iterations=release.iterations, kkt_residual=release.kkt_residual)
-    sidecar = json_text(meta)  # raises on a non-finite value before anything is written
-    write_release_csv(release, out)
-    out.with_suffix(".json").write_text(sidecar)
+    write_release_csv(release_cosine(vectors, params, stream), args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .engine import perturb_and_project
 from .mechanism import (PrivacyParams, RandomStream, audit_record, calibrate_sigma,
-                        integer_at_least, json_text, sample_gaussian)
+                        integer_at_least, sample_gaussian, write_with_sidecar)
 from .projections import PsdTrace
 
 MAX_RELEASE_BYTES = 2**31
@@ -212,13 +212,11 @@ class ParityQuery:
 
 @dataclass
 class MarginalRelease:
-    """Released tensor, a float64 (n,)*k array in raw-count units, plus the audit record."""
+    """Released tensor, a float64 (n,)*k array in raw-count units, plus its sidecar
+    record: the audit_record and the stream_index of its noise."""
 
     tensor: np.ndarray
-    params: PrivacyParams
-    method: str
-    sigma: float
-    stream: RandomStream
+    record: dict
 
 
 def _cube(values: np.ndarray) -> tuple:
@@ -377,13 +375,9 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
     release_params = PrivacyParams(params.epsilon, params.delta, 2.0 / m)
     point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side) / back,
                                        PsdTrace(1.0), release_params, stream)
-    return MarginalRelease(
-        tensor=(point * back).reshape((n,) * k),
-        params=release_params,
-        method=METHOD_EVEN,
-        sigma=sigma,
-        stream=stream,
-    )
+    return MarginalRelease((point * back).reshape((n,) * k),
+                           dict(audit_record(release_params, sigma, stream, METHOD_EVEN),
+                                stream_index=stream.stream_index))
 
 
 def _threshold_keep(flat: np.ndarray, keep: int) -> np.ndarray:
@@ -427,13 +421,9 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     sigma = calibrate_sigma(release_params)
     noisy = parity_tensor(data, k)
     noisy += sample_gaussian((n,) * k, sigma, stream)
-    return MarginalRelease(
-        tensor=noisy,
-        params=release_params,
-        method=METHOD_GAUSSIAN,
-        sigma=sigma,
-        stream=stream,
-    )
+    return MarginalRelease(noisy, dict(audit_record(release_params, sigma, stream,
+                                                    METHOD_GAUSSIAN),
+                                       stream_index=stream.stream_index))
 
 
 def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParams,
@@ -448,7 +438,8 @@ def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParam
         raise ValueError("the threshold baseline needs a dataset with a declared sparsity")
     release = release_gaussian_only(data, k, params, stream)
     kept = _threshold_keep(release.tensor.ravel(), data.size * data.max_ones**k)
-    return replace(release, method=METHOD_THRESHOLD, tensor=kept.reshape(release.tensor.shape))
+    return MarginalRelease(kept.reshape(release.tensor.shape),
+                           dict(release.record, method=METHOD_THRESHOLD))
 
 
 @dataclass(frozen=True)
@@ -675,22 +666,15 @@ def save_release(release: MarginalRelease, path) -> Path:
     """Write the (n,)*k tensor as flat C-order little-endian float64, plus its JSON sidecar.
 
     Returns the sidecar path, path with its suffix replaced by .json, so a
-    path that already ends in .json is refused, as is a tensor that is not
-    cubical. The sidecar is the release's audit_record plus the wire format
-    (order k and side n, read from the tensor's shape, and scale, which is
-    always 1) and the stream_index of its noise.
+    path that already ends in .json is refused (write_with_sidecar), as is a
+    tensor that is not cubical. The sidecar is the release's record plus the
+    wire format: order k and side n, read from the tensor's shape, and scale,
+    which is always 1.
     """
-    path = Path(path)
-    sidecar = path.with_suffix(".json")
-    if sidecar == path:
-        raise ValueError(f"release path {path} would be overwritten by its .json sidecar")
     order, side = _cube(release.tensor)
-    meta = audit_record(release.params, release.sigma, release.stream, release.method)
-    meta.update(order=order, side=side, scale=1.0, stream_index=release.stream.stream_index)
-    text = json_text(meta)  # raises on a non-finite value before anything is written
-    path.write_bytes(np.ascontiguousarray(release.tensor.ravel(), dtype="<f8"))
-    sidecar.write_text(text)
-    return sidecar
+    record = dict(release.record, order=order, side=side, scale=1.0)
+    return write_with_sidecar(path, record, lambda out: out.write_bytes(
+        np.ascontiguousarray(release.tensor.ravel(), dtype="<f8")))
 
 
 def load_tensor(path) -> tuple:

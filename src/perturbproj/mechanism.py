@@ -3,7 +3,8 @@
 Sampling is a pure function of its arguments: the same (seed, stream_index)
 always reproduces the same draw, bit for bit, on every platform and thread
 count. Anything that needs two independent draws must use two streams.
-Every release's sidecar starts from audit_record and is written by json_text.
+Every release's sidecar record starts from audit_record, and every release
+file and its sidecar are written by write_with_sidecar.
 Every integer parameter of the package is checked by integer_at_least, and
 every scale (epsilon, sensitivity, sigma, a set's bound) by finite_positive.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -80,6 +82,22 @@ def audit_record(params: PrivacyParams, sigma: float, stream: RandomStream, meth
 def json_text(record: dict) -> str:
     """Strict JSON (RFC 8259), keys sorted, ending in a newline; a non-finite value raises."""
     return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def write_with_sidecar(path, record: dict, write) -> Path:
+    """Call write(path), then write record as JSON to path's .json sidecar; return the sidecar.
+
+    A path that is its own sidecar (it ends in .json) is refused, and the
+    record is serialized first, so a refused or non-finite record writes nothing.
+    """
+    path = Path(path)
+    sidecar = path.with_suffix(".json")
+    if sidecar == path:
+        raise ValueError(f"release path {path} would be overwritten by its .json sidecar")
+    text = json_text(record)
+    write(path)
+    sidecar.write_text(text)
+    return sidecar
 
 
 def calibrate_sigma(params: PrivacyParams) -> float:

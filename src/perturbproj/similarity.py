@@ -14,7 +14,7 @@ when their peak would pass MAX_RELEASE_BYTES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +22,7 @@ import numpy as np
 # perfbench/tracing.py rebinds both by these names.
 from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
 from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
-from .mechanism import PrivacyParams, RandomStream
+from .mechanism import PrivacyParams, RandomStream, audit_record, write_with_sidecar
 from .projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, solve_psd_diag_box
 
 ROW_NORM_TOL = 1e-6
@@ -74,21 +74,15 @@ class UnitVectorSet:
 
 @dataclass
 class SimilarityRelease:
-    """Released similarity matrix plus the run metadata a sidecar records.
+    """Released similarity matrix plus its sidecar record.
 
-    iterations and kkt_residual are the dual Newton solver's iteration count
-    and final KKT residual; both are None in practical mode, which takes one
-    closed-form step.
+    The record is the release's audit_record plus its solver and residuals;
+    the exact mode adds the dual Newton solver's iteration count and final
+    KKT residual, which the practical mode, one closed-form step, has not.
     """
 
     matrix: np.ndarray
-    params: PrivacyParams
-    mode: str
-    sigma: float
-    residuals: tuple
-    solver: str
-    iterations: Optional[int] = None
-    kkt_residual: Optional[float] = None
+    record: dict
 
 
 def read_vectors_csv(path, header: bool = False) -> UnitVectorSet:
@@ -138,16 +132,11 @@ def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams,
     noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
     solved = solve_psd_diag_box(noisy)
     point = solved.point
-    return SimilarityRelease(
-        matrix=point,
-        params=params,
-        mode=MODE_EXACT,
-        sigma=sigma,
-        residuals=(PsdCone().residual(point), DiagClip(0.0, 1.0).residual(point)),
-        solver=SOLVER_EXACT,
-        iterations=solved.iterations,
-        kkt_residual=solved.kkt_residual,
-    )
+    record = audit_record(params, sigma, stream, MODE_EXACT)
+    record.update(solver=SOLVER_EXACT,
+                  residuals=[PsdCone().residual(point), DiagClip(0.0, 1.0).residual(point)],
+                  iterations=solved.iterations, kkt_residual=solved.kkt_residual)
+    return SimilarityRelease(point, record)
 
 
 def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
@@ -166,32 +155,35 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
     ball, box = FrobeniusBall(float(vectors.count)), EntryClip(1.0)
     noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
     point = box.project(ball.project(noisy))
-    return SimilarityRelease(
-        matrix=point,
-        params=params,
-        mode=MODE_PRACTICAL,
-        sigma=sigma,
-        residuals=(ball.residual(point), box.residual(point)),
-        solver=SOLVER_PRACTICAL,
-    )
+    record = audit_record(params, sigma, stream, MODE_PRACTICAL)
+    record.update(solver=SOLVER_PRACTICAL,
+                  residuals=[ball.residual(point), box.residual(point)])
+    return SimilarityRelease(point, record)
 
 
-def write_release_csv(release: SimilarityRelease, path) -> None:
-    """Write the matrix as CSV, the same bytes as np.savetxt(fmt="%.17g").
+def write_release_csv(release: SimilarityRelease, path) -> Path:
+    """Write the matrix as CSV, the same bytes as np.savetxt(fmt="%.17g"), then its record.
 
-    One row at a time. Both releases are exactly symmetric, so row i formats
-    only its entries from column i on and takes the ones before from the rows
-    above, each string dropped once written a second time: at most about n^2/4
-    are held at once. Symmetry is tested bit for bit (-0.0 and 0.0 print
+    The record goes to the .json sidecar through write_with_sidecar, which
+    refuses a path ending in .json before writing anything; returns the
+    sidecar path. The matrix is read when the CSV is written, one row at a
+    time. Both releases are exactly symmetric, so row i formats only its
+    entries from column i on and takes the ones before from the rows above,
+    each string dropped once written a second time: at most about n^2/4 are
+    held at once. Symmetry is tested bit for bit (-0.0 and 0.0 print
     differently); any other matrix has every cell formatted.
     """
-    m = np.asarray(release.matrix, dtype=float)
-    bits = m.view(np.int64)
-    symmetric = np.array_equal(bits, bits.T)
-    pending = []  # when symmetric, pending[j] holds row j's unwritten strings, the next one last
-    with open(path, "w") as fh:
-        for i, row in enumerate(m):
-            own = ["%.17g" % v for v in row[i if symmetric else 0:].tolist()]
-            fh.write(",".join([strings.pop() for strings in pending] + own) + "\n")
-            if symmetric:
-                pending.append(own[:0:-1])
+
+    def write_rows(path):
+        m = np.asarray(release.matrix, dtype=float)
+        bits = m.view(np.int64)
+        symmetric = np.array_equal(bits, bits.T)
+        pending = []  # symmetric: pending[j] is row j's unwritten strings, the next one last
+        with open(path, "w") as fh:
+            for i, row in enumerate(m):
+                own = ["%.17g" % v for v in row[i if symmetric else 0:].tolist()]
+                fh.write(",".join([strings.pop() for strings in pending] + own) + "\n")
+                if symmetric:
+                    pending.append(own[:0:-1])
+
+    return write_with_sidecar(path, release.record, write_rows)

@@ -78,6 +78,12 @@ def test_complexity_and_stability_refuse_counts_that_are_not_integers():
         stability_experiment(EntryClip(1.0), np.zeros(2), 3.0, RandomStream(0))
 
 
+def test_stability_refuses_an_anchor_that_is_not_a_vector_or_square_matrix():
+    with pytest.raises(ValueError,
+                       match=r"^anchor must be a vector or square matrix, got shape \(2, 3\)$"):
+        stability_experiment(EntryClip(1.0), np.zeros((2, 3)), 3, RandomStream(0))
+
+
 def test_complexity_estimate_validation():
     with pytest.raises(ValueError):
         ComplexityEstimate("box", 1.0, 0.1, 1, 4, "vector")
@@ -164,6 +170,8 @@ def test_cosine_scaling_validation():
         scaling_experiment_cosine([4], NORMAL, 1, RandomStream(0))
     with pytest.raises(ValueError, match=r"^each size must be an integer >= 1, got 4\.7$"):
         scaling_experiment_cosine([4.7, 8], NORMAL, 3, RandomStream(0))
+    with pytest.raises(ValueError, match="^need at least one size$"):
+        scaling_experiment_cosine([], NORMAL, 3, RandomStream(0))
 
 
 def test_marginal_scaling_even_dominates_gaussian():

@@ -215,13 +215,34 @@ def test_both_release_families_publish_the_same_audit_record(tmp_path, vectors_c
     expected = [
         (sim_out, audit_record(sim_params, calibrate_sigma(sim_params), RandomStream(7),
                                "EXACT_SET")),
-        (mar_out, audit_record(marginal.params, marginal.sigma, RandomStream(7),
-                               marginal.method)),
+        (mar_out, marginal.record),
     ]
     for out, record in expected:
         meta = json.loads(out.with_suffix(".json").read_text())
         assert {key: meta[key] for key in record} == record
     assert expected[0][1]["sigma"] != expected[1][1]["sigma"]
+
+
+SIMILARITY_KEYS = {"delta", "epsilon", "method", "residuals", "seed", "sensitivity", "sigma",
+                   "solver"}
+MARGINAL_KEYS = {"delta", "epsilon", "method", "order", "scale", "seed", "sensitivity", "side",
+                 "sigma", "stream_index"}
+
+
+@pytest.mark.parametrize("command,flags,keys", [
+    ("similarity", ["--mode", "exact"], SIMILARITY_KEYS | {"iterations", "kkt_residual"}),
+    ("similarity", ["--mode", "practical"], SIMILARITY_KEYS),
+    ("marginals", ["--mode", "threshold", "--sparsity", "4"], MARGINAL_KEYS),
+    ("marginals", ["--mode", "gaussian"], MARGINAL_KEYS),
+    ("marginals", ["--mode", "even-flatten"], MARGINAL_KEYS),
+])
+def test_every_release_sidecar_has_exactly_its_keys(tmp_path, vectors_csv, dataset_csv, command,
+                                                    flags, keys):
+    data = vectors_csv if command == "similarity" else dataset_csv
+    out = tmp_path / "release.out"
+    assert cli.main([command, "--input", str(data), "--epsilon", "1", "--delta", "1e-6",
+                     *flags, "--out", str(out)]) == 0
+    assert set(json.loads(out.with_suffix(".json").read_text())) == keys
 
 
 def test_similarity_missing_input_is_validation_error(tmp_path):
@@ -254,7 +275,7 @@ def test_similarity_non_finite_sidecar_value_exits_2_before_writing(tmp_path, ve
 
     def non_finite_sigma(*args, **kwargs):
         release = real(*args, **kwargs)
-        release.sigma = float("inf")
+        release.record["sigma"] = float("inf")
         return release
 
     monkeypatch.setattr(cli, "release_cosine_exact", non_finite_sigma)
@@ -607,6 +628,18 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, vectors_csv, dataset_csv, c
     assert seen["fresh"][0] == [0, 0, 0, 2, 0]
     assert len(seen["fresh"][1]) == 5 and "--count-column" in seen["fresh"][2]
     assert seen["reused"] == seen["fresh"]
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("4,x", "--sizes must be comma-separated integers, got '4,x'"),
+    (",", "--sizes must name at least one size"),
+])
+def test_bench_refuses_sizes_that_name_no_integer_list(tmp_path, capsys, sizes, message):
+    out = tmp_path / "cs.json"
+    assert cli.main(["bench", "cosine-scaling", "--sizes", sizes, "--trials", "3",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bench_marginal_scaling_refuses_sparsity_above_the_smallest_size(tmp_path, capsys):

@@ -150,6 +150,8 @@ def test_dykstra_single_set_is_closed_form():
     a = np.diag([2.0, -3.0])
     assert np.allclose(dykstra_reference(a, (EntryClip(1.0),)),
                        EntryClip(1.0).project(a), atol=1e-10)
+    with pytest.raises(ValueError, match="^need at least one set$"):
+        dykstra_reference(np.eye(2), [])
 
 
 def test_dykstra_variational_certificate():

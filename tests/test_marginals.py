@@ -203,6 +203,8 @@ def test_answer_parity_query():
         answer_parity_query(t, (1, 2, 2))
     plain = np.array([[2.0, 1.0], [1.0, 1.0]])
     assert answer_parity_query(plain, (1,)) == 2.0 and answer_parity_query(plain, (1, 2)) == 1.0
+    with pytest.raises(ValueError, match="^query has 3 indices, tensor order is 2$"):
+        answer_parity_query(np.zeros((3, 3)), (1, 2, 3))
     for shape in ((2, 3), (2, 2, 3), ()):
         with pytest.raises(ValueError, match="cubical"):
             answer_parity_query(np.zeros(shape), (1,))
@@ -281,14 +283,21 @@ def test_release_even_k_feasible_pre_rescale():
     eigs = np.linalg.eigvalsh((flattened + flattened.T) / 2)
     assert eigs.min() >= -1e-8
     assert eigs.sum() <= 1.0 + 1e-8
-    assert rel.params.sensitivity == pytest.approx(2.0 / m, rel=1e-12)
-    assert rel.sigma == pytest.approx(calibrate_sigma(rel.params), rel=1e-12)
+    assert rel.record["sensitivity"] == pytest.approx(2.0 / m, rel=1e-12)
+    assert rel.record["sigma"] == pytest.approx(
+        calibrate_sigma(PrivacyParams(*(rel.record[key] for key in
+                                        ("epsilon", "delta", "sensitivity")))), rel=1e-12)
 
 
 def test_release_even_k_rejects_odd_order():
     data = BinaryDataset(np.eye(3))
     with pytest.raises(ValueError, match="even"):
         release_even_k(data, 3, NORMAL, RandomStream(0))
+
+
+def test_release_even_k_refuses_a_dataset_without_records():
+    with pytest.raises(ValueError, match="^dataset must contain at least one record$"):
+        release_even_k(BinaryDataset(np.zeros((0, 4))), 2, NORMAL, RandomStream(0))
 
 
 def test_release_even_k_deterministic():
@@ -307,7 +316,7 @@ def test_threshold_baseline():
     data = BinaryDataset(rows, sparsity=1)
     rel = release_threshold_baseline(data, 2, NORMAL, RandomStream(11))
     assert np.count_nonzero(rel.tensor) <= data.size * 1
-    assert rel.sigma == pytest.approx(
+    assert rel.record["sigma"] == pytest.approx(
         2.0 * calibrate_sigma(PrivacyParams(1.0, 1e-6, 1.0)), rel=1e-12)
     # zero noise keeps exactly the true nonzeros
     exact = release_threshold_baseline(data, 2, HUGE_EPS, RandomStream(12))
@@ -333,11 +342,11 @@ def test_baselines_equal_parity_plus_noise_byte_for_byte():
         stream = RandomStream(16, k)
         parity = parity_tensor(data, k)
         rel = release_threshold_baseline(sparse, k, NORMAL, stream)
-        noise = sample_gaussian(n**k, rel.sigma, stream)
+        noise = sample_gaussian(n**k, rel.record["sigma"], stream)
         old = _threshold_keep(parity.ravel() + noise, data.size * t**k)
         assert rel.tensor.tobytes() == old.tobytes()
         rel = release_gaussian_only(data, k, NORMAL, stream)
-        old = parity + sample_gaussian((n,) * k, rel.sigma, stream)
+        old = parity + sample_gaussian((n,) * k, rel.record["sigma"], stream)
         assert rel.tensor.tobytes() == old.tobytes()
 
 
@@ -398,12 +407,12 @@ def test_gaussian_only_sensitivity():
     rng = np.random.default_rng(13)
     dense = _random_data(rng, 4, 10)
     rel = release_gaussian_only(dense, 2, NORMAL, RandomStream(14))
-    assert rel.params.sensitivity == pytest.approx(2.0 * 4.0, rel=1e-12)
+    assert rel.record["sensitivity"] == pytest.approx(2.0 * 4.0, rel=1e-12)
     rows = np.zeros((5, 6))
     rows[:, 0] = 1.0
     sparse = BinaryDataset(rows, sparsity=2)
     rel2 = release_gaussian_only(sparse, 2, NORMAL, RandomStream(15))
-    assert rel2.params.sensitivity == pytest.approx(2.0 * 2.0, rel=1e-12)
+    assert rel2.record["sensitivity"] == pytest.approx(2.0 * 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
@@ -415,8 +424,7 @@ def test_baselines_cap_declared_sparsity_at_n(release):
     for k in (1, 2, 3):
         at_n = release(BinaryDataset(rows, sparsity=n), k, NORMAL, RandomStream(k))
         over = release(BinaryDataset(rows, sparsity=n + 5), k, NORMAL, RandomStream(k))
-        assert over.sigma == at_n.sigma
-        assert over.params == at_n.params
+        assert over.record == at_n.record
         assert over.tensor.tobytes() == at_n.tensor.tobytes()
 
 
@@ -625,7 +633,7 @@ def test_save_release_refuses_a_path_its_sidecar_would_overwrite(tmp_path):
 def test_save_release_refuses_a_non_finite_sidecar_value_before_writing(tmp_path):
     data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
     release = release_gaussian_only(data, 2, NORMAL, RandomStream(3))
-    release.sigma = math.inf
+    release.record["sigma"] = math.inf
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_release(release, tmp_path / "release.bin")
     assert list(tmp_path.iterdir()) == []

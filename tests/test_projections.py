@@ -64,6 +64,8 @@ def test_project_simplex_examples():
     assert np.allclose(project_simplex(np.array([0.5, 0.3]), 1.0), [0.5, 0.3])
     assert np.allclose(project_simplex(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
     assert np.allclose(project_simplex(np.array([1.0, 1.0, -1.0]), 1.0), [0.5, 0.5, 0.0])
+    with pytest.raises(ValueError, match="^budget must be positive, got 0.0$"):
+        project_simplex(np.ones(3), 0.0)
 
 
 @pytest.mark.parametrize("v", [[1e16, 5e15, -1e16], [1e17, 3e16, 2e16], [1e16, 1e16]])

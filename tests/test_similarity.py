@@ -152,7 +152,7 @@ def test_release_exact_zero_noise_returns_gram():
     vs = UnitVectorSet(np.eye(4))
     rel = release_cosine_exact(vs, HUGE_EPS, RandomStream(1))
     assert np.allclose(rel.matrix, np.eye(4), atol=1e-6)
-    assert rel.mode == MODE_EXACT
+    assert rel.record["method"] == MODE_EXACT
 
 
 def test_release_exact_feasibility():
@@ -162,8 +162,8 @@ def test_release_exact_feasibility():
     eigs = np.linalg.eigvalsh((rel.matrix + rel.matrix.T) / 2)
     assert eigs.min() >= -1e-6
     assert rel.matrix.diagonal().max() <= 1.0 + 1e-6
-    assert max(rel.residuals) <= 1e-7
-    assert rel.sigma == pytest.approx(5.386772268905419, rel=1e-12)
+    assert max(rel.record["residuals"]) <= 1e-7
+    assert rel.record["sigma"] == pytest.approx(5.386772268905419, rel=1e-12)
 
 
 def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
@@ -185,8 +185,9 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
     ref = dykstra_reference(noisy, (PsdCone(), DiagClip(0.0, 1.0)))
     assert np.max(np.abs(rel.matrix - ref)) <= 1e-9 * max(1.0, float(np.max(np.abs(noisy))))
     assert rel.matrix.diagonal().max() <= 1.0
-    assert rel.solver == "dual-newton"
-    assert rel.iterations >= 1 and rel.kkt_residual <= 1e-12 * float(np.max(np.abs(noisy)))
+    assert rel.record["solver"] == "dual-newton"
+    assert rel.record["iterations"] >= 1
+    assert rel.record["kkt_residual"] <= 1e-12 * float(np.max(np.abs(noisy)))
 
 
 def test_release_practical_zero_noise_returns_gram():
@@ -194,14 +195,14 @@ def test_release_practical_zero_noise_returns_gram():
     vs = _unit_rows(rng, 6)
     rel = release_cosine_practical(vs, HUGE_EPS, RandomStream(5))
     assert np.allclose(rel.matrix, gram(vs), atol=1e-6)
-    assert rel.mode == MODE_PRACTICAL
+    assert rel.record["method"] == MODE_PRACTICAL
 
 
 def test_release_practical_entries_within_reported_residual():
     rng = np.random.default_rng(6)
     vs = _unit_rows(rng, 16)
     rel = release_cosine_practical(vs, NORMAL, RandomStream(7))
-    rho = rel.residuals[1]
+    rho = rel.record["residuals"][1]
     assert np.abs(rel.matrix).max() <= 1.0 + rho + 1e-12
     assert rho <= 1e-6
 
@@ -235,9 +236,9 @@ def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
         ref, _ = perturb_and_alternately_project(truth, sets, params, noise, steps)
         assert np.sum((rel.matrix - truth) ** 2) <= np.sum((ref - truth) ** 2)
         assert np.abs(rel.matrix).max() <= 1.0
-        assert rel.residuals == (0.0, 0.0)
-        assert rel.solver == "shrink-then-clip"
-        assert rel.iterations is None and rel.kkt_residual is None
+        assert rel.record["residuals"] == [0.0, 0.0]
+        assert rel.record["solver"] == "shrink-then-clip"
+        assert "iterations" not in rel.record and "kkt_residual" not in rel.record
 
 
 def test_release_single_noise_draw(monkeypatch):
@@ -331,7 +332,7 @@ def test_write_release_csv_bytes_equal_savetxt(tmp_path):
                 for release in (release_cosine_exact, release_cosine_practical)]
     for i, m in enumerate([sym, signed_zero, skew, np.array([[0.5]])] + released):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
-        write_release_csv(SimpleNamespace(matrix=m), got)
+        write_release_csv(SimpleNamespace(matrix=m, record={}), got)
         np.savetxt(want, m, delimiter=",", fmt="%.17g")
         assert got.read_bytes() == want.read_bytes(), i
 
@@ -343,7 +344,7 @@ def test_write_release_csv_peaks_below_three_matrices(tmp_path):
     m = (g + g.T) / 2.0
     tracemalloc.start()
     try:
-        write_release_csv(SimpleNamespace(matrix=m), tmp_path / "x.csv")
+        write_release_csv(SimpleNamespace(matrix=m, record={}), tmp_path / "x.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -356,3 +357,10 @@ def test_practical_size_guard_admits_up_to_6192_vectors():
     _guard_release(6192, 2, PRACTICAL_COPIES)
     with pytest.raises(ValueError, match="size guard"):
         _guard_release(6193, 2, PRACTICAL_COPIES)
+
+
+def test_write_release_csv_refuses_a_path_its_sidecar_would_overwrite(tmp_path):
+    rel = release_cosine_practical(UnitVectorSet(np.eye(3)), NORMAL, RandomStream(1))
+    with pytest.raises(ValueError, match="overwritten by its .json sidecar"):
+        write_release_csv(rel, tmp_path / "x.json")
+    assert list(tmp_path.iterdir()) == []
