@@ -1,5 +1,10 @@
 """Benchmark harness: complexity estimates, stability checks, error scaling.
 
+Each experiment returns the JSON report that `perturbproj bench` writes, and
+the two scaling experiments also return their per-trial error rows. Every
+report's wall_time_s is null, so reports are byte-stable; the CLI prints the
+wall time to stderr.
+
 Monte Carlo conventions used throughout, chosen once so closed forms and
 estimates agree:
 
@@ -18,7 +23,6 @@ deterministic whatever the trial order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,68 +54,13 @@ ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 TRIAL_COPIES = 4
 
 
-@dataclass(frozen=True)
-class ComplexityEstimate:
-    """Monte Carlo estimate of E sup_{X in S} <X, W> with its standard error."""
-
-    set_kind: str
-    value: float
-    std_error: float
-    trials: int
-    n: int
-    ambient: str
-
-    def __post_init__(self):
-        integer_at_least("trials", self.trials, 2)
-        if not self.std_error >= 0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
-
-
-@dataclass(frozen=True)
-class StabilityResult:
-    """Monte Carlo estimate of E ||P(A+W) - P(A)||^2 under unit noise."""
-
-    estimate: float
-    std_error: float
-    trials: int
-
-
-@dataclass
-class ScalingReport:
-    """Error-vs-size experiment output with a log-log power-law fit.
-
-    points are sorted by n. fitted_exponent and fit_r2 are None when any mean
-    error is zero (nothing to fit on a log scale). per_trial keeps the raw
-    (n, trial, method, error) rows for optional CSV export and stays out of
-    the JSON dict, whose wall_time_s is always null so reports are byte-stable.
-    """
-
-    experiment: str
-    config: dict
-    points: list
-    fitted_exponent: Optional[float]
-    fit_r2: Optional[float]
-    seed: int
-    extras: dict = field(default_factory=dict)
-    per_trial: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "config": self.config,
-            "points": self.points,
-            "fitted_exponent": self.fitted_exponent,
-            "fit_r2": self.fit_r2,
-            "seed": self.seed,
-            "wall_time_s": None,
-        }
-        out.update(self.extras)
-        return out
-
-
 def _mean_se(values: np.ndarray) -> tuple:
     values = np.asarray(values, dtype=float)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+    with np.errstate(over="ignore"):  # refused below instead
+        mean, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError("the mean or standard error of the trials overflows float64")
+    return mean, se
 
 
 def _box_coords(n: int, ambient: str) -> int:
@@ -131,20 +80,25 @@ def complexity_box_closed_form(n: int, ambient: str = "vector") -> float:
 
 
 def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomStream,
-                           ambient: str = "vector") -> ComplexityEstimate:
-    """Sample-mean estimate of E sup_{X in S} <X, W> for sets with a closed-form sup.
+                           ambient: str = "vector") -> dict:
+    """The `bench complexity` report: a sample-mean estimate of E sup_{X in S} <X, W>.
 
     Supported: entry-clip boxes (sup = bound * sum |w| over independent
     coordinates), Frobenius balls (radius * ||W||_F over all n^2 entries), and
     psd trace balls (trace_bound * max(lambda_max, 0) of mirrored symmetric
     noise). Anything else raises UnsupportedSetError, and an ambient other
-    than "vector" or "matrix" raises ValueError for every set.
+    than "vector" or "matrix" raises ValueError for every set. The report's
+    value and std_error are the estimate and its standard error; closed_form
+    is the box's exact value and None for the other sets.
     """
     n = integer_at_least("n", n, 1)
     trials = integer_at_least("trials", trials, 2)
     d = _box_coords(n, ambient)  # refuses an unknown ambient
+    closed_form = None
 
     if isinstance(set_, EntryClip):
+        closed_form = set_.bound * complexity_box_closed_form(n, ambient)
+
         def one(j: int) -> float:
             w = sample_gaussian(d, 1.0, stream.shifted(j))
             return set_.bound * float(np.abs(w).sum())
@@ -174,37 +128,51 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
     if not np.isfinite(sups).all():
         raise ValueError(f"a trial's supremum overflows float64: the {set_.kind} set's "
                          "scale is too large")
-    mean, se = _mean_se(sups)
-    return ComplexityEstimate(set_kind=set_.kind, value=mean, std_error=se,
-                              trials=trials, n=n, ambient=ambient)
+    value, std_error = _mean_se(sups)
+    return {"experiment": "complexity", "set_kind": set_.kind, "ambient": ambient, "n": n,
+            "trials": trials, "value": value, "std_error": std_error,
+            "closed_form": closed_form, "seed": stream.seed, "wall_time_s": None}
 
 
-def stability_experiment(set_: ConvexSet, anchor: np.ndarray, trials: int,
-                         stream: RandomStream) -> StabilityResult:
-    """Monte Carlo E ||P(anchor + W) - P(anchor)||^2 with unit-variance W.
+def stability_experiment(box: EntryClip, anchor: np.ndarray, trials: int,
+                         stream: RandomStream) -> dict:
+    """The `bench stability` report: Monte Carlo E ||P(anchor + W) - P(anchor)||^2
+    for the projection P onto an entry-clip box, with unit-variance W.
 
     Vector anchors get i.i.d. noise and squared l2 distance; square matrix
-    anchors get mirrored symmetric noise and squared Frobenius distance.
+    anchors get mirrored symmetric noise and squared Frobenius distance. The
+    report's stability_bound is (4/3) * bound * the unit box's closed-form
+    complexity, and within_bound says whether the estimate lies within three
+    standard errors of it. Any set other than a box raises UnsupportedSetError.
     """
+    if not isinstance(box, EntryClip):
+        raise UnsupportedSetError(
+            f"no closed-form stability bound for set kind {getattr(box, 'kind', type(box).__name__)!r}"
+        )
     anchor = np.asarray(anchor, dtype=float)
-    trials = integer_at_least("trials", trials, 2)
-    base = set_.project(anchor)
     if anchor.ndim == 1:
-        def draw(j: int) -> np.ndarray:
-            return sample_gaussian(anchor.shape[0], 1.0, stream.shifted(j))
+        ambient, draw = "vector", sample_gaussian
     elif anchor.ndim == 2 and anchor.shape[0] == anchor.shape[1]:
-        def draw(j: int) -> np.ndarray:
-            return sample_symmetric_gaussian(anchor.shape[0], 1.0, stream.shifted(j))
+        ambient, draw = "matrix", sample_symmetric_gaussian
     else:
         raise ValueError(f"anchor must be a vector or square matrix, got shape {anchor.shape}")
+    n = anchor.shape[0]
+    stability_bound = (4.0 / 3.0) * box.bound * complexity_box_closed_form(n, ambient)
+    if not math.isfinite(stability_bound):
+        raise ValueError(f"bound {box.bound:g} makes the stability bound overflow float64")
+    trials = integer_at_least("trials", trials, 2)
+    base = box.project(anchor)
 
     def one(j: int) -> float:
-        moved = set_.project(anchor + draw(j))
+        moved = box.project(anchor + draw(n, 1.0, stream.shifted(j)))
         return float(np.sum((moved - base) ** 2))
 
-    sq = np.array([one(j) for j in range(trials)])
-    mean, se = _mean_se(sq)
-    return StabilityResult(estimate=mean, std_error=se, trials=trials)
+    estimate, std_error = _mean_se(np.array([one(j) for j in range(trials)]))
+    return {"experiment": "stability", "set_kind": box.kind, "ambient": ambient, "n": n,
+            "trials": trials, "estimate": estimate, "std_error": std_error,
+            "stability_bound": stability_bound,
+            "within_bound": bool(estimate <= stability_bound + 3 * std_error),
+            "seed": stream.seed, "wall_time_s": None}
 
 
 def fit_power_law(points: Sequence) -> tuple:
@@ -247,14 +215,18 @@ def _check_sizes(sizes: Sequence[int]) -> list:
 
 
 def _paired_scaling(experiment: str, sizes: list, trials: int, stream: RandomStream,
-                    methods: Sequence[tuple], trial: Callable, config: dict) -> ScalingReport:
+                    methods: Sequence[tuple], trial: Callable, config: dict) -> tuple:
     """Run trial(n, data_rng, noise) for every size and trial, one error per method.
 
     Trial j at the si-th size takes its data from sub-stream 2(si*trials + j)
     and its noise from the next one, which every method shares. methods lists
     (name, prefix) pairs: each point gets `{prefix}mse` and `{prefix}std_error`
     per method, the first method's fit becomes fitted_exponent and fit_r2,
-    and the others' go to the extras as `{prefix}exponent` and `{prefix}fit_r2`.
+    and the others' become `{prefix}exponent` and `{prefix}fit_r2`. A fit is
+    None when any mean error is zero (nothing to fit on a log scale).
+
+    Returns (report, per_trial): the JSON report, its points sorted by n, and
+    the (n, trial, method, error) rows that `--per-trial-csv` writes.
     """
     points, per_trial = [], []
     for si, n in enumerate(sizes):
@@ -268,23 +240,16 @@ def _paired_scaling(experiment: str, sizes: list, trials: int, stream: RandomStr
         points.append(point)
 
     fits = [_fit_or_none([(p["n"], p[f"{prefix}mse"]) for p in points]) for _, prefix in methods]
-    extras = {}
+    report = {"experiment": experiment, "config": config, "points": points,
+              "fitted_exponent": fits[0][0], "fit_r2": fits[0][1], "seed": stream.seed,
+              "wall_time_s": None}
     for (_, prefix), (exponent, r2) in zip(methods[1:], fits[1:]):
-        extras.update({f"{prefix}exponent": exponent, f"{prefix}fit_r2": r2})
-    return ScalingReport(
-        experiment=experiment,
-        config=config,
-        points=points,
-        fitted_exponent=fits[0][0],
-        fit_r2=fits[0][1],
-        seed=stream.seed,
-        extras=extras,
-        per_trial=per_trial,
-    )
+        report.update({f"{prefix}exponent": exponent, f"{prefix}fit_r2": r2})
+    return report, per_trial
 
 
 def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trials: int,
-                              stream: RandomStream) -> ScalingReport:
+                              stream: RandomStream) -> tuple:
     """Squared-error scaling of the cosine release vs a clip-only baseline.
 
     Per trial: rows i.i.d. uniform on the sphere (normalized Gaussians), and
@@ -292,6 +257,7 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
     paired draw for draw. Errors are squared Frobenius distances to the clean
     Gram matrix, averaged over trials per size; the fit is on the release
     curve. The largest size must pass the exact release's size guard.
+    Returns the `bench cosine-scaling` report and its per-trial rows.
     """
     sizes = _check_sizes(sizes)
     _guard_release(sizes[-1], sizes[-1], EXACT_COPIES)
@@ -324,14 +290,15 @@ def _random_dataset(rng, n: int, m: int, sparsity: Optional[int]) -> BinaryDatas
 
 def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: PrivacyParams,
                                  trials: int, stream: RandomStream,
-                                 sparsity: Optional[int] = None) -> ScalingReport:
+                                 sparsity: Optional[int] = None) -> tuple:
     """Paired error scaling of the even-k release against the baselines.
 
     Each trial draws one dataset (features i.i.d. fair coins, or uniform
     sparsity-sized supports when sparsity is set) and scores every method on
     it with the same noise sub-stream; errors are average query-wise squared
     errors against the clean tensor. The threshold baseline joins only when
-    sparsity is declared. The fit is on the even-k curve.
+    sparsity is declared. The fit is on the even-k curve. Returns the
+    `bench marginal-scaling` report and its per-trial rows.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"order k must be even and >= 2, got {k!r}")

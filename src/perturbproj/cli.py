@@ -20,7 +20,6 @@ import numpy as np
 
 from .bench import (
     TRIAL_COPIES,
-    complexity_box_closed_form,
     complexity_monte_carlo,
     scaling_experiment_cosine,
     scaling_experiment_marginals,
@@ -130,52 +129,38 @@ def _write_per_trial(rows, path) -> None:
 
 
 def run_bench(args) -> int:
-    scaling = args.experiment in ("cosine-scaling", "marginal-scaling")
-    if scaling:
+    per_trial = None
+    if args.experiment in ("cosine-scaling", "marginal-scaling"):
         _refuse_shared_files(("--out", args.out), ("--per-trial-csv", args.per_trial_csv))
         # the marginal releases derive their own sensitivity, as in run_marginals
         sensitivity = args.sensitivity if args.experiment == "cosine-scaling" else 1.0
         params = PrivacyParams(args.epsilon, args.delta, sensitivity)
     else:
-        shape = (args.n,) if args.ambient == "vector" else (args.n, args.n)
+        n = integer_at_least("n", args.n, 1)
+        shape = (n,) if args.ambient == "vector" else (n, n)
+        # before the stability anchor or any trial array is allocated
         _guard_bytes(8 * TRIAL_COPIES * math.prod(shape),
                      f"a {args.experiment} trial at --n {args.n}")
     stream = RandomStream(args.seed)
     started = time.perf_counter()
 
-    if scaling:
-        sizes = _parse_sizes(args.sizes)
-        if args.experiment == "cosine-scaling":
-            report = scaling_experiment_cosine(sizes, params, args.trials, stream)
-        else:
-            report = scaling_experiment_marginals(sizes, args.order, args.m, params,
-                                                  args.trials, stream,
-                                                  sparsity=args.sparsity)
-        payload = report.to_dict()
+    if args.experiment == "cosine-scaling":
+        report, per_trial = scaling_experiment_cosine(_parse_sizes(args.sizes), params,
+                                                      args.trials, stream)
+    elif args.experiment == "marginal-scaling":
+        report, per_trial = scaling_experiment_marginals(_parse_sizes(args.sizes), args.order,
+                                                         args.m, params, args.trials, stream,
+                                                         sparsity=args.sparsity)
     elif args.experiment == "stability":
-        set_ = EntryClip(args.bound)
-        bound = (4.0 / 3.0) * args.bound * complexity_box_closed_form(args.n, args.ambient)
-        if not np.isfinite(bound):
-            raise ValueError(f"--bound {args.bound:g} makes the stability bound overflow float64")
-        result = stability_experiment(set_, np.zeros(shape), args.trials, stream)
-        payload = {"estimate": result.estimate, "stability_bound": bound,
-                   "within_bound": bool(result.estimate <= bound + 3 * result.std_error)}
+        report = stability_experiment(EntryClip(args.bound), np.zeros(shape), args.trials,
+                                      stream)
     else:
-        set_ = _BENCH_SETS[args.set](args.bound)
-        result = complexity_monte_carlo(set_, args.n, args.trials, stream,
-                                        ambient=args.ambient)
-        closed = None
-        if args.set == "box":
-            closed = args.bound * complexity_box_closed_form(args.n, args.ambient)
-        payload = {"value": result.value, "closed_form": closed}
-    if not scaling:
-        payload.update(experiment=args.experiment, set_kind=set_.kind, ambient=args.ambient,
-                       n=args.n, trials=args.trials, std_error=result.std_error,
-                       seed=args.seed, wall_time_s=None)
+        report = complexity_monte_carlo(_BENCH_SETS[args.set](args.bound), n, args.trials,
+                                        stream, ambient=args.ambient)
 
-    _write_json(payload, args.out)
-    if scaling and args.per_trial_csv:
-        _write_per_trial(report.per_trial, args.per_trial_csv)
+    _write_json(report, args.out)
+    if per_trial is not None and args.per_trial_csv:
+        _write_per_trial(per_trial, args.per_trial_csv)
     print(f"{args.experiment} completed in {time.perf_counter() - started:.3f}s",
           file=sys.stderr)
     return 0

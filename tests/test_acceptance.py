@@ -135,9 +135,9 @@ def test_projected_noise_spread_stays_under_width_statistic():
                 res = stability_experiment(box, anchor, trials,
                                            RandomStream(300 + 10 * n))
                 bound = (4.0 / 3.0) * complexity_box_closed_form(n, ambient)
-                slack = bound + 3.0 * res.std_error
-                all_ok = all_ok and res.estimate <= slack
-                rows.append((n, ambient, name, res.estimate, slack))
+                slack = bound + 3.0 * res["std_error"]
+                all_ok = all_ok and res["estimate"] <= slack
+                rows.append((n, ambient, name, res["estimate"], slack))
     elapsed = time.perf_counter() - started
     worst = max(r[3] / r[4] for r in rows)
     ok = all_ok and elapsed < 120.0
@@ -196,11 +196,11 @@ def test_averaged_iteration_drifts_toward_nearest_feasible_point():
 def test_cosine_release_error_grows_slower_than_clip_baseline():
     started = time.perf_counter()
     params = PrivacyParams(1.0, 1e-6, 1.0)
-    report = scaling_experiment_cosine((16, 32, 64, 128), params, trials=30,
-                                       stream=RandomStream(505))
-    exponent = report.fitted_exponent
-    baseline = report.extras["baseline_exponent"]
-    dominated = all(p["mse"] <= p["baseline_mse"] for p in report.points)
+    report, _ = scaling_experiment_cosine((16, 32, 64, 128), params, trials=30,
+                                          stream=RandomStream(505))
+    exponent = report["fitted_exponent"]
+    baseline = report["baseline_exponent"]
+    dominated = all(p["mse"] <= p["baseline_mse"] for p in report["points"])
     elapsed = time.perf_counter() - started
     ok = (1.2 <= exponent <= 1.8 and 1.7 <= baseline <= 2.3 and dominated
           and elapsed < 600.0)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from perturbproj.bench import (
-    ComplexityEstimate,
     complexity_box_closed_form,
     complexity_monte_carlo,
     fit_power_law,
@@ -36,22 +35,22 @@ def test_closed_form_values():
 def test_box_monte_carlo_matches_closed_form():
     est = complexity_monte_carlo(EntryClip(1.0), 4, 20_000, RandomStream(0), "vector")
     target = complexity_box_closed_form(4)
-    assert abs(est.value - target) <= 3 * est.std_error
+    assert abs(est["value"] - target) <= 3 * est["std_error"]
     est_m = complexity_monte_carlo(EntryClip(1.0), 4, 20_000, RandomStream(1), "matrix")
     target_m = complexity_box_closed_form(4, "matrix")
-    assert abs(est_m.value - target_m) <= 3 * est_m.std_error
+    assert abs(est_m["value"] - target_m) <= 3 * est_m["std_error"]
 
 
 def test_frobenius_monte_carlo_matches_chi_mean():
     est = complexity_monte_carlo(FrobeniusBall(1.0), 4, 20_000, RandomStream(2), "matrix")
     chi_mean = math.sqrt(2.0) * math.gamma(17.0 / 2.0) / math.gamma(8.0)
     assert chi_mean == pytest.approx(3.938, abs=5e-4)
-    assert abs(est.value - chi_mean) <= 3 * est.std_error
+    assert abs(est["value"] - chi_mean) <= 3 * est["std_error"]
 
 
 def test_psd_trace_monte_carlo_spectral_scale():
     est = complexity_monte_carlo(PsdTrace(1.0), 200, 20, RandomStream(3), "matrix")
-    assert 1.6 <= est.value / math.sqrt(200) <= 2.2
+    assert 1.6 <= est["value"] / math.sqrt(200) <= 2.2
 
 
 def test_complexity_unsupported_set():
@@ -76,6 +75,10 @@ def test_complexity_and_stability_refuse_counts_that_are_not_integers():
         complexity_monte_carlo(EntryClip(1.0), 4.0, 3, RandomStream(0))
     with pytest.raises(ValueError, match=r"^trials must be an integer >= 2, got 3\.0$"):
         stability_experiment(EntryClip(1.0), np.zeros(2), 3.0, RandomStream(0))
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 2, got 1$"):
+        complexity_monte_carlo(EntryClip(1.0), 4, 1, RandomStream(0))
+    with pytest.raises(ValueError, match=r"^trials must be an integer >= 2, got 1$"):
+        stability_experiment(EntryClip(1.0), np.zeros(2), 1, RandomStream(0))
 
 
 def test_stability_refuses_an_anchor_that_is_not_a_vector_or_square_matrix():
@@ -84,23 +87,28 @@ def test_stability_refuses_an_anchor_that_is_not_a_vector_or_square_matrix():
         stability_experiment(EntryClip(1.0), np.zeros((2, 3)), 3, RandomStream(0))
 
 
-def test_complexity_estimate_validation():
-    with pytest.raises(ValueError):
-        ComplexityEstimate("box", 1.0, 0.1, 1, 4, "vector")
-    with pytest.raises(ValueError):
-        ComplexityEstimate("box", 1.0, -0.1, 5, 4, "vector")
+def test_stability_refuses_a_set_that_is_not_a_box():
+    with pytest.raises(UnsupportedSetError):
+        stability_experiment(PsdCone(), np.zeros((2, 2)), 3, RandomStream(0))
+
+
+def test_stability_bound_is_the_scaled_box_closed_form():
+    for ambient, anchor in (("vector", np.zeros(5)), ("matrix", np.zeros((5, 5)))):
+        report = stability_experiment(EntryClip(2.5), anchor, 3, RandomStream(0))
+        assert (report["ambient"], report["n"]) == (ambient, 5)
+        assert report["stability_bound"] == (4 / 3) * 2.5 * complexity_box_closed_form(5, ambient)
 
 
 def test_stability_unit_box_example():
     res = stability_experiment(EntryClip(1.0), np.zeros(1), 10_000, RandomStream(4))
     bound = (4.0 / 3.0) * complexity_box_closed_form(1)
-    assert res.estimate <= bound + 3 * res.std_error
+    assert res["estimate"] <= bound + 3 * res["std_error"]
 
 
 def test_stability_saturated_box_is_zero():
     anchor = np.full((3, 3), 100.0)
     res = stability_experiment(EntryClip(1.0), anchor, 2_000, RandomStream(5))
-    assert res.estimate == 0.0
+    assert res["estimate"] == 0.0
 
 
 def test_stability_bound_on_boxes():
@@ -115,7 +123,7 @@ def test_stability_bound_on_boxes():
             for j, anchor in enumerate(anchors):
                 res = stability_experiment(EntryClip(1.0), anchor, 2_000,
                                            RandomStream(60 + n + j))
-                assert res.estimate <= bound + 3 * res.std_error
+                assert res["estimate"] <= bound + 3 * res["std_error"]
 
 
 def test_fit_power_law():
@@ -137,17 +145,16 @@ def test_fit_power_law():
 
 
 def test_cosine_scaling_report_shape():
-    report = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(6))
-    assert report.experiment == "cosine-scaling"
-    assert [p["n"] for p in report.points] == [4, 8]
-    assert all(p["mse"] > 0 and p["std_error"] >= 0 for p in report.points)
-    assert report.fitted_exponent is not None
-    assert report.seed == 6
-    d = report.to_dict()
-    assert d["wall_time_s"] is None
-    assert "baseline_exponent" in d
-    json.dumps(d)  # artifact must be serializable
-    rows = [r for r in report.per_trial if r[2] == "perturb-project"]
+    report, per_trial = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(6))
+    assert report["experiment"] == "cosine-scaling"
+    assert [p["n"] for p in report["points"]] == [4, 8]
+    assert all(p["mse"] > 0 and p["std_error"] >= 0 for p in report["points"])
+    assert report["fitted_exponent"] is not None
+    assert report["seed"] == 6
+    assert report["wall_time_s"] is None
+    assert "baseline_exponent" in report
+    json.dumps(report)  # artifact must be serializable
+    rows = [r for r in per_trial if r[2] == "perturb-project"]
     assert len(rows) == 6
 
 
@@ -156,7 +163,7 @@ def test_cosine_scaling_deterministic_across_threads():
     # in one process this is a rerun check
     a = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(7))
     b = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(7))
-    assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_cosine_scaling_validation():
@@ -175,23 +182,23 @@ def test_cosine_scaling_validation():
 
 
 def test_marginal_scaling_even_dominates_gaussian():
-    report = scaling_experiment_marginals([8, 16, 32], 2, 100, NORMAL, 5, RandomStream(8))
-    for p in report.points:
+    report, _ = scaling_experiment_marginals([8, 16, 32], 2, 100, NORMAL, 5, RandomStream(8))
+    for p in report["points"]:
         assert p["mse"] <= p["gaussian_mse"]
-    assert "threshold_mse" not in report.points[0]
+    assert "threshold_mse" not in report["points"][0]
 
 
 def test_marginal_scaling_threshold_error_shrinks():
-    report = scaling_experiment_marginals([16, 32, 64], 2, 50, NORMAL, 5,
-                                          RandomStream(9), sparsity=1)
-    errs = [p["threshold_mse"] for p in report.points]
+    report, _ = scaling_experiment_marginals([16, 32, 64], 2, 50, NORMAL, 5,
+                                             RandomStream(9), sparsity=1)
+    errs = [p["threshold_mse"] for p in report["points"]]
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_marginal_scaling_zero_noise():
-    report = scaling_experiment_marginals([4, 8], 2, 20, HUGE_EPS, 3,
-                                          RandomStream(10), sparsity=1)
-    for p in report.points:
+    report, _ = scaling_experiment_marginals([4, 8], 2, 20, HUGE_EPS, 3,
+                                             RandomStream(10), sparsity=1)
+    for p in report["points"]:
         assert p["mse"] <= 1e-12
         assert p["gaussian_mse"] <= 1e-12
         assert p["threshold_mse"] <= 1e-12

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -558,7 +559,7 @@ def test_abbreviated_flags_are_refused(tmp_path, vectors_csv, capsys):
      "trace_bound must be finite and positive, got nan"),
     # finite scales whose closed-form bound or sampled suprema overflow to inf
     (["stability", "--bound", "1e308"],
-     "--bound 1e+308 makes the stability bound overflow float64"),
+     "bound 1e+308 makes the stability bound overflow float64"),
     (["complexity", "--bound", "1e308"], "a trial's supremum overflows float64"),
     (["complexity", "--set", "frobenius", "--bound", "1e308"],
      "a trial's supremum overflows float64"),
@@ -570,6 +571,57 @@ def test_bench_non_finite_values_exit_2_before_writing(tmp_path, capsys, argv, m
     assert cli.main(["bench", *argv, "--n", "3", "--trials", "3", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    # finite trials whose spread squares past float64
+    (["complexity", "--set", "box", "--ambient", "vector", "--n", "4", "--trials", "5",
+      "--bound", "1e200"], "the mean or standard error of the trials overflows float64"),
+    (["marginal-scaling", "--sizes", "4,8", "--m", "20", "--trials", "2", "--epsilon", "1e-150",
+      "--per-trial-csv", "{d}/p.csv"],
+     "the mean or standard error of the trials overflows float64"),
+    # the side is checked before the size guard and before any array is allocated
+    (["stability", "--n", "-5", "--trials", "3"], "n must be an integer >= 1, got -5"),
+    (["complexity", "--n", "-3", "--ambient", "vector", "--trials", "3"],
+     "n must be an integer >= 1, got -3"),
+], ids=["complexity-std-error-overflows", "marginal-scaling-std-error-overflows",
+        "stability-negative-n", "complexity-negative-n"])
+def test_bench_refusal_prints_one_error_line_and_writes_nothing(tmp_path, capsys, argv, message):
+    argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["bench", *argv, "--out", str(tmp_path / "b.json")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+BENCH_REPORT_KEYS = {
+    "cosine-scaling": "baseline_exponent baseline_fit_r2 config experiment fit_r2 "
+                      "fitted_exponent points seed wall_time_s",
+    "marginal-scaling": "config experiment fit_r2 fitted_exponent gaussian_exponent "
+                        "gaussian_fit_r2 points seed wall_time_s",
+    "stability": "ambient estimate experiment n seed set_kind stability_bound std_error "
+                 "trials wall_time_s within_bound",
+    "complexity": "ambient closed_form experiment n seed set_kind std_error trials value "
+                  "wall_time_s",
+}
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["cosine-scaling", "--sizes", "4,8"], ""),
+    (["marginal-scaling", "--sizes", "4,8", "--m", "20"], ""),
+    (["marginal-scaling", "--sizes", "4,8", "--m", "20", "--sparsity", "1"],
+     "threshold_exponent threshold_fit_r2"),
+    (["stability", "--n", "3"], ""),
+    (["complexity", "--n", "3"], ""),
+], ids=["cosine-scaling", "marginal-scaling", "marginal-scaling-sparsity", "stability",
+        "complexity"])
+def test_every_bench_report_has_exactly_its_keys(tmp_path, argv, extra):
+    out = tmp_path / "b.json"
+    assert cli.main(["bench", *argv, "--trials", "3", "--seed", "9", "--out", str(out)]) == 0
+    keys = set(BENCH_REPORT_KEYS[argv[0]].split()) | set(extra.split())
+    assert set(json.loads(out.read_text())) == keys
 
 
 @pytest.mark.parametrize("argv", [
