@@ -38,8 +38,8 @@ from .marginals import (
     release_gaussian_only,
     release_threshold_baseline,
 )
-from .mechanism import (PrivacyParams, RandomStream, integer_at_least, sample_gaussian,
-                        sample_symmetric_gaussian)
+from .mechanism import (PrivacyParams, RandomStream, finite_positive, integer_at_least,
+                        sample_gaussian, sample_symmetric_gaussian)
 from .projections import ConvexSet, EntryClip, FrobeniusBall, PsdTrace, UnsupportedSetError
 from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, release_cosine_exact
 
@@ -56,7 +56,7 @@ TRIAL_COPIES = 4
 
 def _mean_se(values: np.ndarray) -> tuple:
     values = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore"):  # refused below instead
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         mean, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError("the mean or standard error of the trials overflows float64")
@@ -248,17 +248,19 @@ def _paired_scaling(experiment: str, sizes: list, trials: int, stream: RandomStr
     return report, per_trial
 
 
-def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trials: int,
-                              stream: RandomStream) -> tuple:
+def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, sensitivity: float,
+                              trials: int, stream: RandomStream) -> tuple:
     """Squared-error scaling of the cosine release vs a clip-only baseline.
 
     Per trial: rows i.i.d. uniform on the sphere (normalized Gaussians), and
     the baseline reuses the exact release's noise stream so the comparison is
-    paired draw for draw. Errors are squared Frobenius distances to the clean
-    Gram matrix, averaged over trials per size; the fit is on the release
-    curve. The largest size must pass the exact release's size guard.
+    paired draw for draw; both are calibrated to the caller's sensitivity,
+    which is checked first. Errors are squared Frobenius distances to the
+    clean Gram matrix, averaged over trials per size; the fit is on the
+    release curve. The largest size must pass the exact release's size guard.
     Returns the `bench cosine-scaling` report and its per-trial rows.
     """
+    sensitivity = finite_positive("sensitivity", sensitivity)
     sizes = _check_sizes(sizes)
     _guard_release(sizes[-1], sizes[-1], EXACT_COPIES)
     trials = integer_at_least("trials", trials, 2)
@@ -267,8 +269,8 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
         g = data_rng.standard_normal((n, n))
         vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
         truth = gram(vectors)
-        released = release_cosine_exact(vectors, params, noise)
-        clip_only, _ = perturb_and_project(truth, EntryClip(1.0), params, noise)
+        released = release_cosine_exact(vectors, params, sensitivity, noise)
+        clip_only, _ = perturb_and_project(truth, EntryClip(1.0), params, sensitivity, noise)
         return (float(np.sum((released.matrix - truth) ** 2)),
                 float(np.sum((clip_only - truth) ** 2)))
 
@@ -276,7 +278,7 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, trial
         "cosine-scaling", sizes, trials, stream,
         [("perturb-project", ""), ("clip-only", "baseline_")], trial,
         {"sizes": sizes, "trials": trials, "epsilon": params.epsilon,
-         "delta": params.delta, "sensitivity": params.sensitivity})
+         "delta": params.delta, "sensitivity": sensitivity})
 
 
 def _random_dataset(rng, n: int, m: int, sparsity: Optional[int]) -> BinaryDataset:

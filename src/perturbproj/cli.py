@@ -33,7 +33,7 @@ from .marginals import (
     release_threshold_baseline,
     save_release,
 )
-from .mechanism import PrivacyParams, RandomStream, integer_at_least, json_text
+from .mechanism import PrivacyParams, RandomStream, finite_positive, integer_at_least, json_text
 from .projections import EigenFailure, EntryClip, FrobeniusBall, PsdTrace
 from .similarity import (
     read_vectors_csv,
@@ -87,17 +87,18 @@ def _refuse_shared_release_files(args) -> None:
 
 def run_similarity(args) -> int:
     _refuse_shared_release_files(args)
-    params = PrivacyParams(args.epsilon, args.delta, args.sensitivity)
+    params = PrivacyParams(args.epsilon, args.delta)
+    sensitivity = finite_positive("sensitivity", args.sensitivity)  # before the input is read
     stream = RandomStream(args.seed)
     vectors = read_vectors_csv(args.input, header=args.header)
     release_cosine = release_cosine_exact if args.mode == "exact" else release_cosine_practical
-    write_release_csv(release_cosine(vectors, params, stream), args.out)
+    write_release_csv(release_cosine(vectors, params, sensitivity, stream), args.out)
     return 0
 
 
 def run_marginals(args) -> int:
     _refuse_shared_release_files(args)
-    params = PrivacyParams(args.epsilon, args.delta, 1.0)
+    params = PrivacyParams(args.epsilon, args.delta)
     stream = RandomStream(args.seed)
     k = integer_at_least("--order", args.order, 1)
     if args.mode == "even-flatten" and k % 2 != 0:
@@ -132,9 +133,7 @@ def run_bench(args) -> int:
     per_trial = None
     if args.experiment in ("cosine-scaling", "marginal-scaling"):
         _refuse_shared_files(("--out", args.out), ("--per-trial-csv", args.per_trial_csv))
-        # the marginal releases derive their own sensitivity, as in run_marginals
-        sensitivity = args.sensitivity if args.experiment == "cosine-scaling" else 1.0
-        params = PrivacyParams(args.epsilon, args.delta, sensitivity)
+        params = PrivacyParams(args.epsilon, args.delta)
     else:
         n = integer_at_least("n", args.n, 1)
         shape = (n,) if args.ambient == "vector" else (n, n)
@@ -146,7 +145,7 @@ def run_bench(args) -> int:
 
     if args.experiment == "cosine-scaling":
         report, per_trial = scaling_experiment_cosine(_parse_sizes(args.sizes), params,
-                                                      args.trials, stream)
+                                                      args.sensitivity, args.trials, stream)
     elif args.experiment == "marginal-scaling":
         report, per_trial = scaling_experiment_marginals(_parse_sizes(args.sizes), args.order,
                                                          args.m, params, args.trials, stream,

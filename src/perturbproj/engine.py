@@ -26,18 +26,20 @@ class DykstraConvergenceWarning(RuntimeWarning):
     """Dykstra hit the iteration cap before the per-cycle change fell below tol."""
 
 
-def perturb_symmetric(a: np.ndarray, params: PrivacyParams, stream: RandomStream) -> tuple:
+def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
+                      stream: RandomStream) -> tuple:
     """The one noise draw of a matrix release: returns (sym(a) + W, sigma).
 
-    Checks that a is square and symmetric, calibrates sigma from params, and
-    adds a symmetric Gaussian matrix W drawn once from stream.
+    Checks that a is square and symmetric, calibrates sigma from params and
+    the l2 sensitivity of a, and adds a symmetric Gaussian matrix W drawn once
+    from stream.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.allclose(a, a.T, atol=1e-8, rtol=0.0):
         raise ValueError("input matrix must be symmetric")
-    sigma = calibrate_sigma(params)
+    sigma = calibrate_sigma(params, sensitivity)
     w = sample_symmetric_gaussian(a.shape[0], sigma, stream)
     return (a + a.T) / 2.0 + w, sigma
 
@@ -50,9 +52,9 @@ def _member_sets(sets) -> tuple:
 
 
 def perturb_and_project(a: np.ndarray, set_: ConvexSet, params: PrivacyParams,
-                        stream: RandomStream) -> tuple:
+                        sensitivity: float, stream: RandomStream) -> tuple:
     """One calibrated symmetric noise draw, then one projection: returns (point, sigma)."""
-    noisy, sigma = perturb_symmetric(a, params, stream)
+    noisy, sigma = perturb_symmetric(a, params, sensitivity, stream)
     return set_.project(noisy), sigma
 
 
@@ -66,7 +68,8 @@ def averaged_projection_step(x: np.ndarray, sets: Sequence[ConvexSet]) -> np.nda
 
 
 def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
-                                    stream: RandomStream, iterations: int) -> tuple:
+                                    sensitivity: float, stream: RandomStream,
+                                    iterations: int) -> tuple:
     """One noise draw, then `iterations` averaged projection steps: (point, sigma).
 
     The iteration is deterministic given the noisy starting point, so the
@@ -74,7 +77,7 @@ def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
     """
     iterations = integer_at_least("iterations", iterations, 1)
     sets = _member_sets(sets)
-    x, sigma = perturb_symmetric(a, params, stream)
+    x, sigma = perturb_symmetric(a, params, sensitivity, stream)
     for _ in range(iterations):
         x = averaged_projection_step(x, sets)
     return x, sigma

@@ -35,17 +35,15 @@ def finite_positive(name: str, value):
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget (epsilon, delta) plus the l2 sensitivity of the statistic."""
+    """Privacy budget (epsilon, delta)."""
 
     epsilon: float
     delta: float
-    sensitivity: float
 
     def __post_init__(self):
         finite_positive("epsilon", self.epsilon)
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
-        finite_positive("sensitivity", self.sensitivity)
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,10 @@ class RandomStream:
         return RandomStream(self.seed, self.stream_index + offset)
 
 
-def audit_record(params: PrivacyParams, sigma: float, stream: RandomStream, method: str) -> dict:
+def audit_record(params: PrivacyParams, sensitivity: float, sigma: float, stream: RandomStream,
+                 method: str) -> dict:
     """The privacy record of one release: its budget, sensitivity, noise scale, seed and method."""
-    return {"epsilon": params.epsilon, "delta": params.delta, "sensitivity": params.sensitivity,
+    return {"epsilon": params.epsilon, "delta": params.delta, "sensitivity": sensitivity,
             "sigma": sigma, "seed": stream.seed, "method": method}
 
 
@@ -100,14 +99,15 @@ def write_with_sidecar(path, record: dict, write) -> Path:
     return sidecar
 
 
-def calibrate_sigma(params: PrivacyParams) -> float:
+def calibrate_sigma(params: PrivacyParams, sensitivity: float) -> float:
     """Noise scale sensitivity * sqrt(2 * ln(2/delta)) / epsilon.
 
     This is the standard Gaussian mechanism calibration: adding N(0, sigma^2)
-    per coordinate to a statistic with l2 sensitivity `params.sensitivity`
-    satisfies (epsilon, delta) differential privacy.
+    per coordinate to a statistic with l2 sensitivity `sensitivity`, which
+    must be finite and positive, satisfies (epsilon, delta) differential privacy.
     """
-    return params.sensitivity * math.sqrt(2.0 * math.log(2.0 / params.delta)) / params.epsilon
+    finite_positive("sensitivity", sensitivity)
+    return sensitivity * math.sqrt(2.0 * math.log(2.0 / params.delta)) / params.epsilon
 
 
 def sample_gaussian(shape, sigma: float, stream: RandomStream) -> np.ndarray:

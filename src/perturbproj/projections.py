@@ -3,9 +3,9 @@
 Every set here exposes project() and residual(). Projections are idempotent,
 nonexpansive, and preserve symmetry of symmetric inputs; residuals are
 Frobenius distances to the projected point, so residual(m) == 0 (up to
-TOL_PROJ) exactly when m is already in the set. All sets but PsdDiagBox have
-a closed form; PsdDiagBox is solved by a dual Newton method that certifies
-its own convergence.
+TOL_PROJ) exactly when m is already in the set. Every set has a closed form;
+the projection onto {X psd, diag(X) <= 1} has none and is solved by a dual
+Newton method that certifies its own convergence (solve_psd_diag_box).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .mechanism import finite_positive
 
 TOL_PROJ = 1e-8
 
-# Dual Newton solver for PsdDiagBox: the KKT residual it must reach, relative
+# Dual Newton solver for {X psd, diag(X) <= 1}: the KKT residual it must reach, relative
 # to max(1, max |A|); its iteration cap; the shift added to the generalized
 # Hessian, whose eigenvalues lie in [0, 1]; the Armijo constant and the
 # round-off slack of the line search, relative to |theta|. Without the slack
@@ -88,7 +88,7 @@ def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualNewtonResult:
-    """Projection onto PsdDiagBox with the solver's own convergence facts."""
+    """Projection onto {X psd, diag(X) <= 1} with the solver's own convergence facts."""
 
     point: np.ndarray
     iterations: int
@@ -358,16 +358,3 @@ class DiagClip(ConvexSet):
         np.fill_diagonal(out, np.clip(np.diagonal(m), self.lo, self.hi))
         return out
 
-
-@dataclass(frozen=True)
-class PsdDiagBox(ConvexSet):
-    """Positive semidefinite matrices with every diagonal entry at most 1.
-
-    No closed form: project() runs the certified dual Newton solver,
-    solve_psd_diag_box.
-    """
-
-    kind: str = field(default="psd-diag-box", init=False)
-
-    def project(self, m):
-        return solve_psd_diag_box(m).point

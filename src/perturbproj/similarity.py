@@ -8,7 +8,9 @@ bound is stated for, computed by a dual Newton solver that certifies its KKT
 residual. The practical mode shrinks the noisy matrix radially to Frobenius
 norm n and then clips every entry to [-1, 1]; no eigendecomposition. Both
 fail with the marginal releases' size guard before building the Gram matrix
-when their peak would pass MAX_RELEASE_BYTES.
+when their peak would pass MAX_RELEASE_BYTES. The sensitivity both take is
+the caller's promise, a bound on gram_sensitivity between adjacent vector
+sets: swapping one of n arbitrary unit vectors needs 2*sqrt(2(n-1)).
 """
 
 from __future__ import annotations
@@ -110,15 +112,16 @@ def gram(vectors: UnitVectorSet) -> np.ndarray:
 def gram_sensitivity(a: UnitVectorSet, b: UnitVectorSet) -> float:
     """Frobenius distance of the two Gram matrices.
 
-    This unsquared distance is the quantity a caller must upper-bound by
-    params.sensitivity when the two vector sets are meant to be adjacent.
+    This unsquared distance is the quantity a caller must upper-bound by the
+    sensitivity it passes to a release when the two vector sets are meant to
+    be adjacent.
     """
     if a.rows.shape != b.rows.shape:
         raise ValueError(f"shape mismatch: {a.rows.shape} vs {b.rows.shape}")
     return float(np.linalg.norm(gram(a) - gram(b)))
 
 
-def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams,
+def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams, sensitivity: float,
                          stream: RandomStream) -> SimilarityRelease:
     """The Euclidean projection of the noisy Gram matrix onto {X psd, diag(X) <= 1}.
 
@@ -129,17 +132,17 @@ def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams,
     exactly.
     """
     _guard_release(vectors.count, vectors.dim, EXACT_COPIES)
-    noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
+    noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, stream)
     solved = solve_psd_diag_box(noisy)
     point = solved.point
-    record = audit_record(params, sigma, stream, MODE_EXACT)
+    record = audit_record(params, sensitivity, sigma, stream, MODE_EXACT)
     record.update(solver=SOLVER_EXACT,
                   residuals=[PsdCone().residual(point), DiagClip(0.0, 1.0).residual(point)],
                   iterations=solved.iterations, kkt_residual=solved.kkt_residual)
     return SimilarityRelease(point, record)
 
 
-def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
+def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams, sensitivity: float,
                              stream: RandomStream) -> SimilarityRelease:
     """Noisy Gram matrix shrunk to Frobenius norm n, then clipped to [-1, 1].
 
@@ -153,9 +156,9 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams,
     """
     _guard_release(vectors.count, vectors.dim, PRACTICAL_COPIES)
     ball, box = FrobeniusBall(float(vectors.count)), EntryClip(1.0)
-    noisy, sigma = perturb_symmetric(gram(vectors), params, stream)
+    noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, stream)
     point = box.project(ball.project(noisy))
-    record = audit_record(params, sigma, stream, MODE_PRACTICAL)
+    record = audit_record(params, sensitivity, sigma, stream, MODE_PRACTICAL)
     record.update(solver=SOLVER_PRACTICAL,
                   residuals=[ball.residual(point), box.residual(point)])
     return SimilarityRelease(point, record)

@@ -29,7 +29,6 @@ from perturbproj import (
     PsdCone,
     PsdTrace,
     RandomStream,
-    SearchBudget,
     TOL_PROJ,
     averaged_projection_step,
     avg_query_sq_error,
@@ -42,9 +41,9 @@ from perturbproj import (
     release_gaussian_only,
     release_threshold_baseline,
     scaling_experiment_cosine,
-    sparse_injective_norm_oracle,
     stability_experiment,
 )
+from reference import SearchBudget, sparse_injective_norm_oracle
 
 
 def _line(num: int, ok: bool, label: str, detail: str) -> None:
@@ -66,7 +65,7 @@ def test_noise_scale_matches_closed_form_on_grid():
     count = 0
     for eps, delta, sens in itertools.product(eps_grid, delta_grid, sens_grid):
         expected = sens * math.sqrt(2.0 * math.log(2.0 / delta)) / eps
-        got = calibrate_sigma(PrivacyParams(float(eps), float(delta), float(sens)))
+        got = calibrate_sigma(PrivacyParams(float(eps), float(delta)), float(sens))
         worst = max(worst, abs(got - expected) / expected)
         count += 1
     elapsed = time.perf_counter() - started
@@ -195,8 +194,8 @@ def test_averaged_iteration_drifts_toward_nearest_feasible_point():
 
 def test_cosine_release_error_grows_slower_than_clip_baseline():
     started = time.perf_counter()
-    params = PrivacyParams(1.0, 1e-6, 1.0)
-    report, _ = scaling_experiment_cosine((16, 32, 64, 128), params, trials=30,
+    params = PrivacyParams(1.0, 1e-6)
+    report, _ = scaling_experiment_cosine((16, 32, 64, 128), params, 1.0, trials=30,
                                           stream=RandomStream(505))
     exponent = report["fitted_exponent"]
     baseline = report["baseline_exponent"]
@@ -216,7 +215,7 @@ def test_cosine_release_error_grows_slower_than_clip_baseline():
 
 def test_even_order_release_beats_plain_gaussian_on_paired_runs():
     started = time.perf_counter()
-    params = PrivacyParams(1.0, 1e-6, 1.0)
+    params = PrivacyParams(1.0, 1e-6)
     m = 100
     seeds = 50
     win_counts = {}
@@ -315,7 +314,7 @@ def test_parity_counts_match_direct_record_counting():
 
 def test_one_sparse_threshold_release_pulls_ahead_as_features_grow():
     started = time.perf_counter()
-    params = PrivacyParams(1.0, 1e-6, 1.0)
+    params = PrivacyParams(1.0, 1e-6)
     m = 50
     seeds = 50
     medians = []

@@ -15,8 +15,8 @@ from perturbproj.bench import (
 from perturbproj.mechanism import PrivacyParams, RandomStream
 from perturbproj.projections import EntryClip, FrobeniusBall, PsdCone, PsdTrace, UnsupportedSetError
 
-NORMAL = PrivacyParams(1.0, 1e-6, 1.0)
-HUGE_EPS = PrivacyParams(1e9, 1e-6, 1.0)
+NORMAL = PrivacyParams(1.0, 1e-6)
+HUGE_EPS = PrivacyParams(1e9, 1e-6)
 
 
 def test_closed_form_values():
@@ -145,7 +145,7 @@ def test_fit_power_law():
 
 
 def test_cosine_scaling_report_shape():
-    report, per_trial = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(6))
+    report, per_trial = scaling_experiment_cosine([4, 8], NORMAL, 1.0, 3, RandomStream(6))
     assert report["experiment"] == "cosine-scaling"
     assert [p["n"] for p in report["points"]] == [4, 8]
     assert all(p["mse"] > 0 and p["std_error"] >= 0 for p in report["points"])
@@ -161,24 +161,24 @@ def test_cosine_scaling_report_shape():
 def test_cosine_scaling_deterministic_across_threads():
     # BLAS thread counts are varied across processes by acceptance check 10;
     # in one process this is a rerun check
-    a = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(7))
-    b = scaling_experiment_cosine([4, 8], NORMAL, 3, RandomStream(7))
+    a = scaling_experiment_cosine([4, 8], NORMAL, 1.0, 3, RandomStream(7))
+    b = scaling_experiment_cosine([4, 8], NORMAL, 1.0, 3, RandomStream(7))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_cosine_scaling_validation():
     with pytest.raises(ValueError):
-        scaling_experiment_cosine([8, 4], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([8, 4], NORMAL, 1.0, 3, RandomStream(0))
     with pytest.raises(ValueError, match="strictly ascending"):
-        scaling_experiment_cosine([4, 4], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([4, 4], NORMAL, 1.0, 3, RandomStream(0))
     with pytest.raises(ValueError):
-        scaling_experiment_cosine([8192], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([8192], NORMAL, 1.0, 3, RandomStream(0))
     with pytest.raises(ValueError):
-        scaling_experiment_cosine([4], NORMAL, 1, RandomStream(0))
+        scaling_experiment_cosine([4], NORMAL, 1.0, 1, RandomStream(0))
     with pytest.raises(ValueError, match=r"^each size must be an integer >= 1, got 4\.7$"):
-        scaling_experiment_cosine([4.7, 8], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([4.7, 8], NORMAL, 1.0, 3, RandomStream(0))
     with pytest.raises(ValueError, match="^need at least one size$"):
-        scaling_experiment_cosine([], NORMAL, 3, RandomStream(0))
+        scaling_experiment_cosine([], NORMAL, 1.0, 3, RandomStream(0))
 
 
 def test_marginal_scaling_even_dominates_gaussian():

@@ -164,7 +164,7 @@ def test_cosine_size_guard_exits_2_before_the_gram_matrix(tmp_path, capsys, mode
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="size guard"):
-            release(vectors, PrivacyParams(1.0, 1e-6, 1.0), RandomStream(1))
+            release(vectors, PrivacyParams(1.0, 1e-6), 1.0, RandomStream(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,12 +210,12 @@ def test_both_release_families_publish_the_same_audit_record(tmp_path, vectors_c
                      *flags, "--out", str(sim_out)]) == 0
     assert cli.main(["marginals", "--input", str(dataset_csv), "--mode", "gaussian",
                      *flags, "--out", str(mar_out)]) == 0
-    sim_params = PrivacyParams(2.0, 1e-5, 3.0)
+    sim_params = PrivacyParams(2.0, 1e-5)
     marginal = release_gaussian_only(read_dataset_csv(dataset_csv), 2,
-                                     PrivacyParams(2.0, 1e-5, 1.0), RandomStream(7))
+                                     PrivacyParams(2.0, 1e-5), RandomStream(7))
     expected = [
-        (sim_out, audit_record(sim_params, calibrate_sigma(sim_params), RandomStream(7),
-                               "EXACT_SET")),
+        (sim_out, audit_record(sim_params, 3.0, calibrate_sigma(sim_params, 3.0),
+                               RandomStream(7), "EXACT_SET")),
         (mar_out, marginal.record),
     ]
     for out, record in expected:
@@ -580,12 +580,16 @@ def test_bench_non_finite_values_exit_2_before_writing(tmp_path, capsys, argv, m
     (["marginal-scaling", "--sizes", "4,8", "--m", "20", "--trials", "2", "--epsilon", "1e-150",
       "--per-trial-csv", "{d}/p.csv"],
      "the mean or standard error of the trials overflows float64"),
+    # a trial's squared error itself overflows: an inf error, refused by the same check
+    (["marginal-scaling", "--sizes", "4,8", "--m", "20", "--trials", "2", "--epsilon", "1e-160",
+      "--seed", "9"], "the mean or standard error of the trials overflows float64"),
     # the side is checked before the size guard and before any array is allocated
     (["stability", "--n", "-5", "--trials", "3"], "n must be an integer >= 1, got -5"),
     (["complexity", "--n", "-3", "--ambient", "vector", "--trials", "3"],
      "n must be an integer >= 1, got -3"),
 ], ids=["complexity-std-error-overflows", "marginal-scaling-std-error-overflows",
-        "stability-negative-n", "complexity-negative-n"])
+        "marginal-scaling-squared-error-overflows", "stability-negative-n",
+        "complexity-negative-n"])
 def test_bench_refusal_prints_one_error_line_and_writes_nothing(tmp_path, capsys, argv, message):
     argv = [arg.replace("{d}", str(tmp_path)) for arg in argv]
     with warnings.catch_warnings(record=True) as caught:

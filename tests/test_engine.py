@@ -20,8 +20,8 @@ from perturbproj.projections import (
     PsdTrace,
 )
 
-HUGE_EPS = PrivacyParams(1e9, 1e-6, 1.0)
-NORMAL = PrivacyParams(1.0, 1e-6, 1.0)
+HUGE_EPS = PrivacyParams(1e9, 1e-6)
+NORMAL = PrivacyParams(1.0, 1e-6)
 
 
 def _sym(rng, n, scale=1.0):
@@ -32,23 +32,23 @@ def _sym(rng, n, scale=1.0):
 def test_iterations_validation():
     for iterations in (0, -1, 2.0, True):
         with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
-            perturb_and_alternately_project(np.eye(2), (PsdCone(),), NORMAL,
+            perturb_and_alternately_project(np.eye(2), (PsdCone(),), NORMAL, 1.0,
                                             RandomStream(0), iterations)
 
 
 def test_perturb_symmetric_returns_a_plus_w():
     a = _sym(np.random.default_rng(8), 4)
-    noisy, sigma = perturb_symmetric(a, NORMAL, RandomStream(8))
+    noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(8))
     w = sample_symmetric_gaussian(4, sigma, RandomStream(8))
     assert np.array_equal(noisy, a + w)
 
 
 def test_perturb_and_project_zero_noise_limit():
     a = np.diag([2.0, 0.0])
-    point, _ = perturb_and_project(a, PsdTrace(1.0), HUGE_EPS, RandomStream(0))
+    point, _ = perturb_and_project(a, PsdTrace(1.0), HUGE_EPS, 1.0, RandomStream(0))
     assert np.allclose(point, np.diag([1.0, 0.0]), atol=1e-6)
     feasible = np.diag([0.4, 0.3])
-    point, _ = perturb_and_project(feasible, PsdTrace(1.0), HUGE_EPS, RandomStream(1))
+    point, _ = perturb_and_project(feasible, PsdTrace(1.0), HUGE_EPS, 1.0, RandomStream(1))
     assert np.allclose(point, feasible, atol=1e-6)
 
 
@@ -56,7 +56,7 @@ def test_perturb_and_project_output_in_set():
     rng = np.random.default_rng(4)
     for i in range(10):
         a = _sym(rng, 6, scale=2.0)
-        point, sigma = perturb_and_project(a, PsdCone(), NORMAL, RandomStream(100 + i))
+        point, sigma = perturb_and_project(a, PsdCone(), NORMAL, 1.0, RandomStream(100 + i))
         assert PsdCone().residual(point) <= TOL_PROJ * (1 + np.linalg.norm(point))
         assert sigma == pytest.approx(5.386772268905419, rel=1e-12)
         assert np.array_equal(point, point.T)
@@ -64,8 +64,8 @@ def test_perturb_and_project_output_in_set():
 
 def test_perturb_and_project_deterministic():
     a = np.diag([1.0, -1.0, 0.5])
-    p1, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
-    p2, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, RandomStream(42))
+    p1, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, 1.0, RandomStream(42))
+    p2, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, 1.0, RandomStream(42))
     assert np.array_equal(p1, p2)
 
 
@@ -78,17 +78,19 @@ def test_single_noise_draw_per_release(monkeypatch):
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     a = np.diag([1.0, -1.0, 0.0])
-    perturb_and_project(a, PsdCone(), NORMAL, RandomStream(3))
+    perturb_and_project(a, PsdCone(), NORMAL, 1.0, RandomStream(3))
     assert len(calls) == 1
-    perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, RandomStream(4), 25)
+    perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, 1.0,
+                                    RandomStream(4), 25)
     assert len(calls) == 2
 
 
 def test_rejects_asymmetric_and_non_square():
     with pytest.raises(ValueError):
-        perturb_and_project(np.array([[1.0, 2.0], [0.0, 1.0]]), PsdCone(), NORMAL, RandomStream(0))
+        perturb_and_project(np.array([[1.0, 2.0], [0.0, 1.0]]), PsdCone(), NORMAL, 1.0,
+                            RandomStream(0))
     with pytest.raises(ValueError):
-        perturb_and_project(np.ones((2, 3)), PsdCone(), NORMAL, RandomStream(0))
+        perturb_and_project(np.ones((2, 3)), PsdCone(), NORMAL, 1.0, RandomStream(0))
 
 
 def test_averaged_step_examples():
@@ -104,7 +106,7 @@ def test_averaged_step_examples():
 def test_alternating_zero_noise_fixed_point():
     a = np.diag([0.5, 0.25])
     point, _ = perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, RandomStream(5), 40)
+        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, 1.0, RandomStream(5), 40)
     assert np.allclose(point, a, atol=1e-6)
 
 
@@ -113,7 +115,7 @@ def test_alternating_reaches_diagonal_reference():
     # iteration converges there because the instance is diagonal
     a = np.diag([2.0, -2.0])
     point, _ = perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, RandomStream(6), 200)
+        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, 1.0, RandomStream(6), 200)
     assert np.linalg.norm(point - np.diag([1.0, 0.0])) <= 1e-3
     ref = dykstra_reference(a, (PsdCone(), EntryClip(1.0)))
     assert np.allclose(ref, np.diag([1.0, 0.0]), atol=1e-8)
@@ -123,7 +125,7 @@ def test_alternating_max_residual_non_increasing():
     sets = (PsdCone(), EntryClip(1.0))
     for s in range(100):
         rng = np.random.default_rng(s)
-        x, _ = perturb_symmetric(_sym(rng, 8), NORMAL, RandomStream(10_000 + s))
+        x, _ = perturb_symmetric(_sym(rng, 8), NORMAL, 1.0, RandomStream(10_000 + s))
         profile = [max(st.residual(x) for st in sets)]
         for _ in range(40):
             x = averaged_projection_step(x, sets)
@@ -135,8 +137,8 @@ def test_alternating_max_residual_non_increasing():
 def test_alternating_deterministic():
     a = np.diag([1.0, 0.3, -0.5])
     sets = (PsdCone(), EntryClip(1.0))
-    p1, _ = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
-    p2, _ = perturb_and_alternately_project(a, sets, NORMAL, RandomStream(77), 30)
+    p1, _ = perturb_and_alternately_project(a, sets, NORMAL, 1.0, RandomStream(77), 30)
+    p2, _ = perturb_and_alternately_project(a, sets, NORMAL, 1.0, RandomStream(77), 30)
     assert np.array_equal(p1, p2)
 
 
@@ -227,8 +229,8 @@ def test_perturb_symmetric_accepts_within_tolerance_and_symmetrizes():
         assert np.allclose(a, a.T, atol=1e-8, rtol=0.0) == accepted, name
         if not accepted:
             with pytest.raises(ValueError, match="symmetric"):
-                perturb_symmetric(a, NORMAL, RandomStream(3))
+                perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
             continue
-        noisy, sigma = perturb_symmetric(a, NORMAL, RandomStream(3))
+        noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
         w = sample_symmetric_gaussian(4, sigma, RandomStream(3))
         assert noisy.tobytes() == ((a + a.T) / 2.0 + w).tobytes(), name

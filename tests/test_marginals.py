@@ -15,7 +15,6 @@ from perturbproj.marginals import (
     BinaryDataset,
     ParityQuery,
     RecordError,
-    SearchBudget,
     answer_parity_query,
     avg_query_sq_error,
     load_tensor,
@@ -25,7 +24,6 @@ from perturbproj.marginals import (
     release_gaussian_only,
     release_threshold_baseline,
     save_release,
-    sparse_injective_norm_oracle,
 )
 from perturbproj.mechanism import (
     PrivacyParams,
@@ -33,9 +31,11 @@ from perturbproj.mechanism import (
     calibrate_sigma,
     sample_gaussian,
 )
+import reference
+from reference import SearchBudget, sparse_injective_norm_oracle
 
-NORMAL = PrivacyParams(1.0, 1e-6, 1.0)
-HUGE_EPS = PrivacyParams(1e9, 1e-6, 1.0)
+NORMAL = PrivacyParams(1.0, 1e-6)
+HUGE_EPS = PrivacyParams(1e9, 1e-6)
 
 
 def _random_data(rng, n, m, p=0.5):
@@ -243,9 +243,9 @@ def test_release_even_k_zero_noise_exact():
 def test_even_k_flattening_is_exactly_symmetric_psd_with_trace_at_most_one(monkeypatch, k):
     captured = []
 
-    def capture(a, set_, params, stream):
+    def capture(a, set_, params, sensitivity, stream):
         captured.append(a)
-        return perturb_and_project(a, set_, params, stream)
+        return perturb_and_project(a, set_, params, sensitivity, stream)
 
     monkeypatch.setattr(marginals, "perturb_and_project", capture)
     rng = np.random.default_rng(9)
@@ -285,8 +285,8 @@ def test_release_even_k_feasible_pre_rescale():
     assert eigs.sum() <= 1.0 + 1e-8
     assert rel.record["sensitivity"] == pytest.approx(2.0 / m, rel=1e-12)
     assert rel.record["sigma"] == pytest.approx(
-        calibrate_sigma(PrivacyParams(*(rel.record[key] for key in
-                                        ("epsilon", "delta", "sensitivity")))), rel=1e-12)
+        calibrate_sigma(PrivacyParams(rel.record["epsilon"], rel.record["delta"]),
+                        rel.record["sensitivity"]), rel=1e-12)
 
 
 def test_release_even_k_rejects_odd_order():
@@ -317,7 +317,7 @@ def test_threshold_baseline():
     rel = release_threshold_baseline(data, 2, NORMAL, RandomStream(11))
     assert np.count_nonzero(rel.tensor) <= data.size * 1
     assert rel.record["sigma"] == pytest.approx(
-        2.0 * calibrate_sigma(PrivacyParams(1.0, 1e-6, 1.0)), rel=1e-12)
+        2.0 * calibrate_sigma(PrivacyParams(1.0, 1e-6), 1.0), rel=1e-12)
     # zero noise keeps exactly the true nonzeros
     exact = release_threshold_baseline(data, 2, HUGE_EPS, RandomStream(12))
     assert np.allclose(exact.tensor, parity_tensor(data, 2), atol=1e-6)
@@ -494,7 +494,7 @@ def _contract(sub, x, times):
 def _loop_oracle(a, t, budget, stream):
     """The oracle as one power iteration per support and per start: the reference."""
     k, n = a.ndim, a.shape[0]
-    sym = marginals._symmetrize_tensor(a)
+    sym = reference._symmetrize_tensor(a)
     rng = stream.generator()
     exhaustive = math.comb(n, t) <= budget.max_supports
     if exhaustive:
@@ -511,10 +511,10 @@ def _loop_oracle(a, t, budget, stream):
             g = rng.standard_normal(t)
             starts.append(g / np.linalg.norm(g))
         for x in starts:
-            for _ in range(marginals.POWER_MAX_ITER):
+            for _ in range(reference.POWER_MAX_ITER):
                 y = _contract(sub, x, k - 1) + alpha * x
                 x, last = y / np.linalg.norm(y), x
-                if np.linalg.norm(x - last) < marginals.POWER_TOL:
+                if np.linalg.norm(x - last) < reference.POWER_TOL:
                     break
             val = float(_contract(sub, x, k))
             best = max(best, val, val * (-1.0) ** k)

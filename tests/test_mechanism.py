@@ -19,21 +19,21 @@ from perturbproj.mechanism import (
 
 def test_calibrate_sigma_known_values():
     # delta = 2/e^2 makes ln(2/delta) = 2, so sigma = sqrt(4) = 2
-    assert calibrate_sigma(PrivacyParams(1.0, 2.0 / math.e**2, 1.0)) == pytest.approx(2.0, rel=1e-15)
-    assert calibrate_sigma(PrivacyParams(2.0, 2.0 / math.e**2, 1.0)) == pytest.approx(1.0, rel=1e-15)
-    assert calibrate_sigma(PrivacyParams(1.0, 0.05, 3.0)) == pytest.approx(
+    assert calibrate_sigma(PrivacyParams(1.0, 2.0 / math.e**2), 1.0) == pytest.approx(2.0, rel=1e-15)
+    assert calibrate_sigma(PrivacyParams(2.0, 2.0 / math.e**2), 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert calibrate_sigma(PrivacyParams(1.0, 0.05), 3.0) == pytest.approx(
         3.0 * math.sqrt(2.0 * math.log(40.0)), rel=1e-15)
     # frozen reference for the workhorse setting
-    assert calibrate_sigma(PrivacyParams(1.0, 1e-6, 1.0)) == pytest.approx(
+    assert calibrate_sigma(PrivacyParams(1.0, 1e-6), 1.0) == pytest.approx(
         5.386772268905419, rel=1e-12)
 
 
 def test_calibrate_sigma_monotonicity():
     eps_grid = np.linspace(0.1, 5.0, 25)
-    sigmas = [calibrate_sigma(PrivacyParams(e, 1e-6, 1.0)) for e in eps_grid]
+    sigmas = [calibrate_sigma(PrivacyParams(e, 1e-6), 1.0) for e in eps_grid]
     assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
     sens_grid = np.linspace(0.5, 4.0, 25)
-    sigmas = [calibrate_sigma(PrivacyParams(1.0, 1e-6, s)) for s in sens_grid]
+    sigmas = [calibrate_sigma(PrivacyParams(1.0, 1e-6), s) for s in sens_grid]
     assert all(a < b for a, b in zip(sigmas, sigmas[1:]))
 
 
@@ -44,7 +44,7 @@ def test_calibrate_sigma_monotonicity():
 ])
 def test_privacy_params_rejects_bad_values(eps, delta, sens):
     with pytest.raises(ValueError):
-        PrivacyParams(eps, delta, sens)
+        calibrate_sigma(PrivacyParams(eps, delta), sens)
 
 
 @pytest.mark.parametrize("bad", [0.5, math.nan, True, -1], ids=["half", "nan", "bool", "negative"])

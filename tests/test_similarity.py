@@ -27,8 +27,8 @@ from perturbproj.similarity import (
     write_release_csv,
 )
 
-NORMAL = PrivacyParams(1.0, 1e-6, 1.0)
-HUGE_EPS = PrivacyParams(1e9, 1e-6, 1.0)
+NORMAL = PrivacyParams(1.0, 1e-6)
+HUGE_EPS = PrivacyParams(1e9, 1e-6)
 
 
 def _unit_rows(rng, n, m=None):
@@ -85,6 +85,17 @@ def test_gram_sensitivity():
     assert gram_sensitivity(v, both) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     with pytest.raises(ValueError):
         gram_sensitivity(v, single_a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 128])
+def test_gram_sensitivity_of_arbitrary_unit_vectors_is_two_root_two_n_minus_one(n):
+    # negating the last of n equal unit vectors flips its 2(n-1) off-diagonal
+    # Gram entries from 1 to -1, the most a swap can move them; the diagonal stays
+    rows = np.tile(np.array([0.6, 0.8]), (n, 1))
+    flipped = rows.copy()
+    flipped[-1] *= -1.0
+    got = gram_sensitivity(UnitVectorSet(rows), UnitVectorSet(flipped))
+    assert got == pytest.approx(2.0 * math.sqrt(2.0 * (n - 1)), rel=1e-12)
 
 
 def test_read_vectors_csv(tmp_path):
@@ -150,7 +161,7 @@ def test_read_vectors_csv_parses_like_float_and_names_lines(tmp_path):
 
 def test_release_exact_zero_noise_returns_gram():
     vs = UnitVectorSet(np.eye(4))
-    rel = release_cosine_exact(vs, HUGE_EPS, RandomStream(1))
+    rel = release_cosine_exact(vs, HUGE_EPS, 1.0, RandomStream(1))
     assert np.allclose(rel.matrix, np.eye(4), atol=1e-6)
     assert rel.record["method"] == MODE_EXACT
 
@@ -158,7 +169,7 @@ def test_release_exact_zero_noise_returns_gram():
 def test_release_exact_feasibility():
     rng = np.random.default_rng(2)
     vs = _unit_rows(rng, 12)
-    rel = release_cosine_exact(vs, NORMAL, RandomStream(3))
+    rel = release_cosine_exact(vs, NORMAL, 1.0, RandomStream(3))
     eigs = np.linalg.eigvalsh((rel.matrix + rel.matrix.T) / 2)
     assert eigs.min() >= -1e-6
     assert rel.matrix.diagonal().max() <= 1.0 + 1e-6
@@ -179,7 +190,7 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     rng = np.random.default_rng(13)
     vs = _unit_rows(rng, 10)
-    rel = release_cosine_exact(vs, NORMAL, RandomStream(14))
+    rel = release_cosine_exact(vs, NORMAL, 1.0, RandomStream(14))
     assert len(draws) == 1
     noisy = gram(vs) + draws[0]
     ref = dykstra_reference(noisy, (PsdCone(), DiagClip(0.0, 1.0)))
@@ -193,7 +204,7 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
 def test_release_practical_zero_noise_returns_gram():
     rng = np.random.default_rng(4)
     vs = _unit_rows(rng, 6)
-    rel = release_cosine_practical(vs, HUGE_EPS, RandomStream(5))
+    rel = release_cosine_practical(vs, HUGE_EPS, 1.0, RandomStream(5))
     assert np.allclose(rel.matrix, gram(vs), atol=1e-6)
     assert rel.record["method"] == MODE_PRACTICAL
 
@@ -201,7 +212,7 @@ def test_release_practical_zero_noise_returns_gram():
 def test_release_practical_entries_within_reported_residual():
     rng = np.random.default_rng(6)
     vs = _unit_rows(rng, 16)
-    rel = release_cosine_practical(vs, NORMAL, RandomStream(7))
+    rel = release_cosine_practical(vs, NORMAL, 1.0, RandomStream(7))
     rho = rel.record["residuals"][1]
     assert np.abs(rel.matrix).max() <= 1.0 + rho + 1e-12
     assert rho <= 1e-6
@@ -222,7 +233,7 @@ def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
         return sample_symmetric_gaussian(side, sigma, stream)
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
-    params = PrivacyParams(eps, 1e-6, 1.0)
+    params = PrivacyParams(eps, 1e-6)
     sets = (FrobeniusBall(float(n)), EntryClip(1.0))
     steps = math.ceil(12 * math.log2(n))
     for s in range(20):
@@ -231,9 +242,9 @@ def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
         truth = gram(vs)
         noise = RandomStream(70_000 + s)
         draws.clear()
-        rel = release_cosine_practical(vs, params, noise)
+        rel = release_cosine_practical(vs, params, 1.0, noise)
         assert draws == [n]
-        ref, _ = perturb_and_alternately_project(truth, sets, params, noise, steps)
+        ref, _ = perturb_and_alternately_project(truth, sets, params, 1.0, noise, steps)
         assert np.sum((rel.matrix - truth) ** 2) <= np.sum((ref - truth) ** 2)
         assert np.abs(rel.matrix).max() <= 1.0
         assert rel.record["residuals"] == [0.0, 0.0]
@@ -253,9 +264,9 @@ def test_release_single_noise_draw(monkeypatch):
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     rng = np.random.default_rng(8)
     vs = _unit_rows(rng, 6)
-    release_cosine_exact(vs, NORMAL, RandomStream(9))
+    release_cosine_exact(vs, NORMAL, 1.0, RandomStream(9))
     assert len(calls) == 1
-    release_cosine_practical(vs, NORMAL, RandomStream(9))
+    release_cosine_practical(vs, NORMAL, 1.0, RandomStream(9))
     assert len(calls) == 2
 
 
@@ -268,8 +279,8 @@ def test_practical_error_within_factor_three_of_exact():
         vs = _unit_rows(rng, n)
         truth = gram(vs)
         noise = RandomStream(20_000 + s)
-        exact = release_cosine_exact(vs, NORMAL, noise)
-        practical = release_cosine_practical(vs, NORMAL, noise)
+        exact = release_cosine_exact(vs, NORMAL, 1.0, noise)
+        practical = release_cosine_practical(vs, NORMAL, 1.0, noise)
         err_exact = float(np.linalg.norm(exact.matrix - truth))
         err_practical = float(np.linalg.norm(practical.matrix - truth))
         ratios.append(err_practical / err_exact)
@@ -284,8 +295,8 @@ def test_exact_beats_clip_only_baseline():
         vs = _unit_rows(rng, n)
         truth = gram(vs)
         noise = RandomStream(40_000 + s)
-        exact = release_cosine_exact(vs, NORMAL, noise)
-        baseline, _ = perturb_and_project(truth, EntryClip(1.0), NORMAL, noise)
+        exact = release_cosine_exact(vs, NORMAL, 1.0, noise)
+        baseline, _ = perturb_and_project(truth, EntryClip(1.0), NORMAL, 1.0, noise)
         if np.sum((exact.matrix - truth) ** 2) < np.sum((baseline - truth) ** 2):
             wins += 1
     assert wins >= 45
@@ -309,7 +320,7 @@ def test_holder_chain_sanity():
 def test_write_release_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     vs = _unit_rows(rng, 5)
-    rel = release_cosine_practical(vs, NORMAL, RandomStream(12))
+    rel = release_cosine_practical(vs, NORMAL, 1.0, RandomStream(12))
     out = tmp_path / "x.csv"
     write_release_csv(rel, out)
     back = np.loadtxt(out, delimiter=",")
@@ -328,7 +339,7 @@ def test_write_release_csv_bytes_equal_savetxt(tmp_path):
     skew = sym.copy()
     skew[1, 4] += 1e-3
     vs = _unit_rows(rng, 9)
-    released = [release(vs, NORMAL, RandomStream(14)).matrix
+    released = [release(vs, NORMAL, 1.0, RandomStream(14)).matrix
                 for release in (release_cosine_exact, release_cosine_practical)]
     for i, m in enumerate([sym, signed_zero, skew, np.array([[0.5]])] + released):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
@@ -360,7 +371,7 @@ def test_practical_size_guard_admits_up_to_6192_vectors():
 
 
 def test_write_release_csv_refuses_a_path_its_sidecar_would_overwrite(tmp_path):
-    rel = release_cosine_practical(UnitVectorSet(np.eye(3)), NORMAL, RandomStream(1))
+    rel = release_cosine_practical(UnitVectorSet(np.eye(3)), NORMAL, 1.0, RandomStream(1))
     with pytest.raises(ValueError, match="overwritten by its .json sidecar"):
         write_release_csv(rel, tmp_path / "x.json")
     assert list(tmp_path.iterdir()) == []
