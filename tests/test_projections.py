@@ -10,20 +10,17 @@ from perturbproj.mechanism import (
     sample_symmetric_gaussian,
 )
 from perturbproj.projections import (
-    TOL_PROJ,
-    DiagClip,
     EigenFailure,
     EntryClip,
     FrobeniusBall,
     ProjectionConvergenceError,
-    PsdCone,
     PsdTrace,
     project_simplex,
     solve_psd_diag_box,
     _generalized_hessian,
     symmetrize,
 )
-from reference import PsdDiagBox
+from reference import TOL_PROJ, DiagClip, PsdCone, PsdDiagBox
 
 
 def _sym(rng, n, scale=1.0):

@@ -12,7 +12,7 @@ from perturbproj.engine import (
 )
 from perturbproj.marginals import RecordError
 from perturbproj.mechanism import PrivacyParams, RandomStream, sample_symmetric_gaussian
-from perturbproj.projections import DiagClip, EntryClip, FrobeniusBall, PsdCone, PsdTrace
+from perturbproj.projections import EntryClip, FrobeniusBall, PsdTrace
 from perturbproj.similarity import (
     MODE_EXACT,
     MODE_PRACTICAL,
@@ -26,6 +26,7 @@ from perturbproj.similarity import (
     release_cosine_practical,
     write_release_csv,
 )
+from reference import DiagClip, PsdCone
 
 NORMAL = PrivacyParams(1.0, 1e-6)
 HUGE_EPS = PrivacyParams(1e9, 1e-6)
