@@ -26,23 +26,27 @@ class DykstraConvergenceWarning(RuntimeWarning):
     """Dykstra hit the iteration cap before the per-cycle change fell below tol."""
 
 
-def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
-                      stream: RandomStream) -> tuple:
-    """The one noise draw of a matrix release: returns (sym(a) + W, sigma).
-
-    Checks that a is square and symmetric, calibrates sigma from params and
-    the l2 sensitivity of a, and adds a symmetric Gaussian matrix W drawn once
-    from stream; a sigma too small to change a is refused.
-    """
+def symmetric_matrix(a) -> np.ndarray:
+    """a as a float64 array, refused unless it is square and symmetric bit for bit
+    (-0.0 against 0.0 is refused): a matrix release noises and writes its upper triangle."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-8, rtol=0.0):
-        raise ValueError("input matrix must be symmetric")
+    if not np.array_equal(a.view(np.int64), a.T.view(np.int64)):
+        raise ValueError("matrix must be symmetric bit for bit")
+    return a
+
+
+def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
+                      stream: RandomStream) -> tuple:
+    """The one noise draw of a matrix release: (a + W, sigma), with W symmetric Gaussian noise
+    drawn once from stream at the sigma calibrated from params and the l2 sensitivity of a.
+    a must pass symmetric_matrix, and then refuse_unresolved_noise (finite, resolvable)."""
+    a = symmetric_matrix(a)
     sigma = calibrate_sigma(params, sensitivity)
     w = sample_symmetric_gaussian(a.shape[0], sigma, stream)
     refuse_unresolved_noise(a, w, sigma)
-    return (a + a.T) / 2.0 + w, sigma
+    return a + w, sigma
 
 
 def _member_sets(sets) -> tuple:

@@ -194,7 +194,8 @@ class ParityQuery:
 
     def __post_init__(self):
         given = tuple(self.alpha)
-        if not all(isinstance(i, (int, np.integer)) or float(i).is_integer() for i in given):
+        if not all(isinstance(i, (float, np.floating)) and float(i).is_integer()
+                   or isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in given):
             raise ValueError(f"feature indices must be integers, got {given}")
         alpha = tuple(int(i) for i in given)
         if len(alpha) < 1:
@@ -245,12 +246,12 @@ def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, ligh
     """The flat (C-order) n^k sum of counts_r * x_r^{(x)k} over every record
     whose number of ones, weights[r], is between 1 and light.
 
-    For a block of records with w ones, np.nonzero gives the (records, w)
-    support matrix, the k-fold index product of each row gives its w^k flat
-    indices, and one count-weighted bincount adds them all. A block holds at
-    most n^k // (2 w^k) records, so its index array and its weights are each
-    at most half of T. The first block's bincount becomes the sum; zeros when
-    no record is light.
+    For a block of records with w ones, the flat indices of its 0/1 cells
+    modulo n give the (records, w) support matrix, the k-fold index product
+    of each row gives its w^k flat indices, and one count-weighted bincount
+    adds them all. A block holds at most n^k // (2 w^k) records, so its index
+    array and its weights are each at most half of T. The first block's
+    bincount becomes the sum; zeros when no record is light.
     """
     n = x.shape[1]
     size = n**k
@@ -261,7 +262,7 @@ def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, ligh
         step = max(size // (2 * w**k), 1)
         for lo in range(0, len(members), step):
             block = members[lo:lo + step]
-            support = np.nonzero(x[block])[1].reshape(len(block), w)
+            support = (np.flatnonzero(x[block].view(bool)) % n).reshape(len(block), w)
             index = support
             for _ in range(k - 1):
                 index = ((index * n)[:, :, None] + support[:, None, :]).reshape(len(block), -1)

@@ -117,12 +117,12 @@ def calibrate_sigma(params: PrivacyParams, sensitivity: float) -> float:
 
 
 def refuse_unresolved_noise(statistic: np.ndarray, noise: np.ndarray, sigma: float) -> None:
-    """Refuse when max|statistic| + max|noise| >= 2^53 * gamma, past which float64 cannot hold
-    their sum to gamma; infinite entries, which no noise changes, are left out."""
+    """Refuse a statistic with a NaN or inf entry (the Gaussian mechanism covers finite ones),
+    or with max|statistic| + max|noise| >= 2^53 * gamma: float64 cannot hold the sum to gamma."""
     gamma = math.ldexp(1.0, math.frexp(sigma)[1] - 1 - RESOLUTION_BITS)
     top = max(float(statistic.max()), -float(statistic.min()))  # max|x| without a copy
-    if top == math.inf:
-        top = float(np.max(np.abs(statistic), where=np.isfinite(statistic), initial=0.0))
+    if not math.isfinite(top):  # NaN or inf exactly when an entry is
+        raise ValueError("the statistic has a non-finite entry, which no noise can privatize")
     if top + max(float(noise.max()), -float(noise.min())) >= 2.0**53 * gamma:
         raise ValueError(f"noise of scale sigma={sigma:g} is below the float64 resolution of "
                          f"a statistic with entries up to {top:g}")

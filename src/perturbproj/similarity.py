@@ -22,7 +22,8 @@ import numpy as np
 
 # dykstra_reference and perturb_and_alternately_project are unused here;
 # perfbench/tracing.py rebinds both by these names.
-from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
+from .engine import (dykstra_reference, perturb_and_alternately_project, perturb_symmetric,
+                     symmetric_matrix)
 from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream, audit_record, write_with_sidecar
 from .projections import (EntryClip, FrobeniusBall, psd_residual, solve_psd_diag_box,
@@ -168,26 +169,20 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams, sens
 def write_release_csv(release: SimilarityRelease, path) -> Path:
     """Write the matrix as CSV, the same bytes as np.savetxt(fmt="%.17g"), then its record.
 
-    The record goes to the .json sidecar through write_with_sidecar, which
-    refuses a path ending in .json before writing anything; returns the
-    sidecar path. The matrix is read when the CSV is written, one row at a
-    time. Both releases are exactly symmetric, so row i formats only its
-    entries from column i on and takes the ones before from the rows above,
-    each string dropped once written a second time: at most about n^2/4 are
-    held at once. Symmetry is tested bit for bit (-0.0 and 0.0 print
-    differently); any other matrix has every cell formatted.
+    The matrix must pass symmetric_matrix, checked before any file is opened.
+    Row i formats its entries from column i on and takes the ones before from
+    the rows above, each string dropped after its second write: at most about
+    n^2/4 are held at once. The record goes to the .json sidecar through
+    write_with_sidecar, which refuses a .json path; returns the sidecar path.
     """
+    m = symmetric_matrix(release.matrix)
 
     def write_rows(path):
-        m = np.asarray(release.matrix, dtype=float)
-        bits = m.view(np.int64)
-        symmetric = np.array_equal(bits, bits.T)
-        pending = []  # symmetric: pending[j] is row j's unwritten strings, the next one last
+        pending = []  # pending[j] is row j's unwritten strings, the next one last
         with open(path, "w") as fh:
             for i, row in enumerate(m):
-                own = ["%.17g" % v for v in row[i if symmetric else 0:].tolist()]
+                own = ["%.17g" % v for v in row[i:].tolist()]
                 fh.write(",".join([strings.pop() for strings in pending] + own) + "\n")
-                if symmetric:
-                    pending.append(own[:0:-1])
+                pending.append(own[:0:-1])
 
     return write_with_sidecar(path, release.record, write_rows)

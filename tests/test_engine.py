@@ -10,8 +10,11 @@ from perturbproj.engine import (
     perturb_and_project,
     perturb_symmetric,
 )
+from perturbproj.marginals import BinaryDataset, parity_tensor, release_even_k
 from perturbproj.mechanism import PrivacyParams, RandomStream, sample_symmetric_gaussian
 from perturbproj.projections import EntryClip, FrobeniusBall, PsdTrace
+from perturbproj.similarity import (UnitVectorSet, gram, release_cosine_exact,
+                                    release_cosine_practical)
 from reference import TOL_PROJ, DiagClip, PsdCone
 
 HUGE_EPS = PrivacyParams(1e9, 1e-6)
@@ -196,9 +199,10 @@ def test_alternating_error_to_reference_shrinks():
     assert all(s < 0 for s in slopes)
 
 
-def test_perturb_symmetric_accepts_within_tolerance_and_symmetrizes():
-    # the accepted inputs, NaN and inf included, are those of the 1e-8
-    # tolerance test, and the returned bytes are (a + a^T) / 2 + W
+def test_perturb_symmetric_accepts_only_a_finite_matrix_symmetric_bit_for_bit():
+    # a differing bit between a and a^T is refused, -0.0 against 0.0 and a 5e-9
+    # gap included, and so is a NaN or infinite entry; an accepted a gets a + W,
+    # which is (a + a^T) / 2 + W bit for bit
     base = _sym(np.random.default_rng(12), 4)
 
     def with_entries(*entries):
@@ -207,24 +211,59 @@ def test_perturb_symmetric_accepts_within_tolerance_and_symmetrizes():
             a[i, j] = value
         return a
 
-    cases = {
-        "exact": (base, True),
-        "within-tolerance": (with_entries(((0, 1), base[0, 1] + 5e-9)), True),
-        "beyond-tolerance": (with_entries(((0, 1), base[0, 1] + 1e-6)), False),
-        "signed-zeros": (with_entries(((0, 1), -0.0), ((1, 0), 0.0)), True),
-        "nan-diagonal": (with_entries(((2, 2), np.nan)), False),
-        "nan-pair": (with_entries(((0, 1), np.nan), ((1, 0), np.nan)), False),
-        "inf-pair": (with_entries(((0, 1), np.inf), ((1, 0), np.inf)), True),
-        "inf-diagonal": (with_entries(((3, 3), -np.inf)), True),
-        "inf-against-minus-inf": (with_entries(((0, 1), np.inf), ((1, 0), -np.inf)), False),
-        "inf-against-finite": (with_entries(((0, 1), np.inf)), False),
+    accepted = {
+        "exact": base,
+        "minus-zero-pair": with_entries(((0, 1), -0.0), ((1, 0), -0.0)),
     }
-    for name, (a, accepted) in cases.items():
-        assert np.allclose(a, a.T, atol=1e-8, rtol=0.0) == accepted, name
-        if not accepted:
-            with pytest.raises(ValueError, match="symmetric"):
-                perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
-            continue
+    asymmetric = {
+        "5e-9-gap": with_entries(((0, 1), base[0, 1] + 5e-9)),
+        "1e-6-gap": with_entries(((0, 1), base[0, 1] + 1e-6)),
+        "signed-zeros": with_entries(((0, 1), -0.0), ((1, 0), 0.0)),
+        "inf-against-minus-inf": with_entries(((0, 1), np.inf), ((1, 0), -np.inf)),
+        "inf-against-finite": with_entries(((0, 1), np.inf)),
+    }
+    non_finite = {
+        "nan-diagonal": with_entries(((2, 2), np.nan)),
+        "nan-pair": with_entries(((0, 1), np.nan), ((1, 0), np.nan)),
+        "inf-pair": with_entries(((0, 1), np.inf), ((1, 0), np.inf)),
+        "inf-diagonal": with_entries(((3, 3), -np.inf)),
+    }
+    for name, a in accepted.items():
         noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
         w = sample_symmetric_gaussian(4, sigma, RandomStream(3))
-        assert noisy.tobytes() == ((a + a.T) / 2.0 + w).tobytes(), name
+        assert noisy.tobytes() == (a + w).tobytes() == ((a + a.T) / 2.0 + w).tobytes(), name
+    for name, a in asymmetric.items():
+        with pytest.raises(ValueError, match="^matrix must be symmetric bit for bit$"):
+            perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
+    for name, a in non_finite.items():
+        with pytest.raises(ValueError, match="^the statistic has a non-finite entry"):
+            perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
+
+
+def _finite_and_symmetric_bit_for_bit(m: np.ndarray) -> bool:
+    return bool(np.isfinite(m).all()) and m.tobytes() == np.ascontiguousarray(m.T).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_gram_and_both_cosine_releases_are_finite_and_symmetric_bit_for_bit(n):
+    # the noise draw refuses, and write_release_csv writes one triangle of, any other matrix
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((n, 7))
+    vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
+    assert _finite_and_symmetric_bit_for_bit(gram(vectors))
+    for epsilon in (0.1, 1.0, 10.0):
+        for release in (release_cosine_exact, release_cosine_practical):
+            matrix = release(vectors, PrivacyParams(epsilon, 1e-6), 2.0, RandomStream(n)).matrix
+            assert _finite_and_symmetric_bit_for_bit(matrix), (release.__name__, epsilon)
+
+
+@pytest.mark.parametrize("k, n", [(2, 12), (4, 6)])
+def test_even_k_flattening_and_release_are_finite_and_symmetric_bit_for_bit(k, n):
+    rng = np.random.default_rng(k)
+    data = BinaryDataset((rng.random((50, n)) < 0.3).astype(np.uint8),
+                         counts=rng.integers(1, 5, size=50))
+    side = n ** (k // 2)
+    flat = parity_tensor(data, k).reshape(side, side) / (float(data.size) * float(side))
+    assert _finite_and_symmetric_bit_for_bit(flat)
+    tensor = release_even_k(data, k, NORMAL, RandomStream(k)).tensor
+    assert _finite_and_symmetric_bit_for_bit(tensor.reshape(side, side))

@@ -101,7 +101,8 @@ def test_parity_query_validation():
 
 def test_parity_query_refuses_non_integral_indices():
     assert ParityQuery((2.0, np.int64(1))).alpha == (1, 2)
-    for bad in ((1.7, 2.9), (1, 2.5), (float("nan"),), (float("inf"), 1)):
+    for bad in ((1.7, 2.9), (1, 2.5), (float("nan"),), (float("inf"), 1), (True, 2),
+                (1, np.True_), ("2",), (b"2", 1)):
         with pytest.raises(ValueError, match="integers"):
             ParityQuery(bad)
 

@@ -144,15 +144,24 @@ def test_noise_below_the_statistics_resolution_is_refused_from_the_edge_on():
     edge = 2.0 ** (53 - RESOLUTION_BITS)
     noise = np.array([0.5, -0.25])
     refuse_unresolved_noise(np.array([edge - 1.0, 0.0]), noise, 1.0)
-    refuse_unresolved_noise(np.array([np.inf, -np.inf, edge - 1.0]), noise, 1.0)
     below_one = float(np.nextafter(1.0, 0.0))
     refuse_unresolved_noise(np.array([edge / 2 - 1.0]), noise, below_one)
     for statistic, sigma in [(np.array([0.0, -(edge - 0.5)]), 1.0),
-                             (np.array([np.inf, edge - 0.5]), 1.0),
                              (np.array([edge / 2 - 0.5]), below_one)]:
         with pytest.raises(ValueError, match=r"^noise of scale sigma=1 is below the float64 "
                                              r"resolution of a statistic with entries up to "):
             refuse_unresolved_noise(statistic, noise, sigma)
+
+
+def test_a_non_finite_statistic_is_refused():
+    # the Gaussian mechanism's guarantee covers a finite statistic only
+    noise = np.array([0.5, -0.25])
+    edge = 2.0 ** (53 - RESOLUTION_BITS)
+    for statistic in ([np.inf, -np.inf, edge - 1.0], [np.inf, edge - 0.5], [np.inf],
+                      [-np.inf, 0.0], [0.0, np.nan], [np.nan, np.inf], [-np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="^the statistic has a non-finite entry, which "
+                                             "no noise can privatize$"):
+            refuse_unresolved_noise(np.array(statistic), noise, 1.0)
 
 
 def test_sample_gaussian_moments():

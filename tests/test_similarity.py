@@ -342,11 +342,24 @@ def test_write_release_csv_bytes_equal_savetxt(tmp_path):
     vs = _unit_rows(rng, 9)
     released = [release(vs, NORMAL, 1.0, RandomStream(14)).matrix
                 for release in (release_cosine_exact, release_cosine_practical)]
-    for i, m in enumerate([sym, signed_zero, skew, np.array([[0.5]])] + released):
+    for i, m in enumerate([sym, np.array([[0.5]])] + released):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
         write_release_csv(SimpleNamespace(matrix=m, record={}), got)
         np.savetxt(want, m, delimiter=",", fmt="%.17g")
         assert got.read_bytes() == want.read_bytes(), i
+    for name, m in [("signed_zero", signed_zero), ("skew", skew)]:
+        out = tmp_path / f"{name}.csv"
+        with pytest.raises(ValueError, match="^matrix must be symmetric bit for bit$"):
+            write_release_csv(SimpleNamespace(matrix=m, record={}), out)
+        assert not out.exists() and not out.with_suffix(".json").exists(), name
+
+
+def test_write_release_csv_refuses_a_matrix_not_square_before_opening_a_file(tmp_path):
+    for name, m in [("row", np.ones((1, 3))), ("vector", np.ones(3)), ("cube", np.ones((2,) * 3))]:
+        out = tmp_path / f"{name}.csv"
+        with pytest.raises(ValueError, match="^expected a square matrix, got shape "):
+            write_release_csv(SimpleNamespace(matrix=m, record={}), out)
+        assert not out.exists() and not out.with_suffix(".json").exists(), name
 
 
 def test_write_release_csv_peaks_below_three_matrices(tmp_path):
