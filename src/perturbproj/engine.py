@@ -16,7 +16,7 @@ import numpy as np
 
 from .mechanism import PrivacyParams, RandomStream, calibrate_sigma, integer_at_least
 from .mechanism import refuse_unresolved_noise, sample_symmetric_gaussian
-from .projections import ConvexSet
+from .projections import ConvexSet, symmetric_matrix
 
 DYKSTRA_TOL = 1e-10
 DYKSTRA_MAX_ITER = 100_000
@@ -24,17 +24,6 @@ DYKSTRA_MAX_ITER = 100_000
 
 class DykstraConvergenceWarning(RuntimeWarning):
     """Dykstra hit the iteration cap before the per-cycle change fell below tol."""
-
-
-def symmetric_matrix(a) -> np.ndarray:
-    """a as a float64 array, refused unless it is square and symmetric bit for bit
-    (-0.0 against 0.0 is refused): a matrix release noises and writes its upper triangle."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.array_equal(a.view(np.int64), a.T.view(np.int64)):
-        raise ValueError("matrix must be symmetric bit for bit")
-    return a
 
 
 def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,

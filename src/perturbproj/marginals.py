@@ -57,9 +57,9 @@ SCAN_COST = 0.7
 # Peak of the even-k release through the CLI in float64 n^k arrays: ru_maxrss
 # less the RSS after a 4-feature warm-up release (about 8 MiB of BLAS/LAPACK
 # buffers and code, not growing with n^k) and the records. Measured (2-vCPU
-# x86-64, OpenBLAS 0.3.31): at most 7.49 at n=40, k=4, m=2000 and 8.99 at
-# n=400, k=2, m=2000.
-EVEN_K_COPIES = 9
+# x86-64, OpenBLAS 0.3.31) on m=2000 records with 30% ones: 7.70 at n=30, k=4,
+# 7.08 at n=40, k=4, 5.55 at n=1200, k=2 and 4.44 at n=400, k=2.
+EVEN_K_COPIES = 8
 
 # Peak of the parity build in float64 n^k arrays: ru_maxrss less the RSS after
 # a 4-feature warm-up release and the dataset, in fresh processes (2-vCPU
@@ -576,7 +576,7 @@ def load_tensor(path) -> tuple:
     """Read a released tensor back; returns (the (side,)*order array, sidecar dict).
 
     Every release is written in raw-count units, so a sidecar whose "scale"
-    is not 1 is refused, as is a file that does not hold side^order entries.
+    is not 1 is refused, as is a file that is not 8 * side^order bytes long.
     """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
@@ -587,7 +587,7 @@ def load_tensor(path) -> tuple:
         raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
     order = integer_at_least("order", meta["order"], 1)
     side = integer_at_least("side", meta["side"], 1)
-    flat = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if flat.size != side**order:
-        raise ValueError(f"{path} holds {flat.size} entries, not side^order = {side}^{order}")
-    return flat.reshape((side,) * order).astype(float), meta
+    raw = path.read_bytes()
+    if len(raw) != 8 * side**order:
+        raise ValueError(f"{path} holds {len(raw)} bytes, not 8 * side^order = 8 * {side}^{order}")
+    return np.frombuffer(raw, dtype="<f8").reshape((side,) * order).astype(float), meta

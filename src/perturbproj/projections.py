@@ -6,11 +6,12 @@ idempotent, nonexpansive, and preserve symmetry of symmetric inputs. Every set
 has a closed form; the projection onto {X psd, diag(X) <= 1} has none and is
 solved by a dual Newton method that certifies its own convergence
 (solve_psd_diag_box), with psd_residual and unit_diag_residual for its parts.
+The matrix projections (PsdTrace, solve_psd_diag_box, psd_residual) project a
+matrix that passes symmetric_matrix as it is, and refuse any other.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,16 +43,26 @@ class UnsupportedSetError(ValueError):
     """The requested operation needs a closed-form set and got something else."""
 
 
+def symmetric_matrix(a) -> np.ndarray:
+    """a as a float64 array, refused unless it is square and symmetric bit for bit
+    (-0.0 against 0.0 is refused): a matrix release noises and writes its upper triangle."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.array_equal(a.view(np.int64), a.T.view(np.int64)):
+        raise ValueError("matrix must be symmetric bit for bit")
+    return a
+
+
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Nearest symmetric matrix, the average with the transpose."""
     return (m + m.T) / 2.0
 
 
-def _eigh_sym(m: np.ndarray, vectors: bool = True):
-    # Symmetrize first so eigh sees an exactly Hermitian input; retry once
-    # with a tiny diagonal jitter before giving up. Without vectors only the
-    # eigenvalues are computed (eigvalsh).
-    s = symmetrize(np.asarray(m, dtype=float))
+def _eigh_sym(s: np.ndarray, vectors: bool = True):
+    # s is a symmetric float64 matrix, used as it is; retry once with a tiny
+    # diagonal jitter before giving up. Without vectors only the eigenvalues
+    # are computed (eigvalsh).
     eig = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         return eig(s)
@@ -159,7 +170,7 @@ def _conjugate_gradient(apply, rhs, precond, tol):
 def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
     """Nearest matrix to m in {X psd, diag(X) <= 1}, by Newton's method on the dual.
 
-    The dual variable is y >= 0 with X(y) = (A - Diag y)+, A = sym(m); it
+    The dual variable is y >= 0 with X(y) = (A - Diag y)+, A = m; it
     minimizes theta(y) = 1/2 ||X(y)||^2 + sum(y), whose gradient is
     1 - diag X(y). Each iteration is a projected semismooth Newton step:
     coordinates pinned at y_i = 0 by a positive gradient move along the
@@ -176,18 +187,18 @@ def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
     most NEWTON_TOL * max(1, max |A|), then maps X to S X S with
     S = diag(min(1, X_ii^(-1/2))): that keeps X psd, makes diag(X) <= 1 hold
     exactly, and moves X by no more than the certified tolerance allows. A
-    member of the set, psd up to that tolerance, is returned unchanged.
-    Raises ProjectionConvergenceError when the test does not hold within
-    NEWTON_MAX_ITER iterations.
+    member of the set, psd up to that tolerance, is returned unchanged, as a
+    copy. m must pass symmetric_matrix. Raises ProjectionConvergenceError when
+    the test does not hold within NEWTON_MAX_ITER iterations.
     """
-    a = symmetrize(np.asarray(m, dtype=float))
+    a = symmetric_matrix(m)
     n = a.shape[0]
     tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(a))))
     lam, q = _eigh_sym(a)
     # psd up to the tolerance, so rank-deficient members whose eigh shows
     # round-off below zero count too
     if lam[0] >= -tol and float(np.max(np.diagonal(a))) <= 1.0:
-        return DualNewtonResult(point=a, iterations=0, kkt_residual=0.0)
+        return DualNewtonResult(point=a.copy(), iterations=0, kkt_residual=0.0)
 
     y = np.zeros(n)
     theta = 0.5 * float(np.sum(np.maximum(lam, 0.0) ** 2))
@@ -246,19 +257,17 @@ def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
 
 
 def psd_residual(m: np.ndarray) -> float:
-    """Frobenius distance from m to the psd cone: skew(m) and the negative-eigenvalue
-    part of sym(m) are orthogonal, so their norms add in squares."""
-    m = np.asarray(m, dtype=float)
-    negative = np.minimum(_eigh_sym(m, vectors=False), 0.0)
-    return math.hypot(float(np.linalg.norm((m - m.T) / 2.0)), float(np.linalg.norm(negative)))
+    """Frobenius distance from m, which must pass symmetric_matrix, to the psd
+    cone: the norm of m's negative eigenvalues."""
+    negative = np.minimum(_eigh_sym(symmetric_matrix(m), vectors=False), 0.0)
+    return float(np.linalg.norm(negative))
 
 
 def unit_diag_residual(m: np.ndarray) -> float:
-    """Frobenius distance from m to {X : diag(X) in [0, 1]}, off-diagonals free."""
-    m = np.asarray(m, dtype=float)
-    nearest = m.copy()
-    np.fill_diagonal(nearest, np.clip(np.diagonal(m), 0.0, 1.0))
-    return float(np.linalg.norm(m - nearest))
+    """Frobenius distance from m to {X : diag(X) in [0, 1]}, off-diagonals free:
+    only the diagonal moves."""
+    d = np.diagonal(np.asarray(m, dtype=float))
+    return float(np.linalg.norm(d - np.clip(d, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +335,8 @@ class PsdTrace(ConvexSet):
         finite_positive("trace_bound", self.trace_bound)
 
     def project(self, m):
-        """Project the eigenvalues of sym(m) onto the trace-budget simplex."""
-        vals, vecs = _eigh_sym(m)
+        """Project the eigenvalues of m, which must pass symmetric_matrix, onto
+        the trace-budget simplex."""
+        vals, vecs = _eigh_sym(symmetric_matrix(m))
         vals = project_simplex(vals, self.trace_bound)
         return symmetrize((vecs * vals) @ vecs.T)

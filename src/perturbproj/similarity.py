@@ -22,12 +22,11 @@ import numpy as np
 
 # dykstra_reference and perturb_and_alternately_project are unused here;
 # perfbench/tracing.py rebinds both by these names.
-from .engine import (dykstra_reference, perturb_and_alternately_project, perturb_symmetric,
-                     symmetric_matrix)
+from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
 from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream, audit_record, write_with_sidecar
 from .projections import (EntryClip, FrobeniusBall, psd_residual, solve_psd_diag_box,
-                          unit_diag_residual)
+                          symmetric_matrix, symmetrize, unit_diag_residual)
 
 ROW_NORM_TOL = 1e-6
 
@@ -38,9 +37,10 @@ SOLVER_EXACT = "dual-newton"
 SOLVER_PRACTICAL = "shrink-then-clip"
 
 # Peak through the CLI in float64 n x n matrices (ru_maxrss over the RSS with
-# 16-d vectors read) at n = 1000/2000/3000: exact 12.9/12.3/11.0 (eigh's
-# workspace), practical 6.1/6.0/4.1 (the row writer holds about n^2/4 strings at most).
-EXACT_COPIES = 14
+# 16-d vectors read, 2-vCPU x86-64, OpenBLAS 0.3.31) at n = 1000/2000: exact
+# 9.60/9.52 (eigh's workspace; 9.21 through the API at n = 1000), practical
+# 6.59/6.54 (the row writer holds about n^2/4 strings at most).
+EXACT_COPIES = 10
 PRACTICAL_COPIES = 7
 
 
@@ -107,8 +107,7 @@ def _guard_release(n: int, dim: int, copies: int) -> None:
 
 def gram(vectors: UnitVectorSet) -> np.ndarray:
     """Pairwise inner products V V^T, symmetrized exactly."""
-    g = vectors.rows @ vectors.rows.T
-    return (g + g.T) / 2.0
+    return symmetrize(vectors.rows @ vectors.rows.T)
 
 
 def gram_sensitivity(a: UnitVectorSet, b: UnitVectorSet) -> float:

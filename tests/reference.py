@@ -160,7 +160,7 @@ class PsdCone(ConvexSet):
 
     def project(self, m):
         """Zero out the negative eigenvalues of sym(m)."""
-        vals, vecs = _eigh_sym(m)
+        vals, vecs = _eigh_sym(symmetrize(np.asarray(m, dtype=float)))
         vals = np.maximum(vals, 0.0)
         return symmetrize((vecs * vals) @ vecs.T)
 

@@ -682,8 +682,18 @@ def test_load_tensor_refuses_a_file_truncated_by_one_entry(tmp_path):
     path = tmp_path / "release.bin"
     save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match=r"holds 3 entries, not side\^order = 2\^2"):
+    with pytest.raises(ValueError, match=r"holds 24 bytes, not 8 \* side\^order = 8 \* 2\^2$"):
         load_tensor(path)
+
+
+def test_load_tensor_names_a_file_whose_length_is_not_a_whole_number_of_entries(tmp_path):
+    data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    path = tmp_path / "release.bin"
+    save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
+    path.write_bytes(path.read_bytes() + b"\0\0\0")
+    with pytest.raises(ValueError) as err:
+        load_tensor(path)
+    assert str(err.value) == f"{path} holds 35 bytes, not 8 * side^order = 8 * 2^2"
 
 
 def test_read_dataset_csv(tmp_path):

@@ -1,0 +1,76 @@
+"""The size guards' copy counts against the peaks of the releases they guard.
+
+Each release runs in a fresh process after a tiny warm-up release of the same
+kind, so BLAS buffers and imported code are already in the RSS it starts from.
+Its peak is ru_maxrss less that RSS, in float64 arrays of n^k entries (n x n
+for a cosine release). A constant must cover every peak measured for its path
+and lie within 1.5 copies of the largest, so that it cannot be left high.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import perturbproj
+from perturbproj.marginals import EVEN_K_COPIES
+from perturbproj.similarity import EXACT_COPIES
+
+PEAK = """
+import resource
+import sys
+
+import numpy as np
+
+from perturbproj import (BinaryDataset, PrivacyParams, RandomStream, UnitVectorSet,
+                         release_cosine_exact, release_even_k)
+
+path, n, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+rng = np.random.default_rng(0)
+params = PrivacyParams(1.0, 1e-6)
+
+
+def unit_rows(count):
+    g = rng.standard_normal((count, 16))
+    return UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
+
+
+def records(m, features):
+    return BinaryDataset((rng.random((m, features)) < 0.3).astype(float))
+
+
+if path == "exact":
+    small, big = unit_rows(8), unit_rows(n)
+    release = lambda data: release_cosine_exact(data, params, 1.0, RandomStream(1))
+else:
+    small, big = records(50, 4), records(2000, n)
+    release = lambda data: release_even_k(data, k, params, RandomStream(1))
+release(small)
+with open("/proc/self/statm") as fh:
+    before = int(fh.read().split()[1]) * resource.getpagesize()
+release(big)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before) / (8 * n**k))
+"""
+
+
+def _peak(path: str, n: int, k: int) -> float:
+    source = str(Path(perturbproj.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK, path, str(n), str(k)],
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the RSS from /proc")
+@pytest.mark.parametrize("copies,runs", [
+    (EXACT_COPIES, [("exact", 1000, 2)]),
+    (EVEN_K_COPIES, [("even", 30, 4), ("even", 1200, 2)]),
+], ids=["exact-cosine", "even-k"])
+def test_size_guard_copies_cover_the_measured_peak_by_at_most_one_and_a_half(copies, runs):
+    peaks = [_peak(*run) for run in runs]
+    assert max(peaks) <= copies, peaks
+    assert max(peaks) >= copies - 1.5, peaks
