@@ -71,7 +71,9 @@ EVEN_K_COPIES = 8
 # 3.13 at n=200, k=3 on 260 000 4-sparse records, also when a seventh of them
 # have 3 ones. The baselines draw their noise after the build, and T with the
 # noise, or T with the threshold keep's magnitudes, masks and tie index, is
-# less: both baselines peak at the build, on the same inputs.
+# less: both baselines peak at the build, on the same inputs. The threshold
+# baseline on 130 000 4-sparse records at n=200, k=3 peaks at 3.36, two-lane
+# draw included (tests/test_size_guards.py checks this and the n=160 GEMM).
 PARITY_COPIES = 4
 
 METHOD_EVEN = "EVEN_FLATTEN"
@@ -576,7 +578,9 @@ def load_tensor(path) -> tuple:
     """Read a released tensor back; returns (the (side,)*order array, sidecar dict).
 
     Every release is written in raw-count units, so a sidecar whose "scale"
-    is not 1 is refused, as is a file that is not 8 * side^order bytes long.
+    is not 1 is refused, as is a side^order past MAX_RELEASE_BYTES / 8
+    entries (compared through logarithms, before side**order is computed or
+    a byte read) and a file that is not 8 * side^order bytes long.
     """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
@@ -587,6 +591,11 @@ def load_tensor(path) -> tuple:
         raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
     order = integer_at_least("order", meta["order"], 1)
     side = integer_at_least("side", meta["side"], 1)
+    # a power that passes the logarithms is at most about the bound, cheap to compare exactly
+    entries = MAX_RELEASE_BYTES // 8
+    if order * math.log(side) > math.log(entries) + 1e-9 or side**order > entries:
+        raise ValueError(f"sidecar side^order = {side}^{order} float64 entries would pass "
+                         f"the size guard of {MAX_RELEASE_BYTES >> 20} MiB")
     raw = path.read_bytes()
     if len(raw) != 8 * side**order:
         raise ValueError(f"{path} holds {len(raw)} bytes, not 8 * side^order = 8 * {side}^{order}")

@@ -354,6 +354,10 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
     dataset = tmp_path / "dataset.csv"
     np.savetxt(dataset, (rng.random((10, 5)) < 0.5).astype(int),
                delimiter=",", fmt="%d")
+    # 42^3 = 74 088 entries: the threshold baseline's noise comes from two lanes
+    sparse = tmp_path / "sparse.csv"
+    np.savetxt(sparse, (np.argsort(rng.random((30, 42)), axis=1) < 3).astype(int),
+               delimiter=",", fmt="%d")
 
     invocations = [
         ("similarity", ["similarity", "--input", str(vectors), "--epsilon", "1",
@@ -368,6 +372,10 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
                                 "1", "--delta", "1e-6", "--order", "2", "--mode",
                                 "gaussian", "--seed", "13", "--out", "{d}/plain.bin"],
          ["plain.bin", "plain.json"]),
+        ("marginals-threshold", ["marginals", "--input", str(sparse), "--epsilon", "1",
+                                 "--delta", "1e-6", "--order", "3", "--mode", "threshold",
+                                 "--sparsity", "3", "--seed", "18", "--out", "{d}/thr.bin"],
+         ["thr.bin", "thr.json"]),
         ("cosine-scaling", ["bench", "cosine-scaling", "--sizes", "4,8",
                             "--trials", "2", "--seed", "14", "--out", "{d}/cs.json",
                             "--per-trial-csv", "{d}/cs_trials.csv"],
@@ -409,10 +417,10 @@ def test_cli_outputs_are_byte_identical_across_threads_and_reruns(tmp_path):
             assert blobs[run_name] == blobs["threads1"], (name, run_name)
             compared += len(artifacts)
     elapsed = time.perf_counter() - started
-    ok = compared == 22 and elapsed < 120.0
+    ok = compared == 26 and elapsed < 120.0
     _line(10, ok, "command-line outputs are byte-identical across thread "
           "counts and reruns",
           f"{len(invocations)} invocations x 3 runs, {compared} artifact "
           f"comparisons all byte-equal, {elapsed:.1f}s")
-    assert compared == 22
+    assert compared == 26
     assert elapsed < 120.0

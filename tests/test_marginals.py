@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import perturbproj.cli as cli
 import perturbproj.marginals as marginals
 from perturbproj.engine import perturb_and_project
 from perturbproj.marginals import (
+    MAX_RELEASE_BYTES,
     BinaryDataset,
     ParityQuery,
     RecordError,
@@ -694,6 +696,29 @@ def test_load_tensor_names_a_file_whose_length_is_not_a_whole_number_of_entries(
     with pytest.raises(ValueError) as err:
         load_tensor(path)
     assert str(err.value) == f"{path} holds 35 bytes, not 8 * side^order = 8 * 2^2"
+
+
+def test_load_tensor_refuses_a_side_to_the_order_past_the_size_guard_before_reading(tmp_path):
+    data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    path = tmp_path / "release.bin"
+    sidecar = save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
+    meta = json.loads(sidecar.read_text())
+    # 3^(10^9) would take minutes to compute; the bound is checked through logarithms first
+    started = time.perf_counter()
+    for side, order in [(3, 10**9), (2, 29)]:
+        sidecar.write_text(json.dumps(dict(meta, order=order, side=side)))
+        with pytest.raises(ValueError) as err:
+            load_tensor(path)
+        assert str(err.value) == (f"sidecar side^order = {side}^{order} float64 entries would "
+                                  f"pass the size guard of {MAX_RELEASE_BYTES >> 20} MiB")
+    assert time.perf_counter() - started < 1.0
+    # 2^28 entries are exactly at the bound: the byte length is checked as before
+    for side, order in [(2, 28), (1, 10**9)]:
+        sidecar.write_text(json.dumps(dict(meta, order=order, side=side)))
+        with pytest.raises(ValueError) as err:
+            load_tensor(path)
+        assert str(err.value) == (f"{path} holds 32 bytes, not 8 * side^order = "
+                                  f"8 * {side}^{order}")
 
 
 def test_read_dataset_csv(tmp_path):

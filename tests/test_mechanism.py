@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from perturbproj.mechanism import (
     calibrate_sigma,
     finite_positive,
     RESOLUTION_BITS,
+    SPLIT_DRAW_MIN,
     integer_at_least,
     refuse_unresolved_noise,
     sample_gaussian,
@@ -106,6 +108,18 @@ def test_random_stream_draws_from_philox():
     # a release publishes long runs of raw generator output (every zero-count
     # entry is sigma*z); Philox, unlike PCG64 or SFC64, resists recovering its state
     assert isinstance(RandomStream(5).generator().bit_generator, np.random.Philox)
+    stream = RandomStream(5, 2)
+    lanes = stream.lanes()
+    assert len(lanes) == 2
+    assert all(isinstance(lane.bit_generator, np.random.Philox) for lane in lanes)
+    draws = [lane.standard_normal(16) for lane in lanes]
+    assert all(np.array_equal(d, lane.standard_normal(16))
+               for d, lane in zip(draws, stream.lanes()))
+    # the lanes differ from each other, from the stream's own generator and
+    # from the next stream's generator and lanes
+    others = [stream.generator(), stream.shifted(1).generator(), *stream.shifted(1).lanes()]
+    draws += [g.standard_normal(16) for g in others]
+    assert len({d.tobytes() for d in draws}) == len(draws)
 
 
 def test_random_stream_shifted():
@@ -134,6 +148,8 @@ def test_noise_must_be_finite():
     # a finite sigma whose scaled draws overflow float64
     with pytest.raises(ValueError, match="overflows"):
         sample_gaussian(100, 1e308, RandomStream(0))
+    with pytest.raises(ValueError, match="overflows"):
+        sample_gaussian(SPLIT_DRAW_MIN, 1e308, RandomStream(0))
     with pytest.raises(ValueError, match="overflows"):
         sample_symmetric_gaussian(20, 1e308, RandomStream(0))
 
@@ -201,7 +217,7 @@ def test_symmetric_gaussian_entry_variance():
 
 
 def test_symmetric_gaussian_matches_triu_indices_construction():
-    for n in (1, 2, 5, 64, 300):
+    for n in (1, 2, 5, 64, 300, 400):  # 400 draws 80 200 normals, from one generator
         stream = RandomStream(4, n)
         rows, cols = np.triu_indices(n)
         ref = np.zeros((n, n))
@@ -209,3 +225,35 @@ def test_symmetric_gaussian_matches_triu_indices_construction():
         ref[cols, rows] = ref[rows, cols]
         w = sample_symmetric_gaussian(n, 1.7, stream)
         assert w.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [SPLIT_DRAW_MIN, SPLIT_DRAW_MIN + 1, (41, 41, 41)])
+def test_sample_gaussian_from_the_cutoff_on_fills_one_half_from_each_lane(shape):
+    stream = RandomStream(12, 3)
+    size = math.prod(np.atleast_1d(shape))
+    first, second = stream.lanes()
+    ref = np.concatenate([first.standard_normal(size // 2),
+                          second.standard_normal(size - size // 2)]) * 1.7
+    out = sample_gaussian(shape, 1.7, stream)
+    assert out.shape == np.empty(shape).shape
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_sample_gaussian_below_the_cutoff_draws_from_the_stream_generator():
+    stream = RandomStream(12, 3)
+    for shape in (1, SPLIT_DRAW_MIN - 1, (40, 40, 40)):
+        ref = stream.generator().standard_normal(shape) * 1.7
+        assert sample_gaussian(shape, 1.7, stream).tobytes() == ref.tobytes()
+
+
+def test_an_error_in_the_helper_lane_reaches_the_caller(monkeypatch):
+    class Failing:
+        def standard_normal(self, out):
+            raise RuntimeError("helper lane failed")
+
+    lanes = RandomStream.lanes
+    monkeypatch.setattr(RandomStream, "lanes", lambda self: (lanes(self)[0], Failing()))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^helper lane failed$"):
+        sample_gaussian(SPLIT_DRAW_MIN, 1.0, RandomStream(0))
+    assert threading.active_count() == threads  # the helper was joined

@@ -202,6 +202,25 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
     assert rel.record["kkt_residual"] <= 1e-12 * float(np.max(np.abs(noisy)))
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_release_exact_runs_nine_eigh_and_one_eigvalsh(monkeypatch, seed):
+    # the benchmark's exact release: n=128 unit vectors in dim 64, epsilon 1, delta 1e-6.
+    # One eigh of the noisy matrix, one per Newton step (each takes its first trial
+    # point) and psd_residual's eigvalsh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    g = np.random.default_rng(seed).standard_normal((128, 64))
+    vs = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
+    rel = release_cosine_exact(vs, NORMAL, 1.0, RandomStream(seed))
+    assert (calls.count("eigh"), calls.count("eigvalsh"), len(calls)) == (9, 1, 10)
+    assert rel.record["iterations"] == 8
+
+
 def test_release_practical_zero_noise_returns_gram():
     rng = np.random.default_rng(4)
     vs = _unit_rows(rng, 6)

@@ -3,8 +3,10 @@
 Each release runs in a fresh process after a tiny warm-up release of the same
 kind, so BLAS buffers and imported code are already in the RSS it starts from.
 Its peak is ru_maxrss less that RSS, in float64 arrays of n^k entries (n x n
-for a cosine release). A constant must cover every peak measured for its path
-and lie within 1.5 copies of the largest, so that it cannot be left high.
+for a cosine release). A constant must cover every peak measured for its paths
+and lie within 1.5 copies of the largest, so that it cannot be left high. The
+inputs are built before that RSS is read and peak below the release, so the
+high-water mark is the release's own.
 """
 
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import perturbproj
-from perturbproj.marginals import EVEN_K_COPIES
+from perturbproj.marginals import EVEN_K_COPIES, PARITY_COPIES
 from perturbproj.similarity import EXACT_COPIES
 
 PEAK = """
@@ -25,7 +27,8 @@ import sys
 import numpy as np
 
 from perturbproj import (BinaryDataset, PrivacyParams, RandomStream, UnitVectorSet,
-                         release_cosine_exact, release_even_k)
+                         parity_tensor, release_cosine_exact, release_even_k,
+                         release_threshold_baseline)
 
 path, n, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
@@ -41,12 +44,25 @@ def records(m, features):
     return BinaryDataset((rng.random((m, features)) < 0.3).astype(float))
 
 
+def sparse_records(m, features, ones):
+    # up to `ones` ones per row, set in uint8: no float m x n array to outgrow the release
+    x = np.zeros((m, features), dtype=np.uint8)
+    x[np.arange(m)[:, None], rng.integers(0, features, size=(m, ones))] = 1
+    return BinaryDataset(x, sparsity=ones)
+
+
 if path == "exact":
     small, big = unit_rows(8), unit_rows(n)
     release = lambda data: release_cosine_exact(data, params, 1.0, RandomStream(1))
-else:
+elif path == "even":
     small, big = records(50, 4), records(2000, n)
     release = lambda data: release_even_k(data, k, params, RandomStream(1))
+elif path == "parity":  # 30% ones: every record goes through the GEMM
+    small, big = records(50, 4), records(400, n)
+    release = lambda data: parity_tensor(data, k)
+else:  # the scatter builds T in about two blocks, then the two-lane draw and the keep
+    small, big = sparse_records(50, 4, 2), sparse_records(130_000, n, 4)
+    release = lambda data: release_threshold_baseline(data, k, params, RandomStream(1))
 release(small)
 with open("/proc/self/statm") as fh:
     before = int(fh.read().split()[1]) * resource.getpagesize()
@@ -69,7 +85,8 @@ def _peak(path: str, n: int, k: int) -> float:
 @pytest.mark.parametrize("copies,runs", [
     (EXACT_COPIES, [("exact", 1000, 2)]),
     (EVEN_K_COPIES, [("even", 30, 4), ("even", 1200, 2)]),
-], ids=["exact-cosine", "even-k"])
+    (PARITY_COPIES, [("parity", 160, 3), ("threshold", 200, 3)]),
+], ids=["exact-cosine", "even-k", "parity"])
 def test_size_guard_copies_cover_the_measured_peak_by_at_most_one_and_a_half(copies, runs):
     peaks = [_peak(*run) for run in runs]
     assert max(peaks) <= copies, peaks
