@@ -48,8 +48,8 @@ ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # Peak of one stability or complexity trial through the CLI in float64 arrays of
 # n (vector) or n^2 (matrix) entries: ru_maxrss less the RSS after an n=4 run
 # (2-vCPU x86-64, OpenBLAS 0.3.31). Stability holds the projected anchor, the
-# projected noisy point, their difference and its square: 3.13-3.88 at
-# n=1500-3500 (its zero anchor is never written); psd-trace 2.14-2.89, box and
+# projected noisy point, their difference and its square: 3.13-3.89 at
+# n=1000-3500 (its zero anchor is never written); psd-trace 2.14-2.89, box and
 # Frobenius 1-2.
 TRIAL_COPIES = 4
 

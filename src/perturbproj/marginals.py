@@ -56,9 +56,9 @@ SCAN_COST = 0.7
 
 # Peak of the even-k release through the CLI in float64 n^k arrays: ru_maxrss
 # less the RSS after a 4-feature warm-up release (about 8 MiB of BLAS/LAPACK
-# buffers and code, not growing with n^k) and the records. Measured (2-vCPU
-# x86-64, OpenBLAS 0.3.31) on m=2000 records with 30% ones: 7.70 at n=30, k=4,
-# 7.08 at n=40, k=4, 5.55 at n=1200, k=2 and 4.44 at n=400, k=2.
+# buffers and code, not growing with n^k). Measured (2-vCPU x86-64, OpenBLAS
+# 0.3.31) on m=2000 records with 30% ones, their parse included: 7.74 at n=30,
+# k=4, 7.08 at n=40, k=4, 5.39 at n=1200, k=2 and 4.29 at n=400, k=2.
 EVEN_K_COPIES = 8
 
 # Peak of the parity build in float64 n^k arrays: ru_maxrss less the RSS after

@@ -2,12 +2,13 @@
 
 Every set here is one a release projects onto; each exposes project() and
 residual(), the Frobenius distance to the projected point. Projections are
-idempotent, nonexpansive, and preserve symmetry of symmetric inputs. Every set
-has a closed form; the projection onto {X psd, diag(X) <= 1} has none and is
-solved by a dual Newton method that certifies its own convergence
-(solve_psd_diag_box), with psd_residual and unit_diag_residual for its parts.
-The matrix projections (PsdTrace, solve_psd_diag_box, psd_residual) project a
-matrix that passes symmetric_matrix as it is, and refuse any other.
+idempotent and nonexpansive. Every set has a closed form; the projection onto
+{X psd, diag(X) <= 1} has none and is solved by a dual Newton method that
+certifies its own convergence (solve_psd_diag_box), with psd_residual and
+unit_diag_residual for its parts. PsdTrace, solve_psd_diag_box and
+psd_residual refuse a matrix that fails symmetric_matrix; the first two return
+one product B B^T, which numpy computes as a symmetric rank-k update, so it is
+symmetric bit for bit and psd.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ def symmetric_matrix(a) -> np.ndarray:
     return a
 
 
-def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Nearest symmetric matrix, the average with the transpose."""
-    return (m + m.T) / 2.0
-
-
 def _eigh_sym(s: np.ndarray, vectors: bool = True):
     # s is a symmetric float64 matrix, used as it is; retry once with a tiny
     # diagonal jitter before giving up. Without vectors only the eigenvalues
@@ -78,7 +74,8 @@ def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
 
     If clipping negatives already lands inside the budget that clip is the
     projection; otherwise the optimum sits on the face sum(x) == budget and is
-    the usual sort-and-threshold simplex projection.
+    the usual sort-and-threshold simplex projection, taken of v - max(v): a
+    shift leaves it unchanged and keeps max(v) - budget from rounding to max(v).
     """
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget!r}")
@@ -86,13 +83,12 @@ def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
     clipped = np.maximum(v, 0.0)
     if clipped.sum() <= budget:
         return clipped
-    u = np.sort(v)[::-1]
+    w = v - v.max()
+    u = np.sort(w)[::-1]
     cssv = np.cumsum(u)
-    # >=, not >: past u_1 ~ 2^53 * budget, u_1 - budget rounds to u_1 and a strict
-    # test fails even at j = 1; equality (u_j = theta) gives the same theta.
     rho = np.nonzero(u * np.arange(1, v.size + 1) >= (cssv - budget))[0][-1]
     theta = (cssv[rho] - budget) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return np.maximum(w - theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,11 @@ def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
     trial point costs one eigh, reused when accepted.
 
     The solver stops when the KKT residual ||min(y, 1 - diag X)||_inf is at
-    most NEWTON_TOL * max(1, max |A|), then maps X to S X S with
-    S = diag(min(1, X_ii^(-1/2))): that keeps X psd, makes diag(X) <= 1 hold
-    exactly, and moves X by no more than the certified tolerance allows. A
-    member of the set, psd up to that tolerance, is returned unchanged, as a
+    most NEWTON_TOL * max(1, max |A|), then returns B B^T, B = Q_b Lambda_b^(1/2)
+    over the positive eigenpairs with its rows scaled to length at most 1 and
+    the product's diagonal clipped at 1: that keeps X psd, makes diag(X) <= 1
+    hold exactly, and moves X by no more than the certified tolerance allows.
+    A member of the set, psd up to that tolerance, is returned unchanged, as a
     copy. m must pass symmetric_matrix. Raises ProjectionConvergenceError when
     the test does not hold within NEWTON_MAX_ITER iterations.
     """
@@ -249,9 +246,9 @@ def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
                 f"dual Newton line search found no decrease at KKT residual {kkt:.3g}")
         y, lam, q, theta = y_next, lam_next, q_next, theta_next
 
-    x = symmetrize((qb * lam_b) @ qb.T)
-    s = 1.0 / np.sqrt(np.maximum(np.diagonal(x), 1.0))
-    x *= np.outer(s, s)
+    b = qb * np.sqrt(lam_b)
+    b /= np.sqrt(np.maximum(np.einsum("ij,ij->i", b, b), 1.0))[:, None]
+    x = b @ b.T
     np.fill_diagonal(x, np.minimum(np.diagonal(x), 1.0))
     return DualNewtonResult(point=x, iterations=iterations, kkt_residual=kkt)
 
@@ -336,7 +333,9 @@ class PsdTrace(ConvexSet):
 
     def project(self, m):
         """Project the eigenvalues of m, which must pass symmetric_matrix, onto
-        the trace-budget simplex."""
+        the trace-budget simplex; B B^T over the r kept eigenpairs (0 if r = 0)."""
         vals, vecs = _eigh_sym(symmetric_matrix(m))
         vals = project_simplex(vals, self.trace_bound)
-        return symmetrize((vecs * vals) @ vecs.T)
+        kept = vals > 0.0
+        b = vecs[:, kept] * np.sqrt(vals[kept])
+        return b @ b.T

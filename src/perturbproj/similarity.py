@@ -26,7 +26,7 @@ from .engine import dykstra_reference, perturb_and_alternately_project, perturb_
 from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream, audit_record, write_with_sidecar
 from .projections import (EntryClip, FrobeniusBall, psd_residual, solve_psd_diag_box,
-                          symmetric_matrix, symmetrize, unit_diag_residual)
+                          symmetric_matrix, unit_diag_residual)
 
 ROW_NORM_TOL = 1e-6
 
@@ -36,10 +36,10 @@ MODE_PRACTICAL = "PRACTICAL"
 SOLVER_EXACT = "dual-newton"
 SOLVER_PRACTICAL = "shrink-then-clip"
 
-# Peak through the CLI in float64 n x n matrices (ru_maxrss over the RSS with
-# 16-d vectors read, 2-vCPU x86-64, OpenBLAS 0.3.31) at n = 1000/2000: exact
-# 9.60/9.52 (eigh's workspace; 9.21 through the API at n = 1000), practical
-# 6.59/6.54 (the row writer holds about n^2/4 strings at most).
+# Peak of a release and its CSV file in float64 n x n matrices (ru_maxrss less
+# the RSS after an 8-vector warm-up, 16-d vectors, 2-vCPU x86-64, OpenBLAS
+# 0.3.31) at n = 1000/2000: exact 9.70/9.50 (eigh's workspace; 9.12 without the
+# file at n = 1000), practical 6.05/6.03 (the writer holds n^2/4 strings at most).
 EXACT_COPIES = 10
 PRACTICAL_COPIES = 7
 
@@ -106,8 +106,8 @@ def _guard_release(n: int, dim: int, copies: int) -> None:
 
 
 def gram(vectors: UnitVectorSet) -> np.ndarray:
-    """Pairwise inner products V V^T, symmetrized exactly."""
-    return symmetrize(vectors.rows @ vectors.rows.T)
+    """Pairwise inner products V V^T, which numpy returns symmetric bit for bit."""
+    return vectors.rows @ vectors.rows.T
 
 
 def gram_sensitivity(a: UnitVectorSet, b: UnitVectorSet) -> float:

@@ -7,7 +7,8 @@ intersection the exact cosine release projects onto, for the projection
 tests and the alternating-projection references; PsdDiagBox wraps
 solve_psd_diag_box as a ConvexSet, so the projection tests can run it beside
 the closed-form sets. TOL_PROJ is the tests' tolerance for a projection's
-idempotence, residual and variational inequality.
+idempotence, residual and variational inequality. symmetrize is sym(m), the
+matrix PsdCone projects in place of m.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 
 from perturbproj.marginals import _cube
 from perturbproj.mechanism import RandomStream, integer_at_least
-from perturbproj.projections import (ConvexSet, _eigh_sym, psd_residual, solve_psd_diag_box,
-                                     symmetrize)
+from perturbproj.projections import ConvexSet, _eigh_sym, psd_residual, solve_psd_diag_box
 
 TOL_PROJ = 1e-8
 
@@ -53,6 +53,11 @@ class OracleResult:
 
     def __float__(self):
         return self.value
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Nearest symmetric matrix, the average with the transpose."""
+    return (m + m.T) / 2.0
 
 
 def _symmetrize_tensor(a: np.ndarray) -> np.ndarray:

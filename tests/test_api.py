@@ -2,7 +2,10 @@ import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
+
 import perturbproj
+import perturbproj.cli as cli
 
 PUBLIC_NAMES = {
     # mechanism
@@ -46,3 +49,49 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     missing = [(module, name) for module, name, *_ in targets
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"tracer rows that do not resolve: {missing}"
+
+
+# The span names each traced operation must record. perfbench's per-layer
+# metrics are sums over these names, so a call site that moves out of its
+# TARGETS row would otherwise read as a layer taking no time.
+LAYERS = {
+    "similarity-exact": {"cli.main", "similarity.read", "similarity.gram", "mechanism.calibrate",
+                         "mechanism.sample", "similarity.release", "projections.eigh",
+                         "similarity.write"},
+    "marginals-threshold": {"cli.main", "marginals.read", "marginals.release",
+                            "marginals.parity", "mechanism.calibrate", "mechanism.sample",
+                            "marginals.save"},
+    "marginals-even-flatten": {"cli.main", "marginals.read", "marginals.release",
+                               "marginals.parity", "engine.project_once", "mechanism.calibrate",
+                               "mechanism.sample", "projections.eigh", "marginals.save"},
+}
+
+
+def test_the_benchmark_tracer_records_every_layer_of_each_release(tmp_path):
+    tracing = runpy.run_path(str(TRACING))
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((6, 4))
+    vectors, records = tmp_path / "vectors.csv", tmp_path / "records.csv"
+    np.savetxt(vectors, g / np.linalg.norm(g, axis=1, keepdims=True), delimiter=",", fmt="%.17g")
+    np.savetxt(records, (rng.random((40, 5)) < 0.3).astype(int), delimiter=",", fmt="%d")
+    runs = {
+        "similarity-exact": ["similarity", "--mode", "exact", "--input", str(vectors)],
+        "marginals-threshold": ["marginals", "--mode", "threshold", "--order", "3",
+                                "--sparsity", "5", "--input", str(records)],
+        "marginals-even-flatten": ["marginals", "--mode", "even-flatten", "--order", "2",
+                                   "--input", str(records)],
+    }
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        for op, (name, argv) in enumerate(runs.items()):
+            out = tmp_path / (name + (".csv" if name.startswith("similarity") else ".bin"))
+            with tracer.operation(op):
+                assert cli.main(argv + ["--epsilon", "1", "--delta", "1e-6", "--seed", "1",
+                                        "--out", str(out)]) == 0
+    finally:
+        tracer.restore()
+    fired = [{span.name for span in tracer.spans if span.op == op} for op in range(len(runs))]
+    assert dict(zip(runs, fired)) == LAYERS
+    never = {name for _, _, name, _ in tracing["TARGETS"]} - set().union(*fired)
+    assert never == {"engine.alternate", "engine.dykstra"}

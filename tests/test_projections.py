@@ -18,11 +18,12 @@ from perturbproj.projections import (
     project_simplex,
     psd_residual,
     solve_psd_diag_box,
+    symmetric_matrix,
     _generalized_hessian,
-    symmetrize,
     unit_diag_residual,
 )
-from reference import TOL_PROJ, DiagClip, PsdCone, PsdDiagBox
+from perturbproj.similarity import UnitVectorSet, gram
+from reference import TOL_PROJ, DiagClip, PsdCone, PsdDiagBox, symmetrize
 
 
 def _sym(rng, n, scale=1.0):
@@ -67,11 +68,15 @@ def test_project_simplex_examples():
         project_simplex(np.ones(3), 0.0)
 
 
-@pytest.mark.parametrize("v", [[1e16, 5e15, -1e16], [1e17, 3e16, 2e16], [1e16, 1e16]])
+# Each vector with its projection onto {x >= 0, sum(x) <= 1}. max(v) - 1 rounds
+# to max(v) here, so thresholding v itself would cut every entry to 0.
+PAST_2_POW_53 = {(1e16, 5e15, -1e16): [1.0, 0.0, 0.0], (1e17, 3e16, 2e16): [1.0, 0.0, 0.0],
+                 (1e16, 1e16): [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("v", list(PAST_2_POW_53))
 def test_project_simplex_is_feasible_past_2_pow_53_times_the_budget(v):
-    # u_1 - budget rounds to u_1 here, which a strict threshold test never passes
-    x = project_simplex(np.array(v), 1.0)
-    assert x.shape == (len(v),) and x.min() >= 0 and x.sum() <= 1.0
+    assert np.array_equal(project_simplex(np.array(v), 1.0), PAST_2_POW_53[v])
 
 
 def test_project_simplex_against_grid_search():
@@ -204,13 +209,6 @@ def test_frobenius_ball_works_on_vectors():
     assert np.allclose(FrobeniusBall(1.0).project(v), v / 5.0)
 
 
-def test_symmetrize():
-    m = np.array([[1.0, 2.0], [0.0, 3.0]])
-    s = symmetrize(m)
-    assert np.array_equal(s, s.T)
-    assert np.allclose(s, np.array([[1.0, 1.0], [1.0, 3.0]]))
-
-
 def test_eigen_failure_on_non_finite():
     with pytest.raises((EigenFailure, ValueError)):
         PsdCone().project(np.full((3, 3), np.nan))
@@ -313,3 +311,46 @@ def test_low_rank_hessian_matches_the_dense_formula(r):
 def test_psd_diag_box_iteration_count_is_pinned(n, epsilon, iterations):
     solved = solve_psd_diag_box(symmetrize(_noisy_gram(n, epsilon, 0)))
     assert solved.iterations == iterations
+
+
+def _product(case):
+    """The output of one case and the bound its diagonal must stay under."""
+    kind, arg = case.rsplit("-", 1)
+    rng = np.random.default_rng(6)
+    if kind == "gram":
+        g = rng.standard_normal((40, 16))
+        rows = g / np.linalg.norm(g, axis=1, keepdims=True)
+        if arg == "fortran":
+            rows = np.asfortranarray(rows)
+        elif arg == "strided":  # every other row and column of a larger array
+            wide = np.zeros((80, 32))
+            wide[::2, ::2] = rows
+            rows = wide[::2, ::2]
+            assert not (rows.flags.c_contiguous or rows.flags.f_contiguous)
+        return gram(UnitVectorSet(rows)), np.inf
+    if kind == "psd-diag-box":
+        return solve_psd_diag_box(_noisy_gram(int(arg), 1.0, 2)).point, 1.0
+    if arg == "r0":  # negative definite: every eigenvalue projects to 0
+        g = rng.standard_normal((6, 6))
+        return PsdTrace(1.0).project(-(g @ g.T) - np.eye(6)), np.inf
+    if arg == "r1":
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        return PsdTrace(1.0).project(symmetrize((q * [3.0, -1, -1, -1, -1, -1]) @ q.T)), np.inf
+    side = int(arg)  # about half the eigenvalues kept at side 300
+    return PsdTrace(1.0).project(_sym(rng, side) / (10 * side) + 0.5 / side), np.inf
+
+
+# Each output is one product B B^T, whose bit symmetry rests on numpy computing a
+# matrix times its own transpose as one symmetric rank-k update (or, for a strided
+# operand, the same dot products in the same order).
+@pytest.mark.parametrize("case", ["gram-c", "gram-fortran", "gram-strided", "psd-trace-r0",
+                                  "psd-trace-r1", "psd-trace-1", "psd-trace-300",
+                                  "psd-diag-box-1", "psd-diag-box-8", "psd-diag-box-128"])
+def test_product_outputs_are_symmetric_bit_for_bit_with_a_nonnegative_diagonal(case):
+    point, upper = _product(case)
+    symmetric_matrix(point)
+    assert 0.0 <= point.diagonal().min() and point.diagonal().max() <= upper
+    if case == "psd-trace-r0":
+        assert not point.any()
+    if case == "psd-trace-r1":
+        assert np.linalg.matrix_rank(point) == 1

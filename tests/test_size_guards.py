@@ -2,11 +2,14 @@
 
 Each release runs in a fresh process after a tiny warm-up release of the same
 kind, so BLAS buffers and imported code are already in the RSS it starts from.
-Its peak is ru_maxrss less that RSS, in float64 arrays of n^k entries (n x n
-for a cosine release). A constant must cover every peak measured for its paths
-and lie within 1.5 copies of the largest, so that it cannot be left high. The
-inputs are built before that RSS is read and peak below the release, so the
-high-water mark is the release's own.
+Its peak is the high-water RSS less that RSS, in float64 arrays of n^k entries
+(n x n for a cosine release and a matrix bench trial). A constant must cover
+every peak measured for its paths and lie within 1.5 copies of the largest, so
+that it cannot be left high. The inputs are built before that RSS is read and
+peak below the release, so the high-water mark is the release's own. It is
+read as VmHWM, not ru_maxrss: Linux starts a child's ru_maxrss at the RSS of
+the process that spawned it, which in a long test session can pass the peak
+of a small release.
 """
 
 import os
@@ -17,18 +20,20 @@ from pathlib import Path
 import pytest
 
 import perturbproj
+from perturbproj.bench import TRIAL_COPIES
 from perturbproj.marginals import EVEN_K_COPIES, PARITY_COPIES
-from perturbproj.similarity import EXACT_COPIES
+from perturbproj.similarity import EXACT_COPIES, PRACTICAL_COPIES
 
 PEAK = """
-import resource
 import sys
+import tempfile
 
 import numpy as np
 
-from perturbproj import (BinaryDataset, PrivacyParams, RandomStream, UnitVectorSet,
-                         parity_tensor, release_cosine_exact, release_even_k,
-                         release_threshold_baseline)
+from perturbproj import (BinaryDataset, EntryClip, PrivacyParams, RandomStream, UnitVectorSet,
+                         parity_tensor, release_cosine_exact, release_cosine_practical,
+                         release_even_k, release_threshold_baseline, stability_experiment,
+                         write_release_csv)
 
 path, n, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
@@ -51,9 +56,23 @@ def sparse_records(m, features, ones):
     return BinaryDataset(x, sparsity=ones)
 
 
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":")) * 1024
+
+
 if path == "exact":
     small, big = unit_rows(8), unit_rows(n)
     release = lambda data: release_cosine_exact(data, params, 1.0, RandomStream(1))
+elif path == "practical":  # as the CLI runs it: the release, then its CSV file
+    small, big = unit_rows(8), unit_rows(n)
+    out = tempfile.TemporaryDirectory()
+    release = lambda data: write_release_csv(
+        release_cosine_practical(data, params, 1.0, RandomStream(1)), out.name + "/x.csv")
+elif path == "stability":  # a bench trial as the CLI runs it, its zero anchor included
+    small, big = 4, n
+    release = lambda side: stability_experiment(EntryClip(1.0), np.zeros((side, side)), 2,
+                                                RandomStream(1))
 elif path == "even":
     small, big = records(50, 4), records(2000, n)
     release = lambda data: release_even_k(data, k, params, RandomStream(1))
@@ -64,10 +83,9 @@ else:  # the scatter builds T in about two blocks, then the two-lane draw and th
     small, big = sparse_records(50, 4, 2), sparse_records(130_000, n, 4)
     release = lambda data: release_threshold_baseline(data, k, params, RandomStream(1))
 release(small)
-with open("/proc/self/statm") as fh:
-    before = int(fh.read().split()[1]) * resource.getpagesize()
+before = status("VmRSS")
 release(big)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - before) / (8 * n**k))
+print((status("VmHWM") - before) / (8 * n**k))
 """
 
 
@@ -81,12 +99,14 @@ def _peak(path: str, n: int, k: int) -> float:
     return float(proc.stdout)
 
 
-@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the RSS from /proc")
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the RSS from /proc")
 @pytest.mark.parametrize("copies,runs", [
     (EXACT_COPIES, [("exact", 1000, 2)]),
     (EVEN_K_COPIES, [("even", 30, 4), ("even", 1200, 2)]),
     (PARITY_COPIES, [("parity", 160, 3), ("threshold", 200, 3)]),
-], ids=["exact-cosine", "even-k", "parity"])
+    (PRACTICAL_COPIES, [("practical", 600, 2)]),
+    (TRIAL_COPIES, [("stability", 1500, 2)]),
+], ids=["exact-cosine", "even-k", "parity", "practical-cosine", "bench-trial"])
 def test_size_guard_copies_cover_the_measured_peak_by_at_most_one_and_a_half(copies, runs):
     peaks = [_peak(*run) for run in runs]
     assert max(peaks) <= copies, peaks
