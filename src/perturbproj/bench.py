@@ -46,10 +46,10 @@ from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, relea
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # Peak of one stability or complexity trial through the CLI in float64 arrays of
-# n (vector) or n^2 (matrix) entries: ru_maxrss less the RSS after an n=4 run
+# n (vector) or n^2 (matrix) entries: VmHWM less the RSS after an n=4 run
 # (2-vCPU x86-64, OpenBLAS 0.3.31). Stability holds the projected anchor, the
-# projected noisy point, their difference and its square: 3.13-3.89 at
-# n=1000-3500 (its zero anchor is never written); psd-trace 2.14-2.89, box and
+# projected noisy point, their difference and its square: 3.01-3.07 at
+# n=1000-2000 (its zero anchor is never written); psd-trace 2.06-2.11, box and
 # Frobenius 1-2.
 TRIAL_COPIES = 4
 
@@ -120,9 +120,8 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
             return set_.trace_bound * max(top, 0.0)
 
     else:
-        raise UnsupportedSetError(
-            f"no closed-form support function for set kind {getattr(set_, 'kind', type(set_).__name__)!r}"
-        )
+        raise UnsupportedSetError("no closed-form support function for set kind "
+                                  f"{getattr(set_, 'kind', type(set_).__name__)!r}")
 
     sups = np.array([one(j) for j in range(trials)])
     if not np.isfinite(sups).all():
@@ -146,9 +145,8 @@ def stability_experiment(box: EntryClip, anchor: np.ndarray, trials: int,
     standard errors of it. Any set other than a box raises UnsupportedSetError.
     """
     if not isinstance(box, EntryClip):
-        raise UnsupportedSetError(
-            f"no closed-form stability bound for set kind {getattr(box, 'kind', type(box).__name__)!r}"
-        )
+        raise UnsupportedSetError("no closed-form stability bound for set kind "
+                                  f"{getattr(box, 'kind', type(box).__name__)!r}")
     anchor = np.asarray(anchor, dtype=float)
     if anchor.ndim == 1:
         ambient, draw = "vector", sample_gaussian

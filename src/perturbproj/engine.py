@@ -29,13 +29,14 @@ class DykstraConvergenceWarning(RuntimeWarning):
 def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
                       stream: RandomStream) -> tuple:
     """The one noise draw of a matrix release: (a + W, sigma), with W symmetric Gaussian noise
-    drawn once from stream at the sigma calibrated from params and the l2 sensitivity of a.
-    a must pass symmetric_matrix, and then refuse_unresolved_noise (finite, resolvable)."""
+    drawn once from stream at the sigma calibrated from params and a's l2 sensitivity, in a's
+    units. a must pass symmetric_matrix and refuse_unresolved_noise; it is added into W."""
     a = symmetric_matrix(a)
     sigma = calibrate_sigma(params, sensitivity)
     w = sample_symmetric_gaussian(a.shape[0], sigma, stream)
     refuse_unresolved_noise(a, w, sigma)
-    return a + w, sigma
+    w += a
+    return w, sigma
 
 
 def _member_sets(sets) -> tuple:

@@ -3,8 +3,8 @@
 Every release starts from the order-k parity tensor T = sum_e m(e) * e^{(x)k},
 whose entry at a multi-index alpha counts records with all features of alpha
 set. Every release draws noise once and takes at most one step after it.
-Even k reshapes T / (m * n^{k/2}) into its n^{k/2} x n^{k/2} matrix, perturbs
-it once, and projects onto the psd trace ball (one eigendecomposition). The
+Even k reshapes T into its n^{k/2} x n^{k/2} matrix, perturbs it once, and
+projects onto the psd ball of trace m * n^{k/2} (one eigendecomposition). The
 Gaussian baseline adds entrywise noise to T; the threshold baseline keeps its
 m*t^k largest entries, t being the declared sparsity capped at n. T and
 every release are plain float64 arrays of shape (n,)*k, whose flat C order is
@@ -54,11 +54,11 @@ MAX_COUNT_TOTAL = 2**53
 LIGHT_COST = 125.0
 SCAN_COST = 0.7
 
-# Peak of the even-k release through the CLI in float64 n^k arrays: ru_maxrss
+# Peak of the even-k release through the CLI in float64 n^k arrays: VmHWM
 # less the RSS after a 4-feature warm-up release (about 8 MiB of BLAS/LAPACK
 # buffers and code, not growing with n^k). Measured (2-vCPU x86-64, OpenBLAS
-# 0.3.31) on m=2000 records with 30% ones, their parse included: 7.74 at n=30,
-# k=4, 7.08 at n=40, k=4, 5.39 at n=1200, k=2 and 4.29 at n=400, k=2.
+# 0.3.31) on m=2000 records with 30% ones, their parse included: 7.05 at n=30,
+# k=4, 6.45 at n=40, k=4, 5.38 at n=1200, k=2 and 4.27 at n=400, k=2.
 EVEN_K_COPIES = 8
 
 # Peak of the parity build in float64 n^k arrays: ru_maxrss less the RSS after
@@ -350,14 +350,12 @@ def answer_parity_query(tensor: np.ndarray, query: Union[ParityQuery, tuple]) ->
 
 def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
                    stream: RandomStream) -> MarginalRelease:
-    """Even-k release: reshape T / (m*n^{k/2}), perturb once, project, rescale.
+    """Even-k release: reshape T, perturb once, project, all in raw counts.
 
-    The flattening is T / (m*n^{k/2}) reshaped to its n^{k/2} square matrix:
-    exactly symmetric (T[a, b] and T[b, a] are one integer), psd, trace <= 1.
-    It has l2 sensitivity 2/m under a record swap, so the single symmetric
-    draw uses sigma = (2/m)*sqrt(2 ln(2/delta))/epsilon; projection onto
-    {M psd, tr M <= 1} restores feasibility, and the output is rescaled by
-    m*n^{k/2} back to raw-count units.
+    T reshaped to its n^{k/2} square matrix is exactly symmetric (T[a, b] and
+    T[b, a] are one integer), psd, of trace <= m*n^{k/2} and l2 sensitivity
+    2*n^{k/2} under a record swap, which calibrates the one symmetric draw;
+    projection onto {M psd, tr M <= m*n^{k/2}} restores feasibility.
     """
     if k % 2 != 0:
         raise ValueError(
@@ -370,11 +368,10 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
     if m < 1:
         raise ValueError("dataset must contain at least one record")
     side = n ** (k // 2)
-    back = float(m) * float(side)
-    sensitivity = 2.0 / m
-    point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side) / back,
-                                       PsdTrace(1.0), params, sensitivity, stream)
-    return MarginalRelease((point * back).reshape((n,) * k),
+    sensitivity = 2.0 * side
+    point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side),
+                                       PsdTrace(float(m * side)), params, sensitivity, stream)
+    return MarginalRelease(point.reshape((n,) * k),
                            dict(audit_record(params, sensitivity, sigma, stream, METHOD_EVEN),
                                 stream_index=stream.stream_index))
 
@@ -584,6 +581,8 @@ def load_tensor(path) -> tuple:
     """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"sidecar must be a JSON object, not {type(meta).__name__}")
     for key in ("scale", "order", "side"):
         if key not in meta:
             raise ValueError(f"sidecar has no {key!r}")

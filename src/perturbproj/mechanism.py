@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,8 +46,8 @@ def integer_at_least(name: str, value, least: int) -> int:
 
 
 def finite_positive(name: str, value):
-    """value when it is finite and greater than 0."""
-    if not 0 < value < math.inf:
+    """value when it is a real number (not a bool, a string or None), finite and above 0."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return value
 
@@ -60,7 +61,7 @@ class PrivacyParams:
 
     def __post_init__(self):
         finite_positive("epsilon", self.epsilon)
-        if not 0 < self.delta < 1:
+        if not (isinstance(self.delta, numbers.Real) and 0 < self.delta < 1):  # no bool passes
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta!r}")
 
 
@@ -102,9 +103,10 @@ class RandomStream:
 
 def audit_record(params: PrivacyParams, sensitivity: float, sigma: float, stream: RandomStream,
                  method: str) -> dict:
-    """The privacy record of one release: its budget, sensitivity, noise scale, seed and method."""
-    return {"epsilon": params.epsilon, "delta": params.delta, "sensitivity": sensitivity,
-            "sigma": sigma, "seed": stream.seed, "method": method}
+    """One release's privacy record: budget, sensitivity, sigma (as JSON floats), seed, method."""
+    return {"epsilon": float(params.epsilon), "delta": float(params.delta),
+            "sensitivity": float(sensitivity), "sigma": float(sigma), "seed": stream.seed,
+            "method": method}
 
 
 def json_text(record: dict) -> str:
@@ -211,13 +213,13 @@ def sample_symmetric_gaussian(n: int, sigma: float, stream: RandomStream) -> np.
 
     Every independent coordinate (diagonal included) has standard deviation
     sigma, which is what the l2 calibration over the upper-triangle
-    coordinates of a symmetric statistic requires. The draws, from
-    stream.generator() alone at every n, fill the upper triangle row by row.
+    coordinates of a symmetric statistic requires. The draws, from stream.generator()
+    alone at every n, fill the upper triangle row by row and, through w.T, the lower.
     """
     n = integer_at_least("matrix side", n, 1)
     finite_positive("sigma", sigma)
+    w = np.empty((n, n))  # first: the draws' buffer, freed on return, lies above it in the heap
     upper = _finite(_draw(np.empty(n * (n + 1) // 2), sigma, stream.generator()), sigma)
-    w = np.zeros((n, n))
-    w[np.triu(np.ones((n, n), dtype=bool))] = upper
-    w += np.triu(w, 1).T
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    w[mask] = w.T[mask] = upper
     return w

@@ -36,12 +36,12 @@ MODE_PRACTICAL = "PRACTICAL"
 SOLVER_EXACT = "dual-newton"
 SOLVER_PRACTICAL = "shrink-then-clip"
 
-# Peak of a release and its CSV file in float64 n x n matrices (ru_maxrss less
-# the RSS after an 8-vector warm-up, 16-d vectors, 2-vCPU x86-64, OpenBLAS
-# 0.3.31) at n = 1000/2000: exact 9.70/9.50 (eigh's workspace; 9.12 without the
-# file at n = 1000), practical 6.05/6.03 (the writer holds n^2/4 strings at most).
-EXACT_COPIES = 10
-PRACTICAL_COPIES = 7
+# Peak of a release through cli.main, read and file included, in float64 n x n
+# matrices (VmHWM less the RSS after an 8-vector warm-up, 16-d vectors, 2-vCPU
+# x86-64, OpenBLAS 0.3.31) at n = 1000/2000: exact 9.18-10.17/9.78 (eigh's
+# workspace), practical 5.04/5.05 (the writer holds n^2/4 strings at most).
+EXACT_COPIES = 11
+PRACTICAL_COPIES = 6
 
 
 @dataclass(frozen=True)

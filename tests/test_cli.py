@@ -334,6 +334,20 @@ def test_marginals_even_flatten_at_an_epsilon_of_1e_minus_17_exits_0(tmp_path):
     assert np.trace(tensor) == pytest.approx(300 * 10, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["even-flatten", "gaussian"])
+def test_marginals_noise_that_overflows_in_counts_exits_2(tmp_path, capsys, mode):
+    # both releases noise T in counts at sensitivity 2 n^{k/2} = 24: sigma is about 1.3e308
+    path = tmp_path / "records.csv"
+    rows = np.random.default_rng(4).random((300, 12)) < 0.3
+    np.savetxt(path, rows.astype(int), delimiter=",", fmt="%d")
+    out = tmp_path / "t.bin"
+    assert cli.main(["marginals", "--input", str(path), "--epsilon", "1e-306", "--delta", "1e-6",
+                     "--order", "2", "--mode", mode, "--out", str(out)]) == 2
+    assert re.fullmatch(r"error: noise of scale sigma=1\.29283e\+308 overflows float64\n",
+                        capsys.readouterr().err)
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_marginals_odd_order_even_flatten_exits_2(dataset_csv, tmp_path, capsys):
     code = cli.main(["marginals", "--input", str(dataset_csv), "--epsilon", "1",
                      "--delta", "1e-6", "--order", "3", "--mode", "even-flatten",

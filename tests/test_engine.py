@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def test_perturb_symmetric_returns_a_plus_w():
     noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(8))
     w = sample_symmetric_gaussian(4, sigma, RandomStream(8))
     assert np.array_equal(noisy, a + w)
+
+
+def test_perturb_symmetric_peaks_at_two_matrices_and_leaves_its_argument_unchanged():
+    # the draw's array is the only n x n float64 array allocated; a is added into it
+    n = 400
+    a = _sym(np.random.default_rng(14), n)
+    before = a.tobytes()
+    tracemalloc.start()
+    try:
+        noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n, peak / (8 * n * n)
+    assert a.tobytes() == before
+    w = sample_symmetric_gaussian(n, sigma, RandomStream(15))
+    assert noisy.tobytes() == (a + w).tobytes()
 
 
 def test_perturb_and_project_zero_noise_limit():

@@ -33,6 +33,7 @@ from perturbproj.mechanism import (
     calibrate_sigma,
     sample_gaussian,
 )
+from perturbproj.projections import PsdTrace
 import reference
 from reference import SearchBudget, sparse_injective_norm_oracle
 
@@ -247,7 +248,7 @@ def test_even_k_flattening_is_exactly_symmetric_psd_with_trace_at_most_one(monke
     captured = []
 
     def capture(a, set_, params, sensitivity, stream):
-        captured.append(a)
+        captured.append((a, set_))
         return perturb_and_project(a, set_, params, sensitivity, stream)
 
     monkeypatch.setattr(marginals, "perturb_and_project", capture)
@@ -255,11 +256,15 @@ def test_even_k_flattening_is_exactly_symmetric_psd_with_trace_at_most_one(monke
     records = (rng.random((23, 5)) < 0.5).astype(float)
     data = BinaryDataset(records, counts=rng.integers(1, 10, size=23))
     release_even_k(data, k, NORMAL, RandomStream(0))
-    (mat,) = captured
-    assert mat.shape == (5 ** (k // 2),) * 2
+    ((mat, set_),) = captured
+    side = 5 ** (k // 2)
+    bound = float(data.size * side)
+    # raw counts: the flattening of T itself, not a rescaled copy
+    assert np.array_equal(mat, parity_tensor(data, k).reshape(side, side))
     assert np.array_equal(mat, mat.T)
-    assert np.linalg.eigvalsh(mat).min() >= -1e-12
-    assert np.trace(mat) <= 1.0 + 1e-12
+    assert np.linalg.eigvalsh(mat).min() >= -1e-12 * bound
+    assert np.trace(mat) <= bound
+    assert set_ == PsdTrace(bound)
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -286,7 +291,7 @@ def test_release_even_k_feasible_pre_rescale():
     eigs = np.linalg.eigvalsh((flattened + flattened.T) / 2)
     assert eigs.min() >= -1e-8
     assert eigs.sum() <= 1.0 + 1e-8
-    assert rel.record["sensitivity"] == pytest.approx(2.0 / m, rel=1e-12)
+    assert rel.record["sensitivity"] == pytest.approx(2.0 * n, rel=1e-12)
     assert rel.record["sigma"] == pytest.approx(
         calibrate_sigma(PrivacyParams(rel.record["epsilon"], rel.record["delta"]),
                         rel.record["sensitivity"]), rel=1e-12)
@@ -416,6 +421,16 @@ def test_gaussian_only_sensitivity():
     sparse = BinaryDataset(rows, sparsity=2)
     rel2 = release_gaussian_only(sparse, 2, NORMAL, RandomStream(15))
     assert rel2.record["sensitivity"] == pytest.approx(2.0 * 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_even_k_records_the_gaussian_baselines_sensitivity_and_sigma_in_counts(k):
+    # both noise T in counts; with no declared sparsity, a swap moves it by 2 n^{k/2}
+    data = _random_data(np.random.default_rng(17), 5, 12)
+    even = release_even_k(data, k, NORMAL, RandomStream(1)).record
+    baseline = release_gaussian_only(data, k, NORMAL, RandomStream(1)).record
+    assert even["sensitivity"] == baseline["sensitivity"] == 2.0 * 5 ** (k // 2)
+    assert even["sigma"] == baseline["sigma"]
 
 
 @pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
@@ -677,6 +692,12 @@ def test_load_tensor_names_a_key_the_sidecar_lacks(tmp_path, key):
     sidecar.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=f"^sidecar has no '{key}'$"):
         load_tensor(path)
+    # a sidecar that is not a JSON object has no keys to look up
+    for text, kind in (("null", "NoneType"), ("123", "int"), ('"scale order side"', "str"),
+                       (f'["{key}"]', "list")):
+        sidecar.write_text(text)
+        with pytest.raises(ValueError, match=f"^sidecar must be a JSON object, not {kind}$"):
+            load_tensor(path)
 
 
 def test_load_tensor_refuses_a_file_truncated_by_one_entry(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import perturbproj
+from perturbproj import EntryClip, UnitVectorSet, release_cosine_practical, write_release_csv
 from perturbproj.mechanism import (
     PrivacyParams,
     RandomStream,
@@ -78,6 +80,40 @@ def test_finite_positive_refuses_what_is_not_finite_and_positive(bad):
     with pytest.raises(ValueError, match=message):
         finite_positive("scale", bad)
     assert finite_positive("scale", 1e-300) == 1e-300 and finite_positive("scale", 3) == 3
+
+
+# each scale's check, and values it accepts: ints and numpy numbers as well as floats
+SCALE_CHECKS = {
+    "epsilon": (lambda v: PrivacyParams(v, 1e-6), [2, np.int64(3), np.float64(0.5)]),
+    "delta": (lambda v: PrivacyParams(1.0, v), [np.float64(1e-6), np.float32(0.01)]),
+    "cosine-sensitivity": (lambda v: release_cosine_practical(
+        UnitVectorSet(np.eye(3)), PrivacyParams(1.0, 1e-6), v, RandomStream(0)),
+        [1, np.float64(2.0)]),
+    "sigma": (lambda v: sample_gaussian(4, v, RandomStream(0)), [1, np.float32(2.0)]),
+    "entry-clip-bound": (lambda v: EntryClip(v), [1, np.float64(0.5)]),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, "1", "0.1", None],
+                         ids=["true", "false", "numpy-true", "str-1", "str-0.1", "none"])
+@pytest.mark.parametrize("scale", SCALE_CHECKS)
+def test_scales_refuse_bools_strings_and_none_with_value_error(scale, bad):
+    check, accepted = SCALE_CHECKS[scale]
+    with pytest.raises(ValueError, match=f", got {re.escape(repr(bad))}$"):
+        check(bad)
+    for value in accepted:
+        check(value)
+
+
+def test_numpy_scales_are_recorded_as_json_floats(tmp_path):
+    params = PrivacyParams(np.int64(3), np.float32(0.01))
+    release = release_cosine_practical(UnitVectorSet(np.eye(3)), params, np.float32(2.0),
+                                       RandomStream(0))
+    record = json.loads(write_release_csv(release, tmp_path / "x.csv").read_text())
+    assert {key: type(record[key]) for key in ("epsilon", "delta", "sensitivity", "sigma")} == \
+        dict.fromkeys(("epsilon", "delta", "sensitivity", "sigma"), float)
+    assert (record["epsilon"], record["delta"], record["sensitivity"]) == (
+        3.0, float(np.float32(0.01)), 2.0)
 
 
 def test_integer_and_scale_rules_are_written_only_in_mechanism():

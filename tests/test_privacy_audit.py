@@ -4,9 +4,11 @@ For every pair of binary records over n <= 5 features, two datasets that share
 every other record and differ in that one are built, and the l2 distance of
 the statistic a release noises is taken over the coordinates its draw noises:
 for the even-k release the upper triangle, diagonal included, of its
-n^{k/2} x n^{k/2} matrix T / (m n^{k/2}); for the Gaussian and threshold
-baselines all n^k entries of T. It must not exceed the sensitivity the
-release records.
+n^{k/2} x n^{k/2} matrix T; for the Gaussian and threshold baselines all n^k
+entries of T. It must not exceed the sensitivity the release records. The
+even-k release is held to the ratio it has, sqrt((N^2 + N) / 2) / (2N) for
+N = n^{k/2} (all ones swapped for all zeros), and so to at least 1/3: a
+statistic in other units than the recorded sensitivity's would miss it.
 
 For the cosine releases, swapping one of n unit vectors changes the Gram
 matrix by at most 2 sqrt(2(n-1)) in Frobenius norm and its strict upper
@@ -41,7 +43,7 @@ def _records(n: int, t: int) -> np.ndarray:
 
 def _even_k_statistic(data: BinaryDataset, k: int) -> np.ndarray:
     side = data.n_features ** (k // 2)
-    matrix = parity_tensor(data, k).reshape(side, side) / (float(data.size) * float(side))
+    matrix = parity_tensor(data, k).reshape(side, side)
     return matrix[np.triu_indices(side)]
 
 
@@ -64,7 +66,10 @@ def _audit(release, statistic, k: int, n: int, t: int, sparsity) -> float:
 def test_even_k_change_stays_within_the_recorded_sensitivity(k):
     for n in range(1, 6):
         ratio = _audit(release_even_k, _even_k_statistic, k, n, n, None)
-        assert ratio <= 1.0, f"n={n}: change {ratio:.4f} of the sensitivity"
+        side = n ** (k // 2)
+        attained = math.sqrt((side * side + side) / 2.0) / (2.0 * side)
+        assert abs(ratio - attained) <= 1e-12, f"n={n}: change {ratio!r} of the sensitivity"
+        assert 1.0 / 3.0 <= ratio <= 1.0, f"n={n}: change {ratio:.4f} of the sensitivity"
 
 
 @pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])

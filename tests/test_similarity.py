@@ -185,7 +185,7 @@ def test_release_exact_is_the_projection_of_the_noisy_matrix(monkeypatch):
 
     def tracked(n, sigma, stream):
         w = sample_symmetric_gaussian(n, sigma, stream)
-        draws.append(w)
+        draws.append(w.copy())  # the release adds the Gram matrix into w
         return w
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
@@ -395,12 +395,12 @@ def test_write_release_csv_peaks_below_three_matrices(tmp_path):
     assert peak < 3 * 8 * n * n
 
 
-def test_practical_size_guard_admits_up_to_6192_vectors():
-    # 8 * (7 n^2 + 2 n) bytes fit in MAX_RELEASE_BYTES = 2^31 up to n = 6192
+def test_practical_size_guard_admits_up_to_6688_vectors():
+    # 8 * (6 n^2 + 2 n) bytes fit in MAX_RELEASE_BYTES = 2^31 up to n = 6688
     _guard_release(5000, 2, PRACTICAL_COPIES)
-    _guard_release(6192, 2, PRACTICAL_COPIES)
+    _guard_release(6688, 2, PRACTICAL_COPIES)
     with pytest.raises(ValueError, match="size guard"):
-        _guard_release(6193, 2, PRACTICAL_COPIES)
+        _guard_release(6689, 2, PRACTICAL_COPIES)
 
 
 def test_write_release_csv_refuses_a_path_its_sidecar_would_overwrite(tmp_path):

@@ -6,7 +6,8 @@ Its peak is the high-water RSS less that RSS, in float64 arrays of n^k entries
 (n x n for a cosine release and a matrix bench trial). A constant must cover
 every peak measured for its paths and lie within 1.5 copies of the largest, so
 that it cannot be left high. The inputs are built before that RSS is read and
-peak below the release, so the high-water mark is the release's own. It is
+peak below the release, so the high-water mark is the release's own (the
+exact cosine release runs through cli.main, its CSV parse included). It is
 read as VmHWM, not ru_maxrss: Linux starts a child's ru_maxrss at the RSS of
 the process that spawned it, which in a long test session can pass the peak
 of a small release.
@@ -31,9 +32,9 @@ import tempfile
 import numpy as np
 
 from perturbproj import (BinaryDataset, EntryClip, PrivacyParams, RandomStream, UnitVectorSet,
-                         parity_tensor, release_cosine_exact, release_cosine_practical,
-                         release_even_k, release_threshold_baseline, stability_experiment,
-                         write_release_csv)
+                         parity_tensor, release_cosine_practical, release_even_k,
+                         release_threshold_baseline, stability_experiment, write_release_csv)
+from perturbproj.cli import main
 
 path, n, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 rng = np.random.default_rng(0)
@@ -61,9 +62,15 @@ def status(field):
         return next(int(line.split()[1]) for line in fh if line.startswith(field + ":")) * 1024
 
 
-if path == "exact":
-    small, big = unit_rows(8), unit_rows(n)
-    release = lambda data: release_cosine_exact(data, params, 1.0, RandomStream(1))
+if path == "exact":  # as the CLI runs it: read the vectors, release, write the CSV file
+    out = tempfile.TemporaryDirectory()
+    small, big = out.name + "/small.csv", out.name + "/big.csv"
+    np.savetxt(small, unit_rows(8).rows, fmt="%.17g", delimiter=",")
+    np.savetxt(big, unit_rows(n).rows, fmt="%.17g", delimiter=",")
+
+    def release(name):
+        assert main(["similarity", "--mode", "exact", "--input", name, "--epsilon", "1",
+                     "--delta", "1e-6", "--out", out.name + "/x.csv"]) == 0
 elif path == "practical":  # as the CLI runs it: the release, then its CSV file
     small, big = unit_rows(8), unit_rows(n)
     out = tempfile.TemporaryDirectory()
