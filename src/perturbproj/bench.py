@@ -1,9 +1,9 @@
 """Benchmark harness: complexity estimates, stability checks, error scaling.
 
 Each experiment returns the JSON report that `perturbproj bench` writes, and
-the two scaling experiments also return their per-trial error rows. Every
-report's wall_time_s is null, so reports are byte-stable; the CLI prints the
-wall time to stderr.
+the two scaling experiments also return their per-trial error rows. Reports
+hold no timing, so they are byte-stable; the CLI prints the wall time to
+stderr.
 
 Monte Carlo conventions used throughout, chosen once so closed forms and
 estimates agree:
@@ -130,7 +130,7 @@ def complexity_monte_carlo(set_: ConvexSet, n: int, trials: int, stream: RandomS
     value, std_error = _mean_se(sups)
     return {"experiment": "complexity", "set_kind": set_.kind, "ambient": ambient, "n": n,
             "trials": trials, "value": value, "std_error": std_error,
-            "closed_form": closed_form, "seed": stream.seed, "wall_time_s": None}
+            "closed_form": closed_form, "seed": stream.seed}
 
 
 def stability_experiment(box: EntryClip, anchor: np.ndarray, trials: int,
@@ -170,7 +170,7 @@ def stability_experiment(box: EntryClip, anchor: np.ndarray, trials: int,
             "trials": trials, "estimate": estimate, "std_error": std_error,
             "stability_bound": stability_bound,
             "within_bound": bool(estimate <= stability_bound + 3 * std_error),
-            "seed": stream.seed, "wall_time_s": None}
+            "seed": stream.seed}
 
 
 def fit_power_law(points: Sequence) -> tuple:
@@ -239,8 +239,7 @@ def _paired_scaling(experiment: str, sizes: list, trials: int, stream: RandomStr
 
     fits = [_fit_or_none([(p["n"], p[f"{prefix}mse"]) for p in points]) for _, prefix in methods]
     report = {"experiment": experiment, "config": config, "points": points,
-              "fitted_exponent": fits[0][0], "fit_r2": fits[0][1], "seed": stream.seed,
-              "wall_time_s": None}
+              "fitted_exponent": fits[0][0], "fit_r2": fits[0][1], "seed": stream.seed}
     for (_, prefix), (exponent, r2) in zip(methods[1:], fits[1:]):
         report.update({f"{prefix}exponent": exponent, f"{prefix}fit_r2": r2})
     return report, per_trial

@@ -212,7 +212,7 @@ class ParityQuery:
 @dataclass
 class MarginalRelease:
     """Released tensor, a float64 (n,)*k array in raw-count units, plus its sidecar
-    record: the audit_record and the stream_index of its noise."""
+    record, the audit_record."""
 
     tensor: np.ndarray
     record: dict
@@ -372,8 +372,7 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
     point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side),
                                        PsdTrace(float(m * side)), params, sensitivity, stream)
     return MarginalRelease(point.reshape((n,) * k),
-                           dict(audit_record(params, sensitivity, sigma, stream, METHOD_EVEN),
-                                stream_index=stream.stream_index))
+                           audit_record(params, sensitivity, sigma, stream, METHOD_EVEN))
 
 
 def _threshold_keep(flat: np.ndarray, keep: int) -> np.ndarray:
@@ -419,9 +418,8 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     noise = sample_gaussian((n,) * k, sigma, stream)
     refuse_unresolved_noise(noisy, noise, sigma)
     noisy += noise
-    return MarginalRelease(noisy, dict(audit_record(params, sensitivity, sigma, stream,
-                                                    METHOD_GAUSSIAN),
-                                       stream_index=stream.stream_index))
+    return MarginalRelease(noisy, audit_record(params, sensitivity, sigma, stream,
+                                               METHOD_GAUSSIAN))
 
 
 def release_threshold_baseline(data: BinaryDataset, k: int, params: PrivacyParams,
@@ -562,11 +560,10 @@ def save_release(release: MarginalRelease, path) -> Path:
     Returns the sidecar path, path with its suffix replaced by .json, so a
     path that already ends in .json is refused (write_with_sidecar), as is a
     tensor that is not cubical. The sidecar is the release's record plus the
-    wire format: order k and side n, read from the tensor's shape, and scale,
-    which is always 1.
+    wire format: order k and side n, read from the tensor's shape.
     """
     order, side = _cube(release.tensor)
-    record = dict(release.record, order=order, side=side, scale=1.0)
+    record = dict(release.record, order=order, side=side)
     return write_with_sidecar(path, record, lambda out: out.write_bytes(
         np.ascontiguousarray(release.tensor.ravel(), dtype="<f8")))
 
@@ -574,20 +571,18 @@ def save_release(release: MarginalRelease, path) -> Path:
 def load_tensor(path) -> tuple:
     """Read a released tensor back; returns (the (side,)*order array, sidecar dict).
 
-    Every release is written in raw-count units, so a sidecar whose "scale"
-    is not 1 is refused, as is a side^order past MAX_RELEASE_BYTES / 8
-    entries (compared through logarithms, before side**order is computed or
-    a byte read) and a file that is not 8 * side^order bytes long.
+    Only the sidecar's "order" and "side" are read; its other keys are
+    returned as they are. A side^order past MAX_RELEASE_BYTES / 8 entries is
+    refused (compared through logarithms, before side**order is computed or
+    a byte read), as is a file that is not 8 * side^order bytes long.
     """
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     if not isinstance(meta, dict):
         raise ValueError(f"sidecar must be a JSON object, not {type(meta).__name__}")
-    for key in ("scale", "order", "side"):
+    for key in ("order", "side"):
         if key not in meta:
             raise ValueError(f"sidecar has no {key!r}")
-    if meta["scale"] != 1:
-        raise ValueError(f"sidecar scale must be 1, got {meta['scale']!r}")
     order = integer_at_least("order", meta["order"], 1)
     side = integer_at_least("side", meta["side"], 1)
     # a power that passes the logarithms is at most about the bound, cheap to compare exactly

@@ -226,8 +226,7 @@ def test_both_release_families_publish_the_same_audit_record(tmp_path, vectors_c
 
 SIMILARITY_KEYS = {"delta", "epsilon", "method", "residuals", "seed", "sensitivity", "sigma",
                    "solver"}
-MARGINAL_KEYS = {"delta", "epsilon", "method", "order", "scale", "seed", "sensitivity", "side",
-                 "sigma", "stream_index"}
+MARGINAL_KEYS = {"delta", "epsilon", "method", "order", "seed", "sensitivity", "side", "sigma"}
 
 
 @pytest.mark.parametrize("command,flags,keys", [
@@ -297,8 +296,7 @@ def test_marginals_zero_noise_two_record_example(tmp_path, capsys):
     tensor = np.frombuffer(out.read_bytes(), dtype="<f8").reshape(2, 2)
     assert np.allclose(tensor, np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-5)
     meta = json.loads(out.with_suffix(".json").read_text())
-    for key in ("order", "side", "scale", "method", "epsilon", "delta", "seed"):
-        assert key in meta
+    assert set(meta) == MARGINAL_KEYS
 
 
 @pytest.mark.parametrize("argv", [
@@ -457,7 +455,7 @@ def test_bench_stability_reports_bound(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["experiment"] == "stability"
     assert payload["within_bound"] is True
-    assert payload["wall_time_s"] is None
+    assert "wall_time_s" not in payload
     assert payload["estimate"] <= payload["stability_bound"] + 3 * payload["std_error"]
 
 
@@ -469,7 +467,7 @@ def test_bench_cosine_scaling(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["fitted_exponent"] is not None
-    assert payload["wall_time_s"] is None
+    assert "wall_time_s" not in payload
     lines = per.read_text().splitlines()
     assert lines[0] == "n,trial,method,error"
     assert len(lines) == 1 + 2 * 2 * 3
@@ -637,13 +635,12 @@ def test_bench_refusal_prints_one_error_line_and_writes_nothing(tmp_path, capsys
 
 BENCH_REPORT_KEYS = {
     "cosine-scaling": "baseline_exponent baseline_fit_r2 config experiment fit_r2 "
-                      "fitted_exponent points seed wall_time_s",
+                      "fitted_exponent points seed",
     "marginal-scaling": "config experiment fit_r2 fitted_exponent gaussian_exponent "
-                        "gaussian_fit_r2 points seed wall_time_s",
+                        "gaussian_fit_r2 points seed",
     "stability": "ambient estimate experiment n seed set_kind stability_bound std_error "
-                 "trials wall_time_s within_bound",
-    "complexity": "ambient closed_form experiment n seed set_kind std_error trials value "
-                  "wall_time_s",
+                 "trials within_bound",
+    "complexity": "ambient closed_form experiment n seed set_kind std_error trials value",
 }
 
 
@@ -661,6 +658,22 @@ def test_every_bench_report_has_exactly_its_keys(tmp_path, argv, extra):
     assert cli.main(["bench", *argv, "--trials", "3", "--seed", "9", "--out", str(out)]) == 0
     keys = set(BENCH_REPORT_KEYS[argv[0]].split()) | set(extra.split())
     assert set(json.loads(out.read_text())) == keys
+
+
+@pytest.mark.parametrize("argv,fits", [
+    (["cosine-scaling", "--sizes", "8"],
+     "fitted_exponent fit_r2 baseline_exponent baseline_fit_r2"),
+    (["marginal-scaling", "--sizes", "4", "--sparsity", "1"],
+     "fitted_exponent fit_r2 gaussian_exponent gaussian_fit_r2 threshold_exponent "
+     "threshold_fit_r2"),
+], ids=["cosine-scaling", "marginal-scaling-sparsity"])
+def test_a_single_size_scaling_report_has_null_fits(tmp_path, argv, fits):
+    # one point has nothing to fit a power law to
+    out = tmp_path / "b.json"
+    assert cli.main(["bench", *argv, "--trials", "3", "--seed", "9", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["points"]) == 1
+    assert {key: report[key] for key in fits.split()} == dict.fromkeys(fits.split())
 
 
 @pytest.mark.parametrize("argv", [

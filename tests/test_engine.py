@@ -286,3 +286,45 @@ def test_even_k_flattening_and_release_are_finite_and_symmetric_bit_for_bit(k, n
     assert _finite_and_symmetric_bit_for_bit(flat)
     tensor = release_even_k(data, k, NORMAL, RandomStream(k)).tensor
     assert _finite_and_symmetric_bit_for_bit(tensor.reshape(side, side))
+
+
+def _projection_slack(a: np.ndarray, w: np.ndarray, p: np.ndarray) -> float:
+    """<W, P - A> / ||P - A||_F^2 - 1, for the projection P of A + W onto a convex set holding A.
+
+    P is the Euclidean projection of A + W onto the set only if <A + W - P, A - P> <= 0,
+    that is <W, P - A> >= ||P - A||_F^2: the slack is at least 0, and exactly 0 when the
+    set already holds A + W.
+    """
+    d = p - a
+    return float(np.sum(w * d)) / float(np.sum(d * d)) - 1.0
+
+
+def _unit_rows(seed: int) -> UnitVectorSet:
+    g = np.random.default_rng(seed).standard_normal((64, 64))
+    return UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1.0, 10.0])
+def test_each_release_step_is_the_euclidean_projection_of_its_own_draw(epsilon):
+    # W is regenerated from the release's own stream and recorded sigma: the draw it added
+    params = PrivacyParams(epsilon, 1e-6)
+    slack = {}
+    for seed in range(10):
+        vectors = _unit_rows(seed)
+        a = gram(vectors)
+        exact = release_cosine_exact(vectors, params, 1.0, RandomStream(seed))
+        w = sample_symmetric_gaussian(64, exact.record["sigma"], RandomStream(seed))
+        slack["exact", seed] = _projection_slack(a, w, exact.matrix)
+        # the practical release's first step, the shrink onto {||X||_F <= n}
+        practical = release_cosine_practical(vectors, params, 1.0, RandomStream(seed))
+        w = sample_symmetric_gaussian(64, practical.record["sigma"], RandomStream(seed))
+        slack["shrink", seed] = _projection_slack(a, w, FrobeniusBall(64.0).project(a + w))
+    rng = np.random.default_rng(3)
+    for k, n in ((2, 12), (4, 5)):
+        data = BinaryDataset((rng.random((300, n)) < 0.3).astype(np.uint8))
+        side = n ** (k // 2)
+        release = release_even_k(data, k, params, RandomStream(k))
+        w = sample_symmetric_gaussian(side, release.record["sigma"], RandomStream(k))
+        slack["even", k] = _projection_slack(parity_tensor(data, k).reshape(side, side), w,
+                                             release.tensor.reshape(side, side))
+    assert min(slack.values()) >= -1e-9, slack

@@ -628,10 +628,10 @@ def test_save_and_load_release(tmp_path):
     path = tmp_path / "release.bin"
     sidecar = save_release(rel, path)
     meta = json.loads(sidecar.read_text())
-    for key in ("order", "side", "scale", "method", "epsilon", "delta", "seed"):
-        assert key in meta
+    assert set(meta) == {"delta", "epsilon", "method", "order", "seed", "sensitivity", "side",
+                         "sigma"}
     assert meta["method"] == "EVEN_FLATTEN"
-    assert meta["seed"] == 22 and meta["stream_index"] == 5
+    assert meta["seed"] == 22 and (meta["order"], meta["side"]) == (2, 4)
     tensor, meta2 = load_tensor(path)
     assert np.array_equal(tensor, rel.tensor)
     assert meta2 == meta
@@ -657,15 +657,17 @@ def test_save_release_refuses_a_non_finite_sidecar_value_before_writing(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
-def test_load_tensor_rejects_a_scale_other_than_1(tmp_path):
+def test_load_tensor_reads_a_sidecar_that_also_holds_scale_and_stream_index(tmp_path):
+    # earlier releases also wrote "scale" (always 1.0) and "stream_index": both are ignored
     data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
     path = tmp_path / "release.bin"
-    sidecar = save_release(release_gaussian_only(data, 2, NORMAL, RandomStream(3)), path)
-    meta = json.loads(sidecar.read_text())
-    assert meta["scale"] == 1.0
-    sidecar.write_text(json.dumps(dict(meta, scale=2)))
-    with pytest.raises(ValueError, match="scale must be 1, got 2"):
-        load_tensor(path)
+    release = release_gaussian_only(data, 2, NORMAL, RandomStream(3))
+    sidecar = save_release(release, path)
+    meta = dict(json.loads(sidecar.read_text()), scale=1.0, stream_index=0)
+    sidecar.write_text(json.dumps(meta))
+    tensor, meta2 = load_tensor(path)
+    assert np.array_equal(tensor, release.tensor)
+    assert meta2 == meta
 
 
 def test_load_tensor_refuses_an_order_or_side_that_is_not_an_integer(tmp_path):
@@ -682,7 +684,7 @@ def test_load_tensor_refuses_an_order_or_side_that_is_not_an_integer(tmp_path):
         load_tensor(path)
 
 
-@pytest.mark.parametrize("key", ["order", "side", "scale"])
+@pytest.mark.parametrize("key", ["order", "side"])
 def test_load_tensor_names_a_key_the_sidecar_lacks(tmp_path, key):
     data = BinaryDataset(np.eye(4))
     path = tmp_path / "release.bin"
@@ -693,7 +695,7 @@ def test_load_tensor_names_a_key_the_sidecar_lacks(tmp_path, key):
     with pytest.raises(ValueError, match=f"^sidecar has no '{key}'$"):
         load_tensor(path)
     # a sidecar that is not a JSON object has no keys to look up
-    for text, kind in (("null", "NoneType"), ("123", "int"), ('"scale order side"', "str"),
+    for text, kind in (("null", "NoneType"), ("123", "int"), ('"order side"', "str"),
                        (f'["{key}"]', "list")):
         sidecar.write_text(text)
         with pytest.raises(ValueError, match=f"^sidecar must be a JSON object, not {kind}$"):

@@ -7,7 +7,8 @@ Its peak is the high-water RSS less that RSS, in float64 arrays of n^k entries
 every peak measured for its paths and lie within 1.5 copies of the largest, so
 that it cannot be left high. The inputs are built before that RSS is read and
 peak below the release, so the high-water mark is the release's own (the
-exact cosine release runs through cli.main, its CSV parse included). It is
+exact cosine and even-k releases run through cli.main, their CSV parse
+included, and so does the bench trial). It is
 read as VmHWM, not ru_maxrss: Linux starts a child's ru_maxrss at the RSS of
 the process that spawned it, which in a long test session can pass the peak
 of a small release.
@@ -31,9 +32,9 @@ import tempfile
 
 import numpy as np
 
-from perturbproj import (BinaryDataset, EntryClip, PrivacyParams, RandomStream, UnitVectorSet,
-                         parity_tensor, release_cosine_practical, release_even_k,
-                         release_threshold_baseline, stability_experiment, write_release_csv)
+from perturbproj import (BinaryDataset, PrivacyParams, RandomStream, UnitVectorSet,
+                         parity_tensor, release_cosine_practical, release_threshold_baseline,
+                         write_release_csv)
 from perturbproj.cli import main
 
 path, n, k = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -48,6 +49,20 @@ def unit_rows(count):
 
 def records(m, features):
     return BinaryDataset((rng.random((m, features)) < 0.3).astype(float))
+
+
+def records_csv(name, m, features):
+    # the bytes of a 0/1 grid with 30% ones, as np.savetxt(fmt="%d") writes it
+    cells = np.full((m, 2 * features), ord(","), dtype=np.uint8)
+    cells[:, ::2] = (rng.random((m, features)) < 0.3) + ord("0")
+    cells[:, -1] = ord("\\n")
+    with open(name, "wb") as fh:
+        fh.write(cells.tobytes())
+    return name
+
+
+def cli(*argv):
+    assert main(list(argv)) == 0
 
 
 def sparse_records(m, features, ones):
@@ -68,21 +83,25 @@ if path == "exact":  # as the CLI runs it: read the vectors, release, write the 
     np.savetxt(small, unit_rows(8).rows, fmt="%.17g", delimiter=",")
     np.savetxt(big, unit_rows(n).rows, fmt="%.17g", delimiter=",")
 
-    def release(name):
-        assert main(["similarity", "--mode", "exact", "--input", name, "--epsilon", "1",
-                     "--delta", "1e-6", "--out", out.name + "/x.csv"]) == 0
+    release = lambda name: cli("similarity", "--mode", "exact", "--input", name, "--epsilon",
+                               "1", "--delta", "1e-6", "--out", out.name + "/x.csv")
 elif path == "practical":  # as the CLI runs it: the release, then its CSV file
     small, big = unit_rows(8), unit_rows(n)
     out = tempfile.TemporaryDirectory()
     release = lambda data: write_release_csv(
         release_cosine_practical(data, params, 1.0, RandomStream(1)), out.name + "/x.csv")
 elif path == "stability":  # a bench trial as the CLI runs it, its zero anchor included
+    out = tempfile.TemporaryDirectory()
     small, big = 4, n
-    release = lambda side: stability_experiment(EntryClip(1.0), np.zeros((side, side)), 2,
-                                                RandomStream(1))
-elif path == "even":
-    small, big = records(50, 4), records(2000, n)
-    release = lambda data: release_even_k(data, k, params, RandomStream(1))
+    release = lambda side: cli("bench", "stability", "--ambient", "matrix", "--n", str(side),
+                               "--trials", "2", "--seed", "1", "--out", out.name + "/st.json")
+elif path == "even":  # as the CLI runs it: read the records, release, write the tensor file
+    out = tempfile.TemporaryDirectory()
+    small = records_csv(out.name + "/small.csv", 50, 4)
+    big = records_csv(out.name + "/big.csv", 2000, n)
+    release = lambda name: cli("marginals", "--mode", "even-flatten", "--order", str(k),
+                               "--input", name, "--epsilon", "1", "--delta", "1e-6",
+                               "--out", out.name + "/x.bin")
 elif path == "parity":  # 30% ones: every record goes through the GEMM
     small, big = records(50, 4), records(400, n)
     release = lambda data: parity_tensor(data, k)
