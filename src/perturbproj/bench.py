@@ -41,7 +41,8 @@ from .marginals import (
 from .mechanism import (PrivacyParams, RandomStream, finite_positive, integer_at_least,
                         sample_gaussian, sample_symmetric_gaussian)
 from .projections import ConvexSet, EntryClip, FrobeniusBall, PsdTrace, UnsupportedSetError
-from .similarity import EXACT_COPIES, UnitVectorSet, _guard_release, gram, release_cosine_exact
+from .similarity import (EXACT_COPIES, GRAM_BOUND, UnitVectorSet, _guard_release, gram,
+                         release_cosine_exact)
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -267,7 +268,8 @@ def scaling_experiment_cosine(sizes: Sequence[int], params: PrivacyParams, sensi
         vectors = UnitVectorSet(g / np.linalg.norm(g, axis=1, keepdims=True))
         truth = gram(vectors)
         released = release_cosine_exact(vectors, params, sensitivity, noise)
-        clip_only, _ = perturb_and_project(truth, EntryClip(1.0), params, sensitivity, noise)
+        clip_only, _ = perturb_and_project(truth, EntryClip(1.0), params, sensitivity,
+                                           GRAM_BOUND, noise)
         return (float(np.sum((released.matrix - truth) ** 2)),
                 float(np.sum((clip_only - truth) ** 2)))
 
@@ -304,7 +306,7 @@ def scaling_experiment_marginals(sizes: Sequence[int], k: int, m: int, params: P
     sizes = _check_sizes(sizes)
     m = integer_at_least("m", m, 1)
     for n in sizes:
-        _guard_size(n, k, m, copies=EVEN_K_COPIES)  # the even-k release, the largest path
+        _guard_size(n, k, copies=EVEN_K_COPIES)  # the even-k release, the largest path
     trials = integer_at_least("trials", trials, 2)
     sparsity = None if sparsity is None else integer_at_least("sparsity", sparsity, 1)
     if sparsity is not None and sparsity > sizes[0]:

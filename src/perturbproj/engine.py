@@ -26,15 +26,18 @@ class DykstraConvergenceWarning(RuntimeWarning):
     """Dykstra hit the iteration cap before the per-cycle change fell below tol."""
 
 
-def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float,
+def perturb_symmetric(a: np.ndarray, params: PrivacyParams, sensitivity: float, bound: float,
                       stream: RandomStream) -> tuple:
     """The one noise draw of a matrix release: (a + W, sigma), with W symmetric Gaussian noise
     drawn once from stream at the sigma calibrated from params and a's l2 sensitivity, in a's
-    units. a must pass symmetric_matrix and refuse_unresolved_noise; it is added into W."""
+    units. a must be finite and pass symmetric_matrix; it is added into W. bound, the caller's
+    promise on |entry| of every admissible a, goes to refuse_unresolved_noise before the draw."""
     a = symmetric_matrix(a)
+    if not np.isfinite(a).all():
+        raise ValueError("the statistic has a non-finite entry, which no noise can privatize")
     sigma = calibrate_sigma(params, sensitivity)
+    refuse_unresolved_noise(bound, sigma)
     w = sample_symmetric_gaussian(a.shape[0], sigma, stream)
-    refuse_unresolved_noise(a, w, sigma)
     w += a
     return w, sigma
 
@@ -47,9 +50,9 @@ def _member_sets(sets) -> tuple:
 
 
 def perturb_and_project(a: np.ndarray, set_: ConvexSet, params: PrivacyParams,
-                        sensitivity: float, stream: RandomStream) -> tuple:
+                        sensitivity: float, bound: float, stream: RandomStream) -> tuple:
     """One calibrated symmetric noise draw, then one projection: returns (point, sigma)."""
-    noisy, sigma = perturb_symmetric(a, params, sensitivity, stream)
+    noisy, sigma = perturb_symmetric(a, params, sensitivity, bound, stream)
     return set_.project(noisy), sigma
 
 
@@ -63,7 +66,7 @@ def averaged_projection_step(x: np.ndarray, sets: Sequence[ConvexSet]) -> np.nda
 
 
 def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
-                                    sensitivity: float, stream: RandomStream,
+                                    sensitivity: float, bound: float, stream: RandomStream,
                                     iterations: int) -> tuple:
     """One noise draw, then `iterations` averaged projection steps: (point, sigma).
 
@@ -72,7 +75,7 @@ def perturb_and_alternately_project(a: np.ndarray, sets, params: PrivacyParams,
     """
     iterations = integer_at_least("iterations", iterations, 1)
     sets = _member_sets(sets)
-    x, sigma = perturb_symmetric(a, params, sensitivity, stream)
+    x, sigma = perturb_symmetric(a, params, sensitivity, bound, stream)
     for _ in range(iterations):
         x = averaged_projection_step(x, sets)
     return x, sigma

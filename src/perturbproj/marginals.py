@@ -233,14 +233,11 @@ def _guard_bytes(need: int, what: str) -> None:
                          f"over the size guard of {MAX_RELEASE_BYTES >> 20} MiB")
 
 
-def _guard_size(n: int, k: int, rows: int, copies: int) -> None:
-    """The size guard of a marginal release.
-
-    The peak is `copies` (measured per path) float64 n^k arrays plus the
-    records, one byte per cell.
-    """
+def _guard_size(n: int, k: int, copies: int) -> None:
+    """The size guard of a marginal release: `copies` (measured per path) float64 n^k arrays.
+    The records are already read; a swap can change their row count, so it is not read."""
     integer_at_least("order k", k, 1)
-    _guard_bytes(8 * copies * n**k + rows * n, f"order {k} over {n} features")
+    _guard_bytes(8 * copies * n**k, f"order {k} over {n} features")
 
 
 def _scatter_parity(x: np.ndarray, counts: np.ndarray, weights: np.ndarray, light: int,
@@ -317,7 +314,7 @@ def parity_tensor(data: BinaryDataset, k: int) -> np.ndarray:
     total at most 2^53), so T is bit-identical however the records split.
     """
     n = data.n_features
-    _guard_size(n, k, len(data.records), copies=PARITY_COPIES)
+    _guard_size(n, k, copies=PARITY_COPIES)
     x = data.records
     counts = data.counts.astype(float)
     # records with at most `light` ones are light; -1 when none is
@@ -363,14 +360,14 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
             "or release_gaussian_only for odd orders"
         )
     n = data.n_features
-    _guard_size(n, k, len(data.records), copies=EVEN_K_COPIES)
+    _guard_size(n, k, copies=EVEN_K_COPIES)
     m = data.size
     if m < 1:
         raise ValueError("dataset must contain at least one record")
     side = n ** (k // 2)
     sensitivity = 2.0 * side
     point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side),
-                                       PsdTrace(float(m * side)), params, sensitivity, stream)
+                                       PsdTrace(float(m * side)), params, sensitivity, m, stream)
     return MarginalRelease(point.reshape((n,) * k),
                            audit_record(params, sensitivity, sigma, stream, METHOD_EVEN))
 
@@ -408,16 +405,15 @@ def release_gaussian_only(data: BinaryDataset, k: int, params: PrivacyParams,
     Sensitivity uses t = data.max_ones (the declared sparsity capped at n,
     else n), since ||e^{(x)k}||_2 = ||e||_2^k <= t^{k/2} and a swap doubles it.
     The noise is drawn after T is built, so the release peaks in the build
-    and parity_tensor's size guard covers it. A sigma too small to change T
-    is refused.
+    and parity_tensor's size guard covers it. Before either, refuse_unresolved_noise
+    reads sigma and m, which swap adjacency keeps public and no entry of T passes.
     """
     n = data.n_features
     sensitivity = 2.0 * data.max_ones ** (k / 2.0)
     sigma = calibrate_sigma(params, sensitivity)
+    refuse_unresolved_noise(data.size, sigma)
     noisy = parity_tensor(data, k)
-    noise = sample_gaussian((n,) * k, sigma, stream)
-    refuse_unresolved_noise(noisy, noise, sigma)
-    noisy += noise
+    noisy += sample_gaussian((n,) * k, sigma, stream)
     return MarginalRelease(noisy, audit_record(params, sensitivity, sigma, stream,
                                                METHOD_GAUSSIAN))
 

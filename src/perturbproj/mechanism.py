@@ -7,8 +7,8 @@ An entrywise draw of SPLIT_DRAW_MIN entries or more comes from the stream's
 two fixed Philox lanes, one half each, filled at the same time on two
 threads; the lane count never changes, so neither do the bytes.
 Every release's sidecar record starts from audit_record, and every release
-file and its sidecar are written by write_with_sidecar. Every noise draw a
-release adds is checked by refuse_unresolved_noise first.
+file and its sidecar are written by write_with_sidecar. Before its noise draw,
+every release calls refuse_unresolved_noise on sigma and a public bound alone.
 Every integer parameter of the package is checked by integer_at_least, and
 every scale (epsilon, sensitivity, sigma, a set's bound) by finite_positive.
 """
@@ -141,16 +141,13 @@ def calibrate_sigma(params: PrivacyParams, sensitivity: float) -> float:
     return sensitivity * math.sqrt(2.0 * math.log(2.0 / params.delta)) / params.epsilon
 
 
-def refuse_unresolved_noise(statistic: np.ndarray, noise: np.ndarray, sigma: float) -> None:
-    """Refuse a statistic with a NaN or inf entry (the Gaussian mechanism covers finite ones),
-    or with max|statistic| + max|noise| >= 2^53 * gamma: float64 cannot hold the sum to gamma."""
-    gamma = math.ldexp(1.0, math.frexp(sigma)[1] - 1 - RESOLUTION_BITS)
-    top = max(float(statistic.max()), -float(statistic.min()))  # max|x| without a copy
-    if not math.isfinite(top):  # NaN or inf exactly when an entry is
-        raise ValueError("the statistic has a non-finite entry, which no noise can privatize")
-    if top + max(float(noise.max()), -float(noise.min())) >= 2.0**53 * gamma:
+def refuse_unresolved_noise(bound: float, sigma: float) -> None:
+    """Refuse unless bound < 2^53 * gamma: float64 cannot hold an entry up to bound plus noise
+    of scale sigma to gamma. Both are public, fixed before any data is read; 0 passes, NaN not."""
+    gamma = math.ldexp(1.0, math.frexp(finite_positive("sigma", sigma))[1] - 1 - RESOLUTION_BITS)
+    if not bound < 2.0**53 * gamma:
         raise ValueError(f"noise of scale sigma={sigma:g} is below the float64 resolution of "
-                         f"a statistic with entries up to {top:g}")
+                         f"a statistic with entries up to {bound:g}")
 
 
 def _draw(out: np.ndarray, sigma: float, lane: np.random.Generator) -> np.ndarray:

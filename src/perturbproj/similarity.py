@@ -29,6 +29,7 @@ from .projections import (EntryClip, FrobeniusBall, psd_residual, solve_psd_diag
                           symmetric_matrix, unit_diag_residual)
 
 ROW_NORM_TOL = 1e-6
+GRAM_BOUND = (1.0 + ROW_NORM_TOL) ** 2  # no |entry| of a UnitVectorSet's Gram matrix passes it
 
 MODE_EXACT = "EXACT_SET"
 MODE_PRACTICAL = "PRACTICAL"
@@ -133,7 +134,7 @@ def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams, sensitiv
     exactly.
     """
     _guard_release(vectors.count, vectors.dim, EXACT_COPIES)
-    noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, stream)
+    noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, GRAM_BOUND, stream)
     solved = solve_psd_diag_box(noisy)
     point = solved.point
     record = audit_record(params, sensitivity, sigma, stream, MODE_EXACT)
@@ -157,7 +158,7 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams, sens
     """
     _guard_release(vectors.count, vectors.dim, PRACTICAL_COPIES)
     ball, box = FrobeniusBall(float(vectors.count)), EntryClip(1.0)
-    noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, stream)
+    noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, GRAM_BOUND, stream)
     point = box.project(ball.project(noisy))
     record = audit_record(params, sensitivity, sigma, stream, MODE_PRACTICAL)
     record.update(solver=SOLVER_PRACTICAL,

@@ -21,6 +21,7 @@ from reference import TOL_PROJ, DiagClip, PsdCone
 
 HUGE_EPS = PrivacyParams(1e9, 1e-6)
 NORMAL = PrivacyParams(1.0, 1e-6)
+BOUND = 16.0  # above every entry of the matrices these tests perturb
 
 
 def _sym(rng, n, scale=1.0):
@@ -31,13 +32,13 @@ def _sym(rng, n, scale=1.0):
 def test_iterations_validation():
     for iterations in (0, -1, 2.0, True):
         with pytest.raises(ValueError, match="iterations must be an integer >= 1"):
-            perturb_and_alternately_project(np.eye(2), (PsdCone(),), NORMAL, 1.0,
+            perturb_and_alternately_project(np.eye(2), (PsdCone(),), NORMAL, 1.0, BOUND,
                                             RandomStream(0), iterations)
 
 
 def test_perturb_symmetric_returns_a_plus_w():
     a = _sym(np.random.default_rng(8), 4)
-    noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(8))
+    noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, BOUND, RandomStream(8))
     w = sample_symmetric_gaussian(4, sigma, RandomStream(8))
     assert np.array_equal(noisy, a + w)
 
@@ -49,7 +50,7 @@ def test_perturb_symmetric_peaks_at_two_matrices_and_leaves_its_argument_unchang
     before = a.tobytes()
     tracemalloc.start()
     try:
-        noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(15))
+        noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, BOUND, RandomStream(15))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -61,10 +62,10 @@ def test_perturb_symmetric_peaks_at_two_matrices_and_leaves_its_argument_unchang
 
 def test_perturb_and_project_zero_noise_limit():
     a = np.diag([2.0, 0.0])
-    point, _ = perturb_and_project(a, PsdTrace(1.0), HUGE_EPS, 1.0, RandomStream(0))
+    point, _ = perturb_and_project(a, PsdTrace(1.0), HUGE_EPS, 1.0, BOUND, RandomStream(0))
     assert np.allclose(point, np.diag([1.0, 0.0]), atol=1e-6)
     feasible = np.diag([0.4, 0.3])
-    point, _ = perturb_and_project(feasible, PsdTrace(1.0), HUGE_EPS, 1.0, RandomStream(1))
+    point, _ = perturb_and_project(feasible, PsdTrace(1.0), HUGE_EPS, 1.0, BOUND, RandomStream(1))
     assert np.allclose(point, feasible, atol=1e-6)
 
 
@@ -72,7 +73,7 @@ def test_perturb_and_project_output_in_set():
     rng = np.random.default_rng(4)
     for i in range(10):
         a = _sym(rng, 6, scale=2.0)
-        point, sigma = perturb_and_project(a, PsdCone(), NORMAL, 1.0, RandomStream(100 + i))
+        point, sigma = perturb_and_project(a, PsdCone(), NORMAL, 1.0, BOUND, RandomStream(100 + i))
         assert PsdCone().residual(point) <= TOL_PROJ * (1 + np.linalg.norm(point))
         assert sigma == pytest.approx(5.386772268905419, rel=1e-12)
         assert np.array_equal(point, point.T)
@@ -80,8 +81,8 @@ def test_perturb_and_project_output_in_set():
 
 def test_perturb_and_project_deterministic():
     a = np.diag([1.0, -1.0, 0.5])
-    p1, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, 1.0, RandomStream(42))
-    p2, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, 1.0, RandomStream(42))
+    p1, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, 1.0, BOUND, RandomStream(42))
+    p2, _ = perturb_and_project(a, EntryClip(1.0), NORMAL, 1.0, BOUND, RandomStream(42))
     assert np.array_equal(p1, p2)
 
 
@@ -94,19 +95,19 @@ def test_single_noise_draw_per_release(monkeypatch):
 
     monkeypatch.setattr(engine, "sample_symmetric_gaussian", tracked)
     a = np.diag([1.0, -1.0, 0.0])
-    perturb_and_project(a, PsdCone(), NORMAL, 1.0, RandomStream(3))
+    perturb_and_project(a, PsdCone(), NORMAL, 1.0, BOUND, RandomStream(3))
     assert len(calls) == 1
-    perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, 1.0,
+    perturb_and_alternately_project(a, (PsdCone(), EntryClip(1.0)), NORMAL, 1.0, BOUND,
                                     RandomStream(4), 25)
     assert len(calls) == 2
 
 
 def test_rejects_asymmetric_and_non_square():
     with pytest.raises(ValueError):
-        perturb_and_project(np.array([[1.0, 2.0], [0.0, 1.0]]), PsdCone(), NORMAL, 1.0,
+        perturb_and_project(np.array([[1.0, 2.0], [0.0, 1.0]]), PsdCone(), NORMAL, 1.0, BOUND,
                             RandomStream(0))
     with pytest.raises(ValueError):
-        perturb_and_project(np.ones((2, 3)), PsdCone(), NORMAL, 1.0, RandomStream(0))
+        perturb_and_project(np.ones((2, 3)), PsdCone(), NORMAL, 1.0, BOUND, RandomStream(0))
 
 
 def test_averaged_step_examples():
@@ -122,7 +123,7 @@ def test_averaged_step_examples():
 def test_alternating_zero_noise_fixed_point():
     a = np.diag([0.5, 0.25])
     point, _ = perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, 1.0, RandomStream(5), 40)
+        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, 1.0, BOUND, RandomStream(5), 40)
     assert np.allclose(point, a, atol=1e-6)
 
 
@@ -131,7 +132,7 @@ def test_alternating_reaches_diagonal_reference():
     # iteration converges there because the instance is diagonal
     a = np.diag([2.0, -2.0])
     point, _ = perturb_and_alternately_project(
-        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, 1.0, RandomStream(6), 200)
+        a, (PsdCone(), EntryClip(1.0)), HUGE_EPS, 1.0, BOUND, RandomStream(6), 200)
     assert np.linalg.norm(point - np.diag([1.0, 0.0])) <= 1e-3
     ref = dykstra_reference(a, (PsdCone(), EntryClip(1.0)))
     assert np.allclose(ref, np.diag([1.0, 0.0]), atol=1e-8)
@@ -141,7 +142,7 @@ def test_alternating_max_residual_non_increasing():
     sets = (PsdCone(), EntryClip(1.0))
     for s in range(100):
         rng = np.random.default_rng(s)
-        x, _ = perturb_symmetric(_sym(rng, 8), NORMAL, 1.0, RandomStream(10_000 + s))
+        x, _ = perturb_symmetric(_sym(rng, 8), NORMAL, 1.0, BOUND, RandomStream(10_000 + s))
         profile = [max(st.residual(x) for st in sets)]
         for _ in range(40):
             x = averaged_projection_step(x, sets)
@@ -153,8 +154,8 @@ def test_alternating_max_residual_non_increasing():
 def test_alternating_deterministic():
     a = np.diag([1.0, 0.3, -0.5])
     sets = (PsdCone(), EntryClip(1.0))
-    p1, _ = perturb_and_alternately_project(a, sets, NORMAL, 1.0, RandomStream(77), 30)
-    p2, _ = perturb_and_alternately_project(a, sets, NORMAL, 1.0, RandomStream(77), 30)
+    p1, _ = perturb_and_alternately_project(a, sets, NORMAL, 1.0, BOUND, RandomStream(77), 30)
+    p2, _ = perturb_and_alternately_project(a, sets, NORMAL, 1.0, BOUND, RandomStream(77), 30)
     assert np.array_equal(p1, p2)
 
 
@@ -247,16 +248,32 @@ def test_perturb_symmetric_accepts_only_a_finite_matrix_symmetric_bit_for_bit():
         "inf-pair": with_entries(((0, 1), np.inf), ((1, 0), np.inf)),
         "inf-diagonal": with_entries(((3, 3), -np.inf)),
     }
+    for diagonal in ([np.inf, -np.inf, 2.0**51 - 1.0], [np.inf, 2.0**51 - 0.5], [np.inf],
+                     [-np.inf, 0.0], [0.0, np.nan], [np.nan, np.inf], [-np.inf, -np.inf]):
+        non_finite[f"diagonal {diagonal}"] = np.diag(diagonal)
     for name, a in accepted.items():
-        noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
+        noisy, sigma = perturb_symmetric(a, NORMAL, 1.0, BOUND, RandomStream(3))
         w = sample_symmetric_gaussian(4, sigma, RandomStream(3))
         assert noisy.tobytes() == (a + w).tobytes() == ((a + a.T) / 2.0 + w).tobytes(), name
     for name, a in asymmetric.items():
         with pytest.raises(ValueError, match="^matrix must be symmetric bit for bit$"):
-            perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
+            perturb_symmetric(a, NORMAL, 1.0, BOUND, RandomStream(3))
     for name, a in non_finite.items():
-        with pytest.raises(ValueError, match="^the statistic has a non-finite entry"):
-            perturb_symmetric(a, NORMAL, 1.0, RandomStream(3))
+        with pytest.raises(ValueError, match="^the statistic has a non-finite entry, which no "
+                                             "noise can privatize$"):
+            perturb_symmetric(a, NORMAL, 1.0, BOUND, RandomStream(3))
+
+
+def test_a_refused_draw_is_decided_from_the_bound_and_sigma_before_drawing(monkeypatch):
+    # sigma is about 5e-300, so a bound of 1 is past 2^53 gamma, also for the zero matrix
+    def no_draw(*args):
+        raise AssertionError("a refused release drew noise")
+
+    monkeypatch.setattr(engine, "sample_symmetric_gaussian", no_draw)
+    for a in (np.eye(3), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=r"^noise of scale sigma=\S+ is below the float64 "
+                                             r"resolution of a statistic with entries up to "):
+            perturb_symmetric(a, PrivacyParams(1e300, 1e-6), 1.0, 1.0, RandomStream(0))
 
 
 def _finite_and_symmetric_bit_for_bit(m: np.ndarray) -> bool:

@@ -17,6 +17,7 @@ from perturbproj.marginals import (
     BinaryDataset,
     ParityQuery,
     RecordError,
+    _guard_size,
     answer_parity_query,
     avg_query_sq_error,
     load_tensor,
@@ -195,6 +196,15 @@ def test_even_k_size_guard_counts_bytes_before_allocating():
     assert peak < 2**20
 
 
+def test_size_guard_reads_only_n_k_and_copies():
+    # 4 copies of 8192^2 float64 entries are exactly 2 GiB, which the guard admits;
+    # one more feature passes it. Nothing is allocated.
+    _guard_size(2**13, 2, copies=4)
+    with pytest.raises(ValueError, match="^order 2 over 8193 features needs about 2048 MiB, "
+                                         "over the size guard of 2048 MiB$"):
+        _guard_size(2**13 + 1, 2, copies=4)
+
+
 def test_answer_parity_query():
     data = BinaryDataset(np.array([[1.0, 0.0], [1.0, 1.0]]))
     t = parity_tensor(data, 2)
@@ -247,9 +257,9 @@ def test_release_even_k_zero_noise_exact():
 def test_even_k_flattening_is_exactly_symmetric_psd_with_trace_at_most_one(monkeypatch, k):
     captured = []
 
-    def capture(a, set_, params, sensitivity, stream):
+    def capture(a, set_, params, sensitivity, bound, stream):
         captured.append((a, set_))
-        return perturb_and_project(a, set_, params, sensitivity, stream)
+        return perturb_and_project(a, set_, params, sensitivity, bound, stream)
 
     monkeypatch.setattr(marginals, "perturb_and_project", capture)
     rng = np.random.default_rng(9)
@@ -409,6 +419,29 @@ def test_baseline_size_guard_counts_the_parity_build_peak(release):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_a_refused_baseline_builds_and_draws_nothing(monkeypatch, release):
+    # sigma is about 1e-299, so m = 3 is past 2^53 gamma
+    def unreachable(*args):
+        raise AssertionError("a refused release built its statistic or drew noise")
+
+    monkeypatch.setattr(marginals, "parity_tensor", unreachable)
+    monkeypatch.setattr(marginals, "sample_gaussian", unreachable)
+    with pytest.raises(ValueError, match=r"^noise of scale sigma=\S+ is below the float64 "
+                                         r"resolution of a statistic with entries up to 3$"):
+        release(BinaryDataset(np.eye(3), sparsity=1), 3, PrivacyParams(1e300, 1e-6),
+                RandomStream(0))
+
+
+@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
+def test_a_baseline_releases_a_dataset_without_records(release):
+    # m = 0 is a bound no noise scale refuses; the threshold keeps m*t^k = 0 entries
+    released = release(BinaryDataset(np.zeros((0, 3)), sparsity=1), 2, NORMAL, RandomStream(0))
+    noise = sample_gaussian((3, 3), released.record["sigma"], RandomStream(0))
+    expected = noise if release is release_gaussian_only else np.zeros((3, 3))
+    assert released.tensor.tobytes() == expected.tobytes()
 
 
 def test_gaussian_only_sensitivity():

@@ -191,29 +191,22 @@ def test_noise_must_be_finite():
 
 
 def test_noise_below_the_statistics_resolution_is_refused_from_the_edge_on():
-    # at sigma = 1, gamma = 2^-RESOLUTION_BITS and sums from 2^53 gamma on are
+    # at sigma = 1, gamma = 2^-RESOLUTION_BITS and bounds from 2^53 gamma on are
     # refused; just below sigma = 1 gamma halves, and so does the edge
     edge = 2.0 ** (53 - RESOLUTION_BITS)
-    noise = np.array([0.5, -0.25])
-    refuse_unresolved_noise(np.array([edge - 1.0, 0.0]), noise, 1.0)
     below_one = float(np.nextafter(1.0, 0.0))
-    refuse_unresolved_noise(np.array([edge / 2 - 1.0]), noise, below_one)
-    for statistic, sigma in [(np.array([0.0, -(edge - 0.5)]), 1.0),
-                             (np.array([edge / 2 - 0.5]), below_one)]:
-        with pytest.raises(ValueError, match=r"^noise of scale sigma=1 is below the float64 "
-                                             r"resolution of a statistic with entries up to "):
-            refuse_unresolved_noise(statistic, noise, sigma)
-
-
-def test_a_non_finite_statistic_is_refused():
-    # the Gaussian mechanism's guarantee covers a finite statistic only
-    noise = np.array([0.5, -0.25])
-    edge = 2.0 ** (53 - RESOLUTION_BITS)
-    for statistic in ([np.inf, -np.inf, edge - 1.0], [np.inf, edge - 0.5], [np.inf],
-                      [-np.inf, 0.0], [0.0, np.nan], [np.nan, np.inf], [-np.inf, -np.inf]):
-        with pytest.raises(ValueError, match="^the statistic has a non-finite entry, which "
-                                             "no noise can privatize$"):
-            refuse_unresolved_noise(np.array(statistic), noise, 1.0)
+    for bound, sigma in [(edge - 1.0, 1.0), (float(np.nextafter(edge, 0.0)), 1.0),
+                         (edge / 2 - 1.0, below_one), (0, 1.0)]:
+        refuse_unresolved_noise(bound, sigma)
+    for bound, sigma in [(edge, 1.0), (edge / 2, below_one), (2 * edge, 1.0), (math.inf, 1.0),
+                         (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match=rf"^noise of scale sigma=1 is below the float64 "
+                                             rf"resolution of a statistic with entries up to "
+                                             rf"{re.escape(f'{bound:g}')}$"):
+            refuse_unresolved_noise(bound, sigma)
+    for bad in (0, -1.0, math.inf, math.nan, True, None):
+        with pytest.raises(ValueError, match="^sigma must be finite and positive, got "):
+            refuse_unresolved_noise(1.0, bad)
 
 
 def test_sample_gaussian_moments():

@@ -14,6 +14,9 @@ For the cosine releases, swapping one of n unit vectors changes the Gram
 matrix by at most 2 sqrt(2(n-1)) in Frobenius norm and its strict upper
 triangle (the diagonal is always 1) by at most 2 sqrt(n-1); a pair of vector
 sets attains both, and a seeded random search stays within them.
+
+Whether a release is refused must not depend on the data either: a pair of
+neighbouring count datasets gets the same exit status from the CLI, seed by seed.
 """
 
 import itertools
@@ -22,6 +25,7 @@ import math
 import numpy as np
 import pytest
 
+import perturbproj.cli as cli
 from perturbproj.marginals import (
     BinaryDataset,
     parity_tensor,
@@ -114,3 +118,22 @@ def test_cosine_change_of_a_random_swap_stays_within_both_bounds():
         a, b = UnitVectorSet(rows), UnitVectorSet(swapped)
         assert gram_sensitivity(a, b) <= 2.0 * math.sqrt(2.0 * (n - 1)) + 1e-12, trial
         assert _upper_change(a, b) <= 2.0 * math.sqrt(n - 1) + 1e-12, trial
+
+
+def _exit_codes(tmp_path, ones: int, zeros: int) -> list:
+    """cli.main's exit codes over seeds 0-199 for the Gaussian release at k=1, epsilon 2
+    (sigma 5.387, gamma 1) of `ones` [1] records and `zeros` [0] records."""
+    data = tmp_path / f"{ones}-{zeros}.csv"
+    data.write_text(f"1,{ones}\n0,{zeros}\n")
+    argv = ["marginals", "--input", str(data), "--count-column", "--mode", "gaussian",
+            "--order", "1", "--epsilon", "2", "--delta", "1e-6", "--out", str(tmp_path / "r.bin")]
+    return [cli.main(argv + ["--seed", str(seed)]) for seed in range(200)]
+
+
+def test_neighbouring_datasets_are_refused_alike_seed_by_seed(tmp_path, capsys):
+    # m = 2^53 reaches 2^53 gamma, so both are refused whatever their counts and
+    # noise; a swap of one record near 2^40 is far below it, and both are released
+    at_edge = [_exit_codes(tmp_path, 2**53 - ones, ones) for ones in (1, 2)]
+    assert at_edge[0] == at_edge[1]
+    below = [_exit_codes(tmp_path, 2**40 - ones, ones) for ones in (1, 2)]
+    assert below[0] == below[1] == [0] * 200

@@ -14,6 +14,7 @@ from perturbproj.marginals import RecordError
 from perturbproj.mechanism import PrivacyParams, RandomStream, sample_symmetric_gaussian
 from perturbproj.projections import EntryClip, FrobeniusBall, PsdTrace
 from perturbproj.similarity import (
+    GRAM_BOUND,
     MODE_EXACT,
     MODE_PRACTICAL,
     PRACTICAL_COPIES,
@@ -264,7 +265,8 @@ def test_practical_is_one_shrink_then_clip_never_worse_than_averaged_steps(
         draws.clear()
         rel = release_cosine_practical(vs, params, 1.0, noise)
         assert draws == [n]
-        ref, _ = perturb_and_alternately_project(truth, sets, params, 1.0, noise, steps)
+        ref, _ = perturb_and_alternately_project(truth, sets, params, 1.0, GRAM_BOUND, noise,
+                                                 steps)
         assert np.sum((rel.matrix - truth) ** 2) <= np.sum((ref - truth) ** 2)
         assert np.abs(rel.matrix).max() <= 1.0
         assert rel.record["residuals"] == [0.0, 0.0]
@@ -316,7 +318,7 @@ def test_exact_beats_clip_only_baseline():
         truth = gram(vs)
         noise = RandomStream(40_000 + s)
         exact = release_cosine_exact(vs, NORMAL, 1.0, noise)
-        baseline, _ = perturb_and_project(truth, EntryClip(1.0), NORMAL, 1.0, noise)
+        baseline, _ = perturb_and_project(truth, EntryClip(1.0), NORMAL, 1.0, GRAM_BOUND, noise)
         if np.sum((exact.matrix - truth) ** 2) < np.sum((baseline - truth) ** 2):
             wins += 1
     assert wins >= 45
