@@ -352,7 +352,9 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
     T reshaped to its n^{k/2} square matrix is exactly symmetric (T[a, b] and
     T[b, a] are one integer), psd, of trace <= m*n^{k/2} and l2 sensitivity
     2*n^{k/2} under a record swap, which calibrates the one symmetric draw;
-    projection onto {M psd, tr M <= m*n^{k/2}} restores feasibility.
+    projection onto {M psd, tr M <= m*n^{k/2}} restores feasibility. As in the
+    baselines, refuse_unresolved_noise reads sigma and m, which no entry of T
+    passes, before T is built.
     """
     if k % 2 != 0:
         raise ValueError(
@@ -366,6 +368,7 @@ def release_even_k(data: BinaryDataset, k: int, params: PrivacyParams,
         raise ValueError("dataset must contain at least one record")
     side = n ** (k // 2)
     sensitivity = 2.0 * side
+    refuse_unresolved_noise(m, calibrate_sigma(params, sensitivity))
     point, sigma = perturb_and_project(parity_tensor(data, k).reshape(side, side),
                                        PsdTrace(float(m * side)), params, sensitivity, m, stream)
     return MarginalRelease(point.reshape((n,) * k),

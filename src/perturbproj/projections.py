@@ -4,10 +4,9 @@ Every set here is one a release projects onto; each exposes project() and
 residual(), the Frobenius distance to the projected point. Projections are
 idempotent and nonexpansive. Every set has a closed form; the projection onto
 {X psd, diag(X) <= 1} has none and is solved by a dual Newton method that
-certifies its own convergence (solve_psd_diag_box), with psd_residual and
-unit_diag_residual for its parts. PsdTrace, solve_psd_diag_box and
-psd_residual refuse a matrix that fails symmetric_matrix; the first two return
-one product B B^T, which numpy computes as a symmetric rank-k update, so it is
+certifies its own convergence (solve_psd_diag_box). PsdTrace and
+solve_psd_diag_box refuse a matrix that fails symmetric_matrix and return one
+product B B^T, which numpy computes as a symmetric rank-k update, so it is
 symmetric bit for bit and psd.
 """
 
@@ -55,16 +54,14 @@ def symmetric_matrix(a) -> np.ndarray:
     return a
 
 
-def _eigh_sym(s: np.ndarray, vectors: bool = True):
+def _eigh_sym(s: np.ndarray):
     # s is a symmetric float64 matrix, used as it is; retry once with a tiny
-    # diagonal jitter before giving up. Without vectors only the eigenvalues
-    # are computed (eigvalsh).
-    eig = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    # diagonal jitter before giving up.
     try:
-        return eig(s)
+        return np.linalg.eigh(s)
     except np.linalg.LinAlgError:
         try:
-            return eig(s + 1e-12 * np.eye(s.shape[0]))
+            return np.linalg.eigh(s + 1e-12 * np.eye(s.shape[0]))
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(f"eigendecomposition failed for shape {s.shape}") from exc
 
@@ -251,20 +248,6 @@ def solve_psd_diag_box(m: np.ndarray) -> DualNewtonResult:
     x = b @ b.T
     np.fill_diagonal(x, np.minimum(np.diagonal(x), 1.0))
     return DualNewtonResult(point=x, iterations=iterations, kkt_residual=kkt)
-
-
-def psd_residual(m: np.ndarray) -> float:
-    """Frobenius distance from m, which must pass symmetric_matrix, to the psd
-    cone: the norm of m's negative eigenvalues."""
-    negative = np.minimum(_eigh_sym(symmetric_matrix(m), vectors=False), 0.0)
-    return float(np.linalg.norm(negative))
-
-
-def unit_diag_residual(m: np.ndarray) -> float:
-    """Frobenius distance from m to {X : diag(X) in [0, 1]}, off-diagonals free:
-    only the diagonal moves."""
-    d = np.diagonal(np.asarray(m, dtype=float))
-    return float(np.linalg.norm(d - np.clip(d, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)

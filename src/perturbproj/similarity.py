@@ -25,8 +25,7 @@ import numpy as np
 from .engine import dykstra_reference, perturb_and_alternately_project, perturb_symmetric
 from .marginals import RecordError, _first, _guard_bytes, _raise_first, _read_numeric_csv
 from .mechanism import PrivacyParams, RandomStream, audit_record, write_with_sidecar
-from .projections import (EntryClip, FrobeniusBall, psd_residual, solve_psd_diag_box,
-                          symmetric_matrix, unit_diag_residual)
+from .projections import EntryClip, FrobeniusBall, solve_psd_diag_box, symmetric_matrix
 
 ROW_NORM_TOL = 1e-6
 GRAM_BOUND = (1.0 + ROW_NORM_TOL) ** 2  # no |entry| of a UnitVectorSet's Gram matrix passes it
@@ -37,12 +36,13 @@ MODE_PRACTICAL = "PRACTICAL"
 SOLVER_EXACT = "dual-newton"
 SOLVER_PRACTICAL = "shrink-then-clip"
 
-# Peak of a release through cli.main, read and file included, in float64 n x n
-# matrices (VmHWM less the RSS after an 8-vector warm-up, 16-d vectors, 2-vCPU
-# x86-64, OpenBLAS 0.3.31) at n = 1000/2000: exact 9.18-10.17/9.78 (eigh's
-# workspace), practical 5.04/5.05 (the writer holds n^2/4 strings at most).
+# Peak of a release and its CSV write (the exact one through cli.main, read
+# included), in float64 n x n matrices (VmHWM less the RSS after an 8-vector
+# warm-up, 16-d vectors, 2-vCPU x86-64, OpenBLAS 0.3.31) at n = 1000/2000:
+# exact 9.72-9.73/9.54 (eigh's workspace), practical 4.03-4.04 at both (the
+# writer holds n^2/4 strings at most).
 EXACT_COPIES = 11
-PRACTICAL_COPIES = 6
+PRACTICAL_COPIES = 5
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,10 @@ class UnitVectorSet:
 class SimilarityRelease:
     """Released similarity matrix plus its sidecar record.
 
-    The record is the release's audit_record plus its solver and residuals;
-    the exact mode adds the dual Newton solver's iteration count and final
-    KKT residual, which the practical mode, one closed-form step, has not.
+    The record is the release's audit_record plus its solver; the exact mode
+    adds the dual Newton solver's iteration count and final KKT residual,
+    which the practical mode, one closed-form step, has not. Both outputs lie
+    in their sets by construction, so no distance to them is recorded.
     """
 
     matrix: np.ndarray
@@ -128,20 +129,17 @@ def release_cosine_exact(vectors: UnitVectorSet, params: PrivacyParams, sensitiv
     """The Euclidean projection of the noisy Gram matrix onto {X psd, diag(X) <= 1}.
 
     One noise draw from stream, then one call of the dual Newton solver
-    (solve_psd_diag_box), which stops on its own KKT test. The release
-    records the solver's iteration count and final KKT residual, and the
-    distances to the psd cone and to {diag(X) in [0, 1]}; diag(X) <= 1 holds
-    exactly.
+    (solve_psd_diag_box), which stops on its own KKT test and returns B B^T
+    with diag(X) <= 1 exactly: psd and in the set by construction. The
+    release records the solver's iteration count and final KKT residual.
     """
     _guard_release(vectors.count, vectors.dim, EXACT_COPIES)
     noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, GRAM_BOUND, stream)
     solved = solve_psd_diag_box(noisy)
-    point = solved.point
     record = audit_record(params, sensitivity, sigma, stream, MODE_EXACT)
-    record.update(solver=SOLVER_EXACT,
-                  residuals=[psd_residual(point), unit_diag_residual(point)],
-                  iterations=solved.iterations, kkt_residual=solved.kkt_residual)
-    return SimilarityRelease(point, record)
+    record.update(solver=SOLVER_EXACT, iterations=solved.iterations,
+                  kkt_residual=solved.kkt_residual)
+    return SimilarityRelease(solved.point, record)
 
 
 def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams, sensitivity: float,
@@ -150,19 +148,17 @@ def release_cosine_practical(vectors: UnitVectorSet, params: PrivacyParams, sens
 
     One noise draw from stream, one radial shrink onto {||X||_F <= n} and one
     entry clip. Every entry of the output lies in [-1, 1], and therefore
-    ||X||_F <= n too, so both reported residuals (Frobenius ball, entry box)
-    are 0. The shrink is what makes this better than a plain clip: it pulls
-    every entry toward 0 by the same factor before clipping, which on paired
-    draws never gave a larger squared error than the averaged alternating
-    projections between the two sets (perturb_and_alternately_project).
+    ||X||_F <= n too: the output lies in both sets. The shrink is what makes
+    this better than a plain clip: it pulls every entry toward 0 by the same
+    factor before clipping, which on paired draws never gave a larger squared
+    error than the averaged alternating projections between the two sets
+    (perturb_and_alternately_project).
     """
     _guard_release(vectors.count, vectors.dim, PRACTICAL_COPIES)
-    ball, box = FrobeniusBall(float(vectors.count)), EntryClip(1.0)
     noisy, sigma = perturb_symmetric(gram(vectors), params, sensitivity, GRAM_BOUND, stream)
-    point = box.project(ball.project(noisy))
+    point = EntryClip(1.0).project(FrobeniusBall(float(vectors.count)).project(noisy))
     record = audit_record(params, sensitivity, sigma, stream, MODE_PRACTICAL)
-    record.update(solver=SOLVER_PRACTICAL,
-                  residuals=[ball.residual(point), box.residual(point)])
+    record["solver"] = SOLVER_PRACTICAL
     return SimilarityRelease(point, record)
 
 

@@ -6,9 +6,10 @@ the entrywise bound against it. PsdCone and DiagClip are the two sets whose
 intersection the exact cosine release projects onto, for the projection
 tests and the alternating-projection references; PsdDiagBox wraps
 solve_psd_diag_box as a ConvexSet, so the projection tests can run it beside
-the closed-form sets. TOL_PROJ is the tests' tolerance for a projection's
-idempotence, residual and variational inequality. symmetrize is sym(m), the
-matrix PsdCone projects in place of m.
+the closed-form sets. Each measures its residual as ConvexSet does, the
+distance to its own projection. TOL_PROJ is the tests' tolerance for a
+projection's idempotence, residual and variational inequality. symmetrize is
+sym(m), the matrix PsdCone projects in place of m.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from perturbproj.marginals import _cube
 from perturbproj.mechanism import RandomStream, integer_at_least
-from perturbproj.projections import ConvexSet, _eigh_sym, psd_residual, solve_psd_diag_box
+from perturbproj.projections import ConvexSet, _eigh_sym, solve_psd_diag_box
 
 TOL_PROJ = 1e-8
 
@@ -168,9 +169,6 @@ class PsdCone(ConvexSet):
         vals, vecs = _eigh_sym(symmetrize(np.asarray(m, dtype=float)))
         vals = np.maximum(vals, 0.0)
         return symmetrize((vecs * vals) @ vecs.T)
-
-    def residual(self, m):
-        return psd_residual(m)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ def test_similarity_happy_path(tmp_path, vectors_csv):
     assert meta["method"] == "PRACTICAL"
     assert meta["sigma"] == pytest.approx(5.386772268905419, rel=1e-12)
     assert meta["solver"] == "shrink-then-clip"
-    assert meta["residuals"] == [0.0, 0.0]
     assert "iterations" not in meta and "kkt_residual" not in meta
 
 
@@ -224,8 +223,7 @@ def test_both_release_families_publish_the_same_audit_record(tmp_path, vectors_c
     assert expected[0][1]["sigma"] != expected[1][1]["sigma"]
 
 
-SIMILARITY_KEYS = {"delta", "epsilon", "method", "residuals", "seed", "sensitivity", "sigma",
-                   "solver"}
+SIMILARITY_KEYS = {"delta", "epsilon", "method", "seed", "sensitivity", "sigma", "solver"}
 MARGINAL_KEYS = {"delta", "epsilon", "method", "order", "seed", "sensitivity", "side", "sigma"}
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import perturbproj.cli as cli
+import perturbproj.engine as engine
 import perturbproj.marginals as marginals
 from perturbproj.engine import perturb_and_project
 from perturbproj.marginals import (
@@ -421,17 +422,19 @@ def test_baseline_size_guard_counts_the_parity_build_peak(release):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("release", [release_gaussian_only, release_threshold_baseline])
-def test_a_refused_baseline_builds_and_draws_nothing(monkeypatch, release):
+@pytest.mark.parametrize("release, k", [(release_gaussian_only, 3),
+                                        (release_threshold_baseline, 3), (release_even_k, 2)])
+def test_a_refused_marginal_release_builds_and_draws_nothing(monkeypatch, release, k):
     # sigma is about 1e-299, so m = 3 is past 2^53 gamma
     def unreachable(*args):
         raise AssertionError("a refused release built its statistic or drew noise")
 
     monkeypatch.setattr(marginals, "parity_tensor", unreachable)
     monkeypatch.setattr(marginals, "sample_gaussian", unreachable)
+    monkeypatch.setattr(engine, "sample_symmetric_gaussian", unreachable)
     with pytest.raises(ValueError, match=r"^noise of scale sigma=\S+ is below the float64 "
                                          r"resolution of a statistic with entries up to 3$"):
-        release(BinaryDataset(np.eye(3), sparsity=1), 3, PrivacyParams(1e300, 1e-6),
+        release(BinaryDataset(np.eye(3), sparsity=1), k, PrivacyParams(1e300, 1e-6),
                 RandomStream(0))
 
 

@@ -16,11 +16,9 @@ from perturbproj.projections import (
     ProjectionConvergenceError,
     PsdTrace,
     project_simplex,
-    psd_residual,
     solve_psd_diag_box,
     symmetric_matrix,
     _generalized_hessian,
-    unit_diag_residual,
 )
 from perturbproj.similarity import UnitVectorSet, gram
 from reference import TOL_PROJ, DiagClip, PsdCone, PsdDiagBox, symmetrize
@@ -108,29 +106,8 @@ def test_residual_examples():
     assert PsdCone().residual(member) <= TOL_PROJ
 
 
-def test_psd_residual_from_eigenvalues_matches_distance_to_projection(monkeypatch):
-    rng = np.random.default_rng(3)
-    cases, asymmetric = [], []
-    for n in (1, 2, 5, 17, 40):
-        for scale in (1e-3, 1.0, 1e4):
-            cases.append(_sym(rng, n, scale))
-            (cases if n == 1 else asymmetric).append(rng.standard_normal((n, n)) * scale)
-    asymmetric.append(PsdCone().project(_sym(rng, 6)) + np.triu(np.ones((6, 6)), 1))
-    expected = [float(np.linalg.norm(m - PsdCone().project(m))) for m in cases]
-
-    def no_eigenvectors(*args, **kwargs):
-        raise AssertionError("the psd residual needs eigenvalues only")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigenvectors)
-    for m, old in zip(cases, expected):
-        assert abs(PsdCone().residual(m) - old) <= 1e-12 * float(np.linalg.norm(m))
-    for m in asymmetric:
-        with pytest.raises(ValueError, match="^matrix must be symmetric bit for bit$"):
-            psd_residual(m)
-
-
-@pytest.mark.parametrize("project", [PsdTrace(1.0).project, solve_psd_diag_box, psd_residual],
-                         ids=["psd-trace", "psd-diag-box", "psd-residual"])
+@pytest.mark.parametrize("project", [PsdTrace(1.0).project, solve_psd_diag_box],
+                         ids=["psd-trace", "psd-diag-box"])
 def test_matrix_projections_refuse_a_matrix_not_square_and_symmetric_bit_for_bit(project):
     for m in (np.zeros(3), np.zeros((2, 3))):
         with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \("):
@@ -138,15 +115,6 @@ def test_matrix_projections_refuse_a_matrix_not_square_and_symmetric_bit_for_bit
     for m in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[0.0, -0.0], [0.0, 0.0]])):
         with pytest.raises(ValueError, match="^matrix must be symmetric bit for bit$"):
             project(m)
-
-
-def test_unit_diag_residual_matches_the_distance_to_the_diagonal_clip():
-    rng = np.random.default_rng(4)
-    for n in (1, 2, 3, 5, 8, 17, 40):
-        for _ in range(200):
-            m = 0.5 + rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3.0, 4.0)
-            want = DiagClip(0.0, 1.0).residual(m)
-            assert abs(unit_diag_residual(m) - want) <= 1e-12 * want
 
 
 ALL_SETS = [

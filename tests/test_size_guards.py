@@ -130,7 +130,7 @@ def _peak(path: str, n: int, k: int) -> float:
     (EXACT_COPIES, [("exact", 1000, 2)]),
     (EVEN_K_COPIES, [("even", 30, 4), ("even", 1200, 2)]),
     (PARITY_COPIES, [("parity", 160, 3), ("threshold", 200, 3)]),
-    (PRACTICAL_COPIES, [("practical", 600, 2)]),
+    (PRACTICAL_COPIES, [("practical", 600, 2), ("practical", 1000, 2)]),
     (TRIAL_COPIES, [("stability", 1500, 2)]),
 ], ids=["exact-cosine", "even-k", "parity", "practical-cosine", "bench-trial"])
 def test_size_guard_copies_cover_the_measured_peak_by_at_most_one_and_a_half(copies, runs):
